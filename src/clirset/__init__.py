@@ -10,100 +10,4 @@ query, the document set maximizing the expected query value under the
 miss/false-alarm trade-off that also drives the final mAQWV score.
 """
 
-from .combiner import (
-    MixtureWeights,
-    combine,
-    em_fit,
-    fit_mixture,
-    load_weights,
-    save_weights,
-)
-from .corpus import (
-    Bitext,
-    ConfusionNetwork,
-    Corpus,
-    Document,
-    Judgments,
-    Query,
-    TranslationTable,
-    bitext_corpus,
-    bitext_doc_id,
-    load_bitext,
-    load_corpus,
-    load_judgments,
-    load_queries,
-    load_translation_table,
-    normalize,
-    parse_query,
-    save_bitext,
-    save_corpus,
-    save_judgments,
-    save_queries,
-    save_translation_table,
-)
-from .errors import ClirsetError, ConfigError, DataError, UnsupportedQueryError
-from .evidence import (
-    EvidenceMatrix,
-    MtEnsembleGenerator,
-    MtEnsembleModel,
-    MtHypothesisSet,
-    SearcherConfig,
-    SearcherGenerator,
-    SearcherModel,
-    TranslationTableGenerator,
-    Vocabulary,
-    build_evidence,
-    cn_evidence,
-    fit_mt_ensemble,
-    load_matrix,
-    mt_evidence,
-    save_matrix,
-    searcher_score,
-    train_searcher,
-    tt_evidence,
-)
-from .relevance import (
-    RankedList,
-    phrase_doc_rel,
-    phrase_sentence_rel,
-    query_doc_rel,
-    rank,
-)
-from .scorer import QueryScore, RunScore, score_query, score_run
-from .synth import SynthDataset, SynthSpec, generate
-from .thresholder import (
-    CutoffDecision,
-    ThresholdConfig,
-    decide,
-    expected_qv_curve,
-    returned_set,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    # corpus
-    "Bitext", "ConfusionNetwork", "Corpus", "Document", "Judgments", "Query",
-    "TranslationTable", "bitext_corpus", "bitext_doc_id", "normalize",
-    "parse_query", "load_bitext", "load_corpus", "load_judgments",
-    "load_queries", "load_translation_table", "save_bitext", "save_corpus",
-    "save_judgments", "save_queries", "save_translation_table",
-    # evidence
-    "EvidenceMatrix", "MtEnsembleGenerator", "MtEnsembleModel",
-    "MtHypothesisSet", "SearcherConfig", "SearcherGenerator", "SearcherModel",
-    "TranslationTableGenerator", "Vocabulary", "build_evidence",
-    "cn_evidence", "fit_mt_ensemble", "load_matrix", "mt_evidence",
-    "save_matrix", "searcher_score", "train_searcher", "tt_evidence",
-    # combination and ranking
-    "MixtureWeights", "combine", "em_fit", "fit_mixture", "load_weights",
-    "save_weights", "RankedList", "phrase_doc_rel", "phrase_sentence_rel",
-    "query_doc_rel", "rank",
-    # decisions and scoring
-    "CutoffDecision", "ThresholdConfig", "decide", "expected_qv_curve",
-    "returned_set", "QueryScore", "RunScore", "score_query", "score_run",
-    # synthetic data
-    "SynthDataset", "SynthSpec", "generate",
-    # errors
-    "ClirsetError", "ConfigError", "DataError", "UnsupportedQueryError",
-    "__version__",
-]

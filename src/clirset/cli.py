@@ -22,6 +22,7 @@ from .combiner import MixtureWeights, combine, fit_mixture, load_weights, save_w
 from .corpus import (
     LEXICAL,
     bitext_corpus,
+    data_lines,
     load_bitext,
     load_corpus,
     load_judgments,
@@ -84,20 +85,19 @@ def _load_config(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file does not exist: {path}")
     config: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected `key = value`, got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            config[key] = value.strip()
+    for lineno, line in data_lines(path):
+        line = line.strip()
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(
+                f"{path}:{lineno}: expected `key = value`, got {line!r}"
+            )
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        config[key] = value.strip()
     return config
 
 
@@ -279,14 +279,13 @@ def _build_generators(opt: Options) -> list:
     return generators
 
 
-def cmd_fit_mixture(opt: Options) -> int:
-    bitext = load_bitext(opt.input_file("bitext", required=True))
+def _fit_weights(opt: Options, generators, bitext_path: Path) -> MixtureWeights:
+    """EM-fit mixture weights for `generators` on held-out bitext."""
+    bitext = load_bitext(bitext_path)
     vocab = Vocabulary.from_bitext(bitext, opt.get("vocab_size", DEFAULT_VOCAB_SIZE, int))
-    generators = _build_generators(opt)
     epsilon = opt.get("epsilon", DEFAULT_EPSILON, float)
     m_neg = opt.get("m_neg", 50, int)
     seed = opt.get("seed", 0, int)
-    out = Path(opt.get("out", cast=Path, required=True))
 
     # The fitter re-derives the same instances from (bitext, vocab, m_neg,
     # seed), so the matrices only need to cover these words.
@@ -296,7 +295,14 @@ def cmd_fit_mixture(opt: Options) -> int:
     matrices = [
         build_evidence_for_words(gen, pseudo, words, epsilon) for gen in generators
     ]
-    mixture = fit_mixture(matrices, bitext, vocab, m_neg=m_neg, seed=seed)
+    return fit_mixture(matrices, bitext, vocab, m_neg=m_neg, seed=seed)
+
+
+def cmd_fit_mixture(opt: Options) -> int:
+    bitext_path = opt.input_file("bitext", required=True)
+    generators = _build_generators(opt)
+    out = Path(opt.get("out", cast=Path, required=True))
+    mixture = _fit_weights(opt, generators, bitext_path)
     save_weights(mixture, out)
     parts = " ".join(
         f"{tag}={mixture.weights[tag]:.4f}" for tag in sorted(mixture.weights)
@@ -340,30 +346,15 @@ def cmd_dump_evidence(opt: Options) -> int:
     return 0
 
 
-def _resolve_weights(opt: Options, matrices, bitext_path) -> MixtureWeights:
+def _resolve_weights(opt: Options, generators) -> MixtureWeights:
     choice = opt.get("weights", "uniform")
-    tags = [m.generator for m in matrices]
+    bitext_path = opt.input_file("bitext")
     if choice == "uniform":
-        return MixtureWeights.uniform(tags)
+        return MixtureWeights.uniform([gen.tag for gen in generators])
     if choice == "fit":
         if bitext_path is None:
             raise ConfigError("--weights fit needs --bitext for held-out fitting")
-        bitext = load_bitext(bitext_path)
-        vocab = Vocabulary.from_bitext(
-            bitext, opt.get("vocab_size", DEFAULT_VOCAB_SIZE, int)
-        )
-        epsilon = opt.get("epsilon", DEFAULT_EPSILON, float)
-        m_neg = opt.get("m_neg", 50, int)
-        seed = opt.get("seed", 0, int)
-        instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
-        words = {inst.word for inst in instances}
-        pseudo = bitext_corpus(bitext)
-        generators = _build_generators(opt)
-        fit_matrices = [
-            build_evidence_for_words(gen, pseudo, words, epsilon)
-            for gen in generators
-        ]
-        return fit_mixture(fit_matrices, bitext, vocab, m_neg=m_neg, seed=seed)
+        return _fit_weights(opt, generators, bitext_path)
     weights_path = Path(choice)
     if not weights_path.is_file():
         raise ConfigError(f"weights file does not exist: {weights_path}")
@@ -386,7 +377,7 @@ def cmd_retrieve(opt: Options) -> int:
     outdir = Path(opt.get("out", cast=Path, required=True))
 
     matrices = [build_evidence(gen, corpus, queries, epsilon) for gen in generators]
-    mixture = _resolve_weights(opt, matrices, opt.input_file("bitext"))
+    mixture = _resolve_weights(opt, generators)
     combined = combine(matrices, mixture)
 
     def run_query(query):

@@ -13,13 +13,14 @@ Weights persist as TSV `generator-tag <TAB> weight` rows with a
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Bitext, bitext_doc_id
+from .corpus import Bitext, bitext_doc_id, data_lines, parse_prob, split_tsv
 from .errors import DataError
 from .evidence.instances import DEFAULT_NEGATIVES_PER_POSITIVE, labeled_instances
 from .evidence.matrix import EvidenceMatrix, Vocabulary
@@ -47,6 +48,8 @@ class MixtureWeights:
             raise DataError("mixture with no weights")
         total = 0.0
         for tag, weight in self.weights.items():
+            if not math.isfinite(weight):
+                raise DataError(f"mixture weight for {tag!r} is not finite")
             if weight < 0.0:
                 raise DataError(f"mixture weight for {tag!r} is negative")
             total += weight
@@ -193,31 +196,20 @@ def save_weights(mixture: MixtureWeights, path) -> None:
 def load_weights(path) -> MixtureWeights:
     weights: dict[str, float] = {}
     loglik: float | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith(LOGLIK_PREFIX):
-                try:
-                    loglik = float(line[len(LOGLIK_PREFIX) :])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad loglik value") from exc
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(
-                    f"{path}:{lineno}: expected `tag<TAB>weight`, got {line!r}"
-                )
-            tag, weight_raw = fields
-            if tag in weights:
-                raise DataError(f"{path}:{lineno}: duplicate tag {tag!r}")
+    for lineno, line in data_lines(path):
+        if line.startswith(LOGLIK_PREFIX):
             try:
-                weights[tag] = float(weight_raw)
+                loglik = float(line[len(LOGLIK_PREFIX) :])
             except ValueError as exc:
-                raise DataError(
-                    f"{path}:{lineno}: bad weight {weight_raw!r}"
-                ) from exc
+                raise DataError(f"{path}:{lineno}: bad loglik value") from exc
+            continue
+        tag, weight_raw = split_tsv(path, lineno, line, 2)
+        if tag in weights:
+            raise DataError(f"{path}:{lineno}: duplicate tag {tag!r}")
+        weights[tag] = parse_prob(path, lineno, weight_raw)
     if not weights:
         raise DataError(f"{path}: empty mixture weight file")
-    return MixtureWeights(weights, loglik=loglik)
+    try:
+        return MixtureWeights(weights, loglik=loglik)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

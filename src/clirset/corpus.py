@@ -331,19 +331,30 @@ class Judgments:
 # ---------------------------------------------------------------------------
 
 
-def _data_lines(path) -> Iterator[tuple[int, str]]:
+def data_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line without its newline) for every non-blank line.
+
+    The one way the package reads a file line by line: an unreadable file
+    or a line that is not UTF-8 raises DataError naming the file.
+    """
     try:
-        handle = open(path, encoding="utf-8")
+        # Undecodable bytes become lone surrogates, which encode() refuses,
+        # so the error can name the line rather than a buffered chunk.
+        handle = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
         for lineno, line in enumerate(handle, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
             line = line.rstrip("\n")
             if line.strip():
                 yield lineno, line
 
 
-def _split_tsv(path, lineno: int, line: str, n_fields: int) -> list[str]:
+def split_tsv(path, lineno: int, line: str, n_fields: int) -> list[str]:
     fields = line.split("\t")
     if len(fields) != n_fields:
         raise DataError(
@@ -353,21 +364,28 @@ def _split_tsv(path, lineno: int, line: str, n_fields: int) -> list[str]:
     return fields
 
 
-def _parse_prob(path, lineno: int, raw: str) -> float:
+def parse_prob(path, lineno: int, raw: str) -> float:
     try:
         return float(raw)
     except ValueError as exc:
         raise DataError(f"{path}:{lineno}: bad probability {raw!r}") from exc
 
 
+def parse_index(path, lineno: int, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: bad sentence index {raw!r}") from exc
+
+
 def load_corpus(path) -> Corpus:
     """Read a JSONL corpus, validating every document."""
     docs: dict[str, Document] = {}
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         ctx = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too deeply nested
             raise DataError(f"{ctx}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{ctx}: document line is not a JSON object")
@@ -375,7 +393,7 @@ def load_corpus(path) -> Corpus:
             doc = _document_from_json(obj, ctx)
         except DataError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{ctx}: malformed document: {exc}") from exc
         if doc.id in docs:
             raise DataError(f"{ctx}: duplicate document id {doc.id!r}")
@@ -476,15 +494,15 @@ def load_translation_table(path, source_tag: str | None = None) -> TranslationTa
     """Read a TSV translation table; the tag defaults to the file stem."""
     entries: dict[Token, dict[Token, float]] = {}
     first_line: dict[tuple[Token, Token], int] = {}
-    for lineno, line in _data_lines(path):
-        foreign_raw, english_raw, prob_raw = _split_tsv(path, lineno, line, 3)
+    for lineno, line in data_lines(path):
+        foreign_raw, english_raw, prob_raw = split_tsv(path, lineno, line, 3)
         foreign = normalize(foreign_raw)
         english = normalize(english_raw)
         if len(foreign) != 1 or len(english) != 1:
             raise DataError(
                 f"{path}:{lineno}: table entry is not a single token pair"
             )
-        prob = _parse_prob(path, lineno, prob_raw)
+        prob = parse_prob(path, lineno, prob_raw)
         if not 0.0 < prob <= 1.0:
             raise DataError(
                 f"{path}:{lineno}: translation prob {prob!r} outside (0, 1]"
@@ -517,8 +535,8 @@ def save_translation_table(table: TranslationTable, path) -> None:
 
 def load_bitext(path) -> Bitext:
     pairs = []
-    for lineno, line in _data_lines(path):
-        src_raw, tgt_raw = _split_tsv(path, lineno, line, 2)
+    for lineno, line in data_lines(path):
+        src_raw, tgt_raw = split_tsv(path, lineno, line, 2)
         src = normalize_sentence(src_raw)
         tgt = normalize_sentence(tgt_raw)
         if not src or not tgt:
@@ -538,7 +556,7 @@ def save_bitext(bitext: Bitext, path) -> None:
 def load_queries(path) -> list[Query]:
     queries = []
     seen: dict[str, int] = {}
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         try:
             query = parse_query(line)
         except DataError as exc:
@@ -573,8 +591,8 @@ def save_queries(queries: Iterable[Query], path) -> None:
 
 def load_judgments(path, corpus: Corpus | None = None) -> Judgments:
     relevant: dict[str, set[str]] = {}
-    for lineno, line in _data_lines(path):
-        qid, doc_id = _split_tsv(path, lineno, line, 2)
+    for lineno, line in data_lines(path):
+        qid, doc_id = split_tsv(path, lineno, line, 2)
         qid = qid.strip()
         doc_id = doc_id.strip()
         if not qid or not doc_id:

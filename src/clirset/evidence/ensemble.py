@@ -29,7 +29,10 @@ from ..corpus import (
     Sentence,
     Token,
     bitext_doc_id,
+    data_lines,
     normalize_sentence,
+    parse_index,
+    split_tsv,
 )
 from ..errors import DataError
 from ..numerics import sigmoid, softplus
@@ -74,37 +77,22 @@ class MtHypothesisSet:
 
 def load_mt_hypotheses(path) -> MtHypothesisSet:
     hypotheses: dict[str, dict[tuple[str, int], Sentence]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields,"
-                    f" got {len(fields)}"
-                )
-            system, doc_id, index_raw, text = fields
-            try:
-                index = int(index_raw)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}:{lineno}: bad sentence index {index_raw!r}"
-                ) from exc
-            sentence = normalize_sentence(text)
-            if not sentence:
-                raise DataError(
-                    f"{path}:{lineno}: hypothesis normalizes to no tokens"
-                )
-            key = (doc_id, index)
-            per_system = hypotheses.setdefault(system, {})
-            if key in per_system:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate hypothesis for system"
-                    f" {system!r} sentence {doc_id!r}:{index}"
-                )
-            per_system[key] = sentence
+    for lineno, line in data_lines(path):
+        system, doc_id, index_raw, text = split_tsv(path, lineno, line, 4)
+        index = parse_index(path, lineno, index_raw)
+        sentence = normalize_sentence(text)
+        if not sentence:
+            raise DataError(
+                f"{path}:{lineno}: hypothesis normalizes to no tokens"
+            )
+        key = (doc_id, index)
+        per_system = hypotheses.setdefault(system, {})
+        if key in per_system:
+            raise DataError(
+                f"{path}:{lineno}: duplicate hypothesis for system"
+                f" {system!r} sentence {doc_id!r}:{index}"
+            )
+        per_system[key] = sentence
     if not hypotheses:
         raise DataError(f"{path}: empty hypothesis file")
     return MtHypothesisSet(tuple(sorted(hypotheses)), hypotheses)
@@ -225,18 +213,6 @@ def fit_mt_ensemble(
     return model, loss
 
 
-def mt_evidence(
-    model: MtEnsembleModel, hyps: MtHypothesisSet, doc_id: str, index: int,
-    word: Token,
-) -> float:
-    """p(rel | sentence, word) from the fitted per-system occurrence bits."""
-    z = model.bias
-    for system, weight in zip(model.systems, model.weights):
-        if word in hyps.translation(system, doc_id, index):
-            z += weight
-    return float(sigmoid(z))
-
-
 class MtEnsembleGenerator:
     """Evidence generator wrapping a fitted ensemble plus its hypotheses."""
 
@@ -282,7 +258,7 @@ def load_mt_ensemble(path) -> MtEnsembleModel:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise DataError(f"cannot read ensemble model {path}: {exc}") from exc
     try:
         return MtEnsembleModel(

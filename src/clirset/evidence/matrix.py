@@ -15,13 +15,28 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Protocol
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
-from ..corpus import Bitext, Corpus, Document, Query, Token
+from ..corpus import (
+    Bitext,
+    Corpus,
+    Document,
+    Query,
+    Token,
+    data_lines,
+    parse_index,
+    parse_prob,
+    split_tsv,
+)
 from ..errors import DataError
 from ..numerics import DEFAULT_EPSILON
 
 MATRIX_HEADER_PREFIX = "#generator="
+
+
+def sha256_tokens(tokens: Sequence[Token]) -> str:
+    """Hash of a token list, as recorded next to a saved vocabulary."""
+    return hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -56,7 +71,7 @@ class Vocabulary:
             raise DataError(f"token {token!r} not in vocabulary") from None
 
     def sha256(self) -> str:
-        return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
+        return sha256_tokens(self.tokens)
 
     @classmethod
     def from_bitext(cls, bitext: Bitext, size: int) -> "Vocabulary":
@@ -105,15 +120,18 @@ class EvidenceMatrix:
         return lo if prob < lo else hi if prob > hi else prob
 
     def put(self, doc_id: str, index: int, word: Token, prob: float) -> None:
+        # NaN fails both of clamp's comparisons and would be stored as is.
+        if prob != prob:
+            raise DataError(
+                f"generator {self.generator!r} gave NaN evidence for document"
+                f" {doc_id!r} segment {index} word {word!r}"
+            )
         self.cells.setdefault(doc_id, {}).setdefault(index, {})[word] = self.clamp(
             prob
         )
 
     def get(self, doc_id: str, index: int, word: Token) -> float:
         return self.cells.get(doc_id, {}).get(index, {}).get(word, self.epsilon)
-
-    def sentence_words(self, doc_id: str, index: int) -> Mapping[Token, float]:
-        return self.cells.get(doc_id, {}).get(index, {})
 
     def n_cells(self) -> int:
         return sum(
@@ -171,44 +189,29 @@ def save_matrix(matrix: EvidenceMatrix, path) -> None:
 
 def load_matrix(path, epsilon: float = DEFAULT_EPSILON) -> EvidenceMatrix:
     matrix: EvidenceMatrix | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if matrix is None:
-                if not line.startswith(MATRIX_HEADER_PREFIX):
-                    raise DataError(
-                        f"{path}:{lineno}: evidence matrix must start with"
-                        f" {MATRIX_HEADER_PREFIX!r}"
-                    )
-                tag = line[len(MATRIX_HEADER_PREFIX) :]
+    for lineno, line in data_lines(path):
+        if matrix is None:
+            if not line.startswith(MATRIX_HEADER_PREFIX):
+                raise DataError(
+                    f"{path}:{lineno}: evidence matrix must start with"
+                    f" {MATRIX_HEADER_PREFIX!r}"
+                )
+            tag = line[len(MATRIX_HEADER_PREFIX) :]
+            try:
                 matrix = EvidenceMatrix(tag, epsilon)
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields,"
-                    f" got {len(fields)}"
-                )
-            doc_id, index_raw, word, prob_raw = fields
-            try:
-                index = int(index_raw)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}:{lineno}: bad sentence index {index_raw!r}"
-                ) from exc
-            if index < 0:
-                raise DataError(f"{path}:{lineno}: negative sentence index {index}")
-            try:
-                prob = float(prob_raw)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad probability {prob_raw!r}") from exc
-            if not 0.0 <= prob <= 1.0:
-                raise DataError(
-                    f"{path}:{lineno}: probability {prob!r} outside [0, 1]"
-                )
-            matrix.put(doc_id, index, word, prob)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            continue
+        doc_id, index_raw, word, prob_raw = split_tsv(path, lineno, line, 4)
+        index = parse_index(path, lineno, index_raw)
+        if index < 0:
+            raise DataError(f"{path}:{lineno}: negative sentence index {index}")
+        prob = parse_prob(path, lineno, prob_raw)
+        if not 0.0 <= prob <= 1.0:
+            raise DataError(
+                f"{path}:{lineno}: probability {prob!r} outside [0, 1]"
+            )
+        matrix.put(doc_id, index, word, prob)
     if matrix is None:
         raise DataError(f"{path}: empty evidence matrix file")
     return matrix

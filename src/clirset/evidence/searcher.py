@@ -34,7 +34,7 @@ from ..corpus import Bitext, ConfusionNetwork, Document, Sentence, Token
 from ..errors import DataError
 from ..numerics import sigmoid
 from .instances import DEFAULT_NEGATIVES_PER_POSITIVE
-from .matrix import Vocabulary
+from .matrix import Vocabulary, sha256_tokens
 
 log = logging.getLogger(__name__)
 
@@ -189,21 +189,6 @@ def searcher_objective(
     return total / count, grads
 
 
-def searcher_score(model: SearcherModel, sentence: Sentence, word: Token) -> float:
-    """p(rel | sentence, word); the word must be in the English vocabulary."""
-    if word not in model.english_vocab:
-        raise DataError(f"word {word!r} not in searcher vocabulary")
-    if not sentence:
-        raise DataError("cannot score an empty sentence")
-    x = model.params["foreign_emb"][model.foreign_ids(sentence)]
-    h, _ = _contextualize(model.params, x)
-    widx = model.english_vocab.index_of(word)
-    # best match over token positions, then the per-word bias
-    z = float((h @ model.params["english_emb"][widx]).max())
-    z += float(model.params["bias"][widx])
-    return float(sigmoid(z))
-
-
 def _foreign_vocabulary(bitext: Bitext, size: int | None) -> tuple[Token, ...]:
     counts: Counter[Token] = Counter()
     for src, _ in bitext:
@@ -331,7 +316,7 @@ def save_searcher(model: SearcherModel, path) -> None:
         "dim": model.dim,
         "depth": model.depth,
         "english_vocab_sha256": model.english_vocab.sha256(),
-        "foreign_vocab_sha256": _sha256_tokens(model.foreign_tokens),
+        "foreign_vocab_sha256": sha256_tokens(model.foreign_tokens),
     }
     arrays = dict(model.params)
     arrays["english_tokens"] = np.array(model.english_vocab.tokens)
@@ -362,15 +347,9 @@ def load_searcher(path) -> SearcherModel:
     vocab = Vocabulary(english)
     if manifest.get("english_vocab_sha256") != vocab.sha256():
         raise DataError(f"{path}: english vocabulary hash mismatch")
-    if manifest.get("foreign_vocab_sha256") != _sha256_tokens(foreign):
+    if manifest.get("foreign_vocab_sha256") != sha256_tokens(foreign):
         raise DataError(f"{path}: foreign vocabulary hash mismatch")
     model = SearcherModel(vocab, foreign, params)
     if manifest.get("dim") != model.dim:
         raise DataError(f"{path}: manifest dim does not match arrays")
     return model
-
-
-def _sha256_tokens(tokens: Sequence[Token]) -> str:
-    import hashlib
-
-    return hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()

@@ -25,13 +25,3 @@ def sigmoid(z):
 def softplus(z):
     """log(1 + exp(z)) without overflow; equals -log sigmoid(-z)."""
     return np.logaddexp(0.0, z)
-
-
-def clamp_prob(p: float, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Clamp a probability into [epsilon, 1 - epsilon]."""
-    if p < epsilon:
-        return epsilon
-    ceiling = 1.0 - epsilon
-    if p > ceiling:
-        return ceiling
-    return p

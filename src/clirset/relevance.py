@@ -62,26 +62,10 @@ class RankedList:
         return [doc_id for doc_id, _ in self.entries]
 
 
-def phrase_sentence_rel(
-    evidence: EvidenceMatrix, doc_id: str, index: int, phrase: QueryPhrase
-) -> float:
-    """Product over phrase words of the sentence evidence."""
-    if not phrase:
-        raise DataError("empty phrase")
-    return math.exp(_log_phrase_sentence(evidence, doc_id, index, phrase))
-
-
 def _log_phrase_sentence(
     evidence: EvidenceMatrix, doc_id: str, index: int, phrase: QueryPhrase
 ) -> float:
     return sum(math.log(evidence.get(doc_id, index, word)) for word in phrase)
-
-
-def phrase_doc_rel(
-    evidence: EvidenceMatrix, doc: Document, phrase: QueryPhrase
-) -> float:
-    """Union over sentences: 1 - prod_s (1 - phrase_sentence_rel)."""
-    return _open_unit(math.exp(_log_phrase_doc(evidence, doc, phrase)))
 
 
 def _log_phrase_doc(
@@ -128,24 +112,3 @@ def save_run(ranked_lists, path, run_tag: str = DEFAULT_RUN_TAG) -> None:
                 out.write(
                     f"{ranked.query_id} {doc_id} {position} {prob!r} {run_tag}\n"
                 )
-
-
-def load_run(path) -> list[RankedList]:
-    by_query: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 5:
-                raise DataError(
-                    f"{path}:{lineno}: expected 5 whitespace-separated fields"
-                )
-            qid, doc_id, _, prob_raw, _ = fields
-            try:
-                prob = float(prob_raw)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad probability") from exc
-            by_query.setdefault(qid, []).append((doc_id, prob))
-    return [RankedList(qid, tuple(entries)) for qid, entries in by_query.items()]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .corpus import data_lines, split_tsv
 from .errors import DataError
 from .numerics import DEFAULT_EPSILON
 from .relevance import RankedList
@@ -134,23 +135,14 @@ def save_cutoffs(decisions, path) -> None:
 
 def load_cutoffs(path) -> dict[str, tuple[int, float]]:
     cutoffs: dict[str, tuple[int, float]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected `query-id<TAB>k<TAB>expected_qv`"
-                )
-            qid, k_raw, qv_raw = fields
-            if qid in cutoffs:
-                raise DataError(f"{path}:{lineno}: duplicate query id {qid!r}")
-            try:
-                cutoffs[qid] = (int(k_raw), float(qv_raw))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad cutoff line") from exc
+    for lineno, line in data_lines(path):
+        qid, k_raw, qv_raw = split_tsv(path, lineno, line, 3)
+        if qid in cutoffs:
+            raise DataError(f"{path}:{lineno}: duplicate query id {qid!r}")
+        try:
+            cutoffs[qid] = (int(k_raw), float(qv_raw))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad cutoff line") from exc
     return cutoffs
 
 
@@ -163,16 +155,7 @@ def save_returned_sets(sets_by_query: dict[str, list[str]], path) -> None:
 
 def load_returned_sets(path) -> dict[str, set[str]]:
     sets: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(
-                    f"{path}:{lineno}: expected `query-id<TAB>doc-id`"
-                )
-            qid, doc_id = fields
-            sets.setdefault(qid, set()).add(doc_id)
+    for lineno, line in data_lines(path):
+        qid, doc_id = split_tsv(path, lineno, line, 2)
+        sets.setdefault(qid, set()).add(doc_id)
     return sets

@@ -163,6 +163,41 @@ class TestTrainers:
         assert (run / "sets.tsv").is_file()
 
 
+    def test_inline_fit_matches_fit_mixture_then_weights_file(
+        self, data_dir, tmp_path
+    ):
+        mt_model = tmp_path / "mt.json"
+        assert main([
+            "fit-ensemble",
+            "--bitext", str(data_dir / "bitext.tsv"),
+            "--mt-hyps", str(data_dir / "mt_hyps.tsv"),
+            "--out", str(mt_model),
+        ]) == 0
+        mt_args = [
+            "--mt-hyps", str(data_dir / "mt_hyps.tsv"),
+            "--mt-model", str(mt_model),
+        ]
+        weights = tmp_path / "weights.tsv"
+        assert main([
+            "fit-mixture",
+            "--bitext", str(data_dir / "bitext.tsv"),
+            "--table", str(data_dir / "table.tsv"),
+            *mt_args,
+            "--out", str(weights),
+        ]) == 0
+        from_file, inline = tmp_path / "from_file", tmp_path / "inline"
+        assert main(
+            retrieve_args(data_dir, from_file) + mt_args
+            + ["--weights", str(weights)]
+        ) == 0
+        assert main(
+            retrieve_args(data_dir, inline) + mt_args
+            + ["--weights", "fit", "--bitext", str(data_dir / "bitext.tsv")]
+        ) == 0
+        for name in ("ranked.run", "cutoffs.tsv", "sets.tsv"):
+            assert (inline / name).read_bytes() == (from_file / name).read_bytes()
+
+
 class TestDumpEvidence:
     def test_writes_one_matrix(self, data_dir, tmp_path):
         out = tmp_path / "evidence.tsv"
@@ -219,6 +254,23 @@ class TestErrorPaths:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 2
+
+    def test_non_utf8_queries_is_data_error(self, data_dir, tmp_path, capsys):
+        queries = tmp_path / "queries.tsv"
+        original = (data_dir / "queries.tsv").read_bytes()
+        queries.write_bytes(original + b"q9\tvirus \xff\n")
+        line = original.count(b"\n") + 1
+        code = main([
+            "retrieve",
+            "--corpus", str(data_dir / "corpus.jsonl"),
+            "--queries", str(queries),
+            "--table", str(data_dir / "table.tsv"),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{queries}:{line}: not valid UTF-8" in err
+        assert "Traceback" not in err
 
     def test_weights_fit_needs_bitext(self, data_dir, tmp_path, capsys):
         code = main(

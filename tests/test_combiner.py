@@ -39,6 +39,11 @@ class TestMixtureWeights:
         with pytest.raises(DataError, match="sum"):
             MixtureWeights({"a": 0.5, "b": 0.4})
 
+    def test_non_finite_weight_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DataError, match="'a' is not finite"):
+                MixtureWeights({"a": bad, "b": 1.0})
+
     def test_duplicate_tags_in_uniform(self):
         with pytest.raises(DataError, match="duplicate"):
             MixtureWeights.uniform(["a", "a"])
@@ -244,4 +249,10 @@ class TestWeightsIO:
         path = tmp_path / "w.tsv"
         path.write_text("a\t0.5\nb\t0.6\n")
         with pytest.raises(DataError, match="sum"):
+            load_weights(path)
+
+    def test_invalid_weights_name_the_file(self, tmp_path):
+        path = tmp_path / "w.tsv"
+        path.write_text("\t-0.5\nb\t1.5\n")
+        with pytest.raises(DataError, match=r"w\.tsv: mixture weight for '' is negative"):
             load_weights(path)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from clirset.corpus import Bitext, bitext_doc_id
+from clirset.corpus import Bitext, Document, bitext_doc_id
 from clirset.errors import DataError
 from clirset.evidence import (
+    MtEnsembleGenerator,
     MtEnsembleModel,
     MtHypothesisSet,
     Vocabulary,
@@ -15,7 +16,6 @@ from clirset.evidence import (
     fit_mt_ensemble,
     load_mt_ensemble,
     load_mt_hypotheses,
-    mt_evidence,
     save_mt_ensemble,
     save_mt_hypotheses,
 )
@@ -133,22 +133,26 @@ class TestEvidence:
             },
         )
 
+    def score(self, doc_id, word):
+        doc = Document(id=doc_id, kind="text", sentences=(("f",),))
+        gen = MtEnsembleGenerator(self.MODEL, self.hyps())
+        return gen.segment_scores(doc, 0, doc.sentences[0], [word])[word]
+
     def test_hand_values(self):
-        hyps = self.hyps()
         # virus: only s1 -> sigmoid(1)
-        assert mt_evidence(self.MODEL, hyps, "d1", 0, "virus") == pytest.approx(
+        assert self.score("d1", "virus") == pytest.approx(
             1 / (1 + math.exp(-1.0)), abs=1e-12
         )
         # spread: both -> sigmoid(1 - 5)
-        assert mt_evidence(self.MODEL, hyps, "d1", 0, "spread") == pytest.approx(
+        assert self.score("d1", "spread") == pytest.approx(
             1 / (1 + math.exp(4.0)), abs=1e-12
         )
         # absent word -> sigmoid(0)
-        assert mt_evidence(self.MODEL, hyps, "d1", 0, "nowhere") == 0.5
+        assert self.score("d1", "nowhere") == 0.5
 
     def test_missing_hypothesis_is_an_error(self):
         with pytest.raises(DataError, match="s1.*d9"):
-            mt_evidence(self.MODEL, self.hyps(), "d9", 0, "virus")
+            self.score("d9", "virus")
 
 
 class TestIO:

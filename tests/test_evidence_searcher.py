@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from clirset.corpus import Bitext, ConfusionNetwork, Document
+from clirset.corpus import Bitext, ConfusionNetwork, Corpus, Document, parse_query
 from clirset.errors import DataError
 from clirset.evidence import (
     SearcherConfig,
     SearcherGenerator,
     SearcherModel,
     Vocabulary,
+    build_evidence,
     load_searcher,
     save_searcher,
     searcher_objective,
-    searcher_score,
     train_searcher,
 )
 
@@ -34,6 +34,12 @@ def zero_model(n_english=3, n_foreign=2, dim=4, depth=0):
     return SearcherModel(vocab, foreign, params)
 
 
+def score(model, sentence, word):
+    """The searcher's evidence for `word` in a one-sentence text document."""
+    doc = Document(id="d", kind="text", sentences=(sentence,))
+    return SearcherGenerator(model).segment_scores(doc, 0, sentence, [word])[word]
+
+
 def random_params(rng, n_foreign, n_english, dim, depth):
     params = {
         "foreign_emb": rng.normal(size=(n_foreign + 1, dim)),
@@ -49,7 +55,7 @@ def random_params(rng, n_foreign, n_english, dim, depth):
 class TestScore:
     def test_zero_model_scores_half(self):
         model = zero_model()
-        assert searcher_score(model, ("f0", "f1"), "e1") == 0.5
+        assert score(model, ("f0", "f1"), "e1") == 0.5
 
     def test_constructed_value(self):
         model = zero_model(dim=2)
@@ -57,35 +63,27 @@ class TestScore:
         model.params["foreign_emb"][1] = [0.0, 1.0]
         model.params["english_emb"][2] = [2.0, 0.5]
         # best token is f0: z = <e2, f0> = 2.0
-        got = searcher_score(model, ("f0", "f1"), "e2")
+        got = score(model, ("f0", "f1"), "e2")
         assert got == pytest.approx(1 / (1 + math.exp(-2.0)), abs=1e-12)
         # bias shifts the logit
         model.params["bias"][2] = -2.0
-        assert searcher_score(model, ("f0", "f1"), "e2") == 0.5
+        assert score(model, ("f0", "f1"), "e2") == 0.5
 
     def test_token_order_ignored_without_attention(self):
         rng = np.random.default_rng(0)
         model = zero_model(n_foreign=4, dim=8)
         model.params["foreign_emb"][:] = rng.normal(size=(5, 8))
         model.params["english_emb"][:] = rng.normal(size=(3, 8))
-        a = searcher_score(model, ("f0", "f2", "f3"), "e0")
-        b = searcher_score(model, ("f3", "f0", "f2"), "e0")
+        a = score(model, ("f0", "f2", "f3"), "e0")
+        b = score(model, ("f3", "f0", "f2"), "e0")
         assert a == b
 
     def test_unknown_token_uses_unk_row(self):
         model = zero_model(dim=2)
         model.params["foreign_emb"][-1] = [3.0, 0.0]
         model.params["english_emb"][0] = [1.0, 0.0]
-        got = searcher_score(model, ("never-seen",), "e0")
+        got = score(model, ("never-seen",), "e0")
         assert got == pytest.approx(1 / (1 + math.exp(-3.0)), abs=1e-12)
-
-    def test_oov_word_rejected(self):
-        with pytest.raises(DataError, match="vocabulary"):
-            searcher_score(zero_model(), ("f0",), "nope")
-
-    def test_empty_sentence_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            searcher_score(zero_model(), (), "e0")
 
 
 class TestObjectiveGradients:
@@ -152,9 +150,9 @@ class TestTraining:
         assert len(losses) == 30
         assert losses[-1] < losses[0]
         # aligned pairs score high, everything else low
-        assert searcher_score(model, ("f3",), "e3") > 0.9
-        assert searcher_score(model, ("f3",), "e7") < 0.1
-        assert searcher_score(model, ("f1", "f5"), "e5") > 0.9
+        assert score(model, ("f3",), "e3") > 0.9
+        assert score(model, ("f3",), "e7") < 0.1
+        assert score(model, ("f1", "f5"), "e5") > 0.9
 
     def test_training_is_deterministic(self):
         bitext, vocab = dictionary_bitext()
@@ -195,9 +193,24 @@ class TestGenerator:
         gen = SearcherGenerator(model)
         doc = Document(id="d", kind="text", sentences=(("f0", "f4"),))
         scores = gen.segment_scores(doc, 0, doc.sentences[0], ["e0", "e2"])
-        assert scores["e0"] == pytest.approx(
-            searcher_score(model, ("f0", "f4"), "e0"), abs=1e-12
-        )
+        # sigmoid(max_j <e(w), h_j> + bias_w), with h_j the token embeddings
+        # since the model has no attention layer
+        rows = [model.foreign_tokens.index(tok) for tok in ("f0", "f4")]
+        word = vocab.index_of("e0")
+        e_w = model.params["english_emb"][word]
+        z = max(float(model.params["foreign_emb"][j] @ e_w) for j in rows)
+        z += float(model.params["bias"][word])
+        assert scores["e0"] == pytest.approx(1 / (1 + math.exp(-z)), abs=1e-12)
+
+    def test_nan_parameter_rejected_while_building(self):
+        model = zero_model()
+        model.params["bias"][1] = float("nan")
+        doc = Document(id="d", kind="text", sentences=(("f0",),))
+        queries = [parse_query("q\te0 e1")]
+        with pytest.raises(DataError, match="searcher.*'d'.*segment 0.*'e1'"):
+            build_evidence(
+                SearcherGenerator(model), Corpus.from_documents([doc]), queries
+            )
 
     def test_oov_words_skipped(self):
         gen = SearcherGenerator(zero_model())
@@ -233,7 +246,7 @@ class TestPersistence:
         for key in model.params:
             assert np.array_equal(loaded.params[key], model.params[key])
         # loaded model scores identically
-        assert searcher_score(loaded, ("f1", "f2"), "e0") == searcher_score(
+        assert score(loaded, ("f1", "f2"), "e0") == score(
             model, ("f1", "f2"), "e0"
         )
 

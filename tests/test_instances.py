@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from clirset.corpus import Bitext
 from clirset.errors import DataError
-from clirset.evidence import Vocabulary, labeled_instances
-from clirset.numerics import DEFAULT_EPSILON, clamp_prob, sigmoid, softplus
+from clirset.evidence import EvidenceMatrix, Vocabulary, labeled_instances
+from clirset.numerics import DEFAULT_EPSILON, sigmoid, softplus
 
 
 class TestLabeledInstances:
@@ -86,7 +86,8 @@ class TestNumerics:
 
     def test_clamp_prob(self):
         eps = DEFAULT_EPSILON
-        assert clamp_prob(0.5) == 0.5
-        assert clamp_prob(0.0) == eps
-        assert clamp_prob(1.0) == 1.0 - eps
-        assert clamp_prob(-3.0) == eps
+        clamp = EvidenceMatrix("t").clamp
+        assert clamp(0.5) == 0.5
+        assert clamp(0.0) == eps
+        assert clamp(1.0) == 1.0 - eps
+        assert clamp(-3.0) == eps

@@ -15,9 +15,6 @@ from clirset.errors import DataError, UnsupportedQueryError
 from clirset.evidence import EvidenceMatrix
 from clirset.relevance import (
     RankedList,
-    load_run,
-    phrase_doc_rel,
-    phrase_sentence_rel,
     query_doc_rel,
     rank,
     save_run,
@@ -41,17 +38,22 @@ def lexical(*phrases, query_id="q"):
     return Query(id=query_id, kind=LEXICAL, phrases=tuple(tuple(p) for p in phrases))
 
 
+def phrase_rel(evidence, document, phrase):
+    """Relevance of `document` to a query made of the one phrase."""
+    return query_doc_rel(evidence, document, lexical(phrase))
+
+
 class TestHandValues:
     def test_phrase_sentence_product(self):
         m = matrix([("d", 0, "a", 0.9), ("d", 0, "b", 0.8)])
-        assert phrase_sentence_rel(m, "d", 0, ("a", "b")) == pytest.approx(
+        assert phrase_rel(m, doc("d", 1), ("a", "b")) == pytest.approx(
             0.72, abs=1e-12
         )
 
     def test_phrase_doc_union(self):
         # sentence rels 0.2 and 0.37 via single-word phrase
         m = matrix([("d", 0, "a", 0.2), ("d", 1, "a", 0.37)])
-        got = phrase_doc_rel(m, doc("d", 2), ("a",))
+        got = phrase_rel(m, doc("d", 2), ("a",))
         assert got == pytest.approx(0.496, abs=1e-12)
 
     def test_query_doc_product_of_phrases(self):
@@ -68,7 +70,7 @@ class TestHandValues:
 
     def test_missing_cells_fall_back_to_floor(self):
         m = matrix([])
-        assert phrase_sentence_rel(m, "d", 0, ("a",)) == pytest.approx(1e-6, rel=1e-12)
+        assert phrase_rel(m, doc("d", 1), ("a",)) == pytest.approx(1e-6, rel=1e-12)
 
 
 class TestAgainstDirectOracle:
@@ -113,7 +115,7 @@ class TestAgainstDirectOracle:
         # all sentence rels near the floor: expm1 keeps the union exact
         n = 50
         cells = [("d", i, "a", 1e-6) for i in range(n)]
-        got = phrase_doc_rel(matrix(cells), doc("d", n), ("a",))
+        got = phrase_rel(matrix(cells), doc("d", n), ("a",))
         want = -math.expm1(n * math.log1p(-1e-6))
         assert got == pytest.approx(want, rel=1e-12)
         assert got > 0.0
@@ -123,7 +125,7 @@ class TestAgainstDirectOracle:
         # exactly 1.0; the result must stay strictly inside (0, 1) so that
         # downstream odds p / (1 - p) remain finite
         cells = [("d", i, "a", 1.0) for i in range(3)]
-        got = phrase_doc_rel(matrix(cells), doc("d", 3), ("a",))
+        got = phrase_rel(matrix(cells), doc("d", 3), ("a",))
         assert got < 1.0
         assert got == pytest.approx(1.0, rel=1e-12)
         q = lexical(("a",))
@@ -133,7 +135,7 @@ class TestAgainstDirectOracle:
         # a long all-floor phrase underflows every sentence rel to 0.0;
         # the union must neither crash the log nor collapse to 0.0
         phrase = tuple(f"u{i}" for i in range(130))
-        got = phrase_doc_rel(matrix([]), doc("d", 1), phrase)
+        got = phrase_rel(matrix([]), doc("d", 1), phrase)
         assert 0.0 < got < 1e-300
 
 
@@ -143,23 +145,23 @@ class TestStructuralProperties:
         for _ in range(50):
             probs = [rng.uniform(0.01, 0.6) for _ in range(4)]
             cells = [("d", i, "a", p) for i, p in enumerate(probs)]
-            small = phrase_doc_rel(matrix(cells[:2]), doc("d", 2), ("a",))
+            small = phrase_rel(matrix(cells[:2]), doc("d", 2), ("a",))
             # extra sentences read floor evidence at worst
-            big = phrase_doc_rel(matrix(cells), doc("d", 4), ("a",))
+            big = phrase_rel(matrix(cells), doc("d", 4), ("a",))
             assert big >= small - 1e-15
 
     def test_longer_phrase_never_helps(self):
         m = matrix([("d", 0, "a", 0.9), ("d", 0, "b", 0.8)])
-        assert phrase_sentence_rel(m, "d", 0, ("a", "b")) <= phrase_sentence_rel(
-            m, "d", 0, ("a",)
+        assert phrase_rel(m, doc("d", 1), ("a", "b")) <= phrase_rel(
+            m, doc("d", 1), ("a",)
         )
 
     def test_sentence_order_ignored(self):
         probs = [0.3, 0.7, 0.05]
         base = [("d", i, "a", p) for i, p in enumerate(probs)]
         shuffled = [("d", i, "a", p) for i, p in enumerate(reversed(probs))]
-        a = phrase_doc_rel(matrix(base), doc("d", 3), ("a",))
-        b = phrase_doc_rel(matrix(shuffled), doc("d", 3), ("a",))
+        a = phrase_rel(matrix(base), doc("d", 3), ("a",))
+        b = phrase_rel(matrix(shuffled), doc("d", 3), ("a",))
         assert a == pytest.approx(b, rel=1e-15)
 
 
@@ -200,13 +202,9 @@ class TestRunIO:
         ]
         path = tmp_path / "out.run"
         save_run(lists, path, run_tag="mytag")
-        text = path.read_text()
-        assert " 1 " in text and "mytag" in text
-        loaded = load_run(path)
-        assert loaded == lists
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.run"
-        path.write_text("q1 d1 1 0.5\n")
-        with pytest.raises(DataError, match="5"):
-            load_run(path)
+        # query-id doc-id rank prob run-tag; repr() reads back bit exact
+        assert path.read_text().splitlines() == [
+            "q1 da 1 0.875 mytag",
+            "q1 db 2 0.12345678901234566 mytag",
+            "q2 da 1 1e-06 mytag",
+        ]
