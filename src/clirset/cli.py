@@ -14,7 +14,6 @@ import argparse
 import logging
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -371,24 +370,16 @@ def cmd_retrieve(opt: Options) -> int:
         gamma=opt.get("gamma", DEFAULT_GAMMA, float),
         epsilon=epsilon,
     )
-    jobs = opt.get("jobs", 1, int)
-    if jobs < 1:
-        raise ConfigError(f"--jobs {jobs} must be >= 1")
     outdir = Path(opt.get("out", cast=Path, required=True))
 
     matrices = [build_evidence(gen, corpus, queries, epsilon) for gen in generators]
     mixture = _resolve_weights(opt, generators)
     combined = combine(matrices, mixture)
 
-    def run_query(query):
+    results = []
+    for query in queries:
         ranked = rank(combined, corpus, query)
-        return ranked, decide(ranked, cfg)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_query, queries))
-    else:
-        results = [run_query(query) for query in queries]
+        results.append((ranked, decide(ranked, cfg)))
 
     outdir.mkdir(parents=True, exist_ok=True)
     save_run([ranked for ranked, _ in results], outdir / RANKED_FILE)
@@ -409,16 +400,13 @@ def cmd_retrieve(opt: Options) -> int:
 def cmd_evaluate(opt: Options) -> int:
     corpus = load_corpus(opt.input_file("corpus", required=True))
     judgments = load_judgments(opt.input_file("judgments", required=True), corpus)
-    sets_path = opt.input_file("sets", required=True)
-    returned_sets = {
-        qid: set(docs) for qid, docs in load_returned_sets(sets_path).items()
-    }
+    returned_sets = load_returned_sets(opt.input_file("sets", required=True))
     cutoffs_path = opt.input_file("cutoffs")
     if cutoffs_path is not None:
-        # The cutoff file lists every decided query, including those whose
-        # chosen set is empty and hence absent from the sets file.
-        for qid in load_cutoffs(cutoffs_path):
-            returned_sets.setdefault(qid, set())
+        retrieved = load_cutoffs(cutoffs_path)
+        for qid in sorted(judgments.relevant):
+            if qid not in retrieved:
+                log.warning("query %s not retrieved; scored as an empty set", qid)
     beta = opt.get("beta", DEFAULT_BETA, float)
     run_score = score_run(returned_sets, judgments, corpus, beta)
     out = opt.get("out", cast=Path)
@@ -523,7 +511,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m-neg", type=int)
     p.add_argument("--beta", type=float)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=cmd_retrieve)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..corpus import Bitext, ConfusionNetwork, Document, Sentence, Token
 from ..errors import DataError
-from ..numerics import sigmoid
+from ..numerics import require_positive, sigmoid
 from .instances import DEFAULT_NEGATIVES_PER_POSITIVE
 from .matrix import Vocabulary, sha256_tokens
 
@@ -44,6 +44,9 @@ SEARCHER_GENERATOR_TAG = "searcher"
 # instead of sampling negatives.
 FULL_VOCAB_MAX = 2000
 
+# Standard deviation of the normal draw for every initial weight.
+INIT_SCALE = 0.1
+
 _ATTENTION_KEYS = ("wq", "wk", "wv")
 
 
@@ -54,9 +57,6 @@ class SearcherConfig:
     epochs: int = 20
     lr: float = 0.5
     m_neg: int = DEFAULT_NEGATIVES_PER_POSITIVE
-    full_vocab_max: int = FULL_VOCAB_MAX
-    foreign_vocab_size: int | None = None
-    init_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,8 +66,7 @@ class SearcherConfig:
             raise DataError(f"attention depth {self.depth} must be 0 or 1")
         if self.epochs < 1:
             raise DataError(f"epoch count {self.epochs} must be positive")
-        if self.lr <= 0:
-            raise DataError(f"learning rate {self.lr!r} must be positive")
+        require_positive("learning rate", self.lr)
 
 
 @dataclass
@@ -189,13 +188,11 @@ def searcher_objective(
     return total / count, grads
 
 
-def _foreign_vocabulary(bitext: Bitext, size: int | None) -> tuple[Token, ...]:
+def _foreign_vocabulary(bitext: Bitext) -> tuple[Token, ...]:
     counts: Counter[Token] = Counter()
     for src, _ in bitext:
         counts.update(src)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    if size is not None:
-        ranked = ranked[:size]
     return tuple(token for token, _ in ranked)
 
 
@@ -207,21 +204,21 @@ def train_searcher(
     Single-threaded and fully determined by config.seed.
     """
     rng = np.random.default_rng(config.seed)
-    foreign_tokens = _foreign_vocabulary(bitext, config.foreign_vocab_size)
+    foreign_tokens = _foreign_vocabulary(bitext)
     if not foreign_tokens:
         raise DataError("bitext yields an empty foreign vocabulary")
 
     k = len(vocab)
     params: dict[str, np.ndarray] = {
         "foreign_emb": rng.normal(
-            0.0, config.init_scale, (len(foreign_tokens) + 1, config.dim)
+            0.0, INIT_SCALE, (len(foreign_tokens) + 1, config.dim)
         ),
-        "english_emb": rng.normal(0.0, config.init_scale, (k, config.dim)),
+        "english_emb": rng.normal(0.0, INIT_SCALE, (k, config.dim)),
         "bias": np.zeros(k),
     }
     if config.depth == 1:
         for key in _ATTENTION_KEYS:
-            params[key] = rng.normal(0.0, config.init_scale, (config.dim, config.dim))
+            params[key] = rng.normal(0.0, INIT_SCALE, (config.dim, config.dim))
 
     foreign_index = {tok: i for i, tok in enumerate(foreign_tokens)}
     unk = len(foreign_tokens)
@@ -247,7 +244,7 @@ def train_searcher(
     if not usable:
         raise DataError("no bitext pair shares a word with the vocabulary")
 
-    full_vocab = k <= config.full_vocab_max
+    full_vocab = k <= FULL_VOCAB_MAX
     losses: list[float] = []
     for epoch in range(config.epochs):
         order = np.array(usable)

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import DataError
 
 # Global probability floor: evidence never reaches exactly 0 or 1, so every
 # downstream log and ratio stays finite.
 DEFAULT_EPSILON = 1e-6
+
+
+def require_positive(name: str, value: float) -> None:
+    """Reject a parameter that is NaN, infinite, zero or negative."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DataError(f"{name} {value!r} must be finite and positive")
 
 
 def sigmoid(z):

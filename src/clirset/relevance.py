@@ -12,7 +12,7 @@ strictly inside (0, 1). One ulp is far below every other tolerance in
 the pipeline, so the algebra still matches direct evaluation.
 
 Ranked lists persist in run-file form, one line per document:
-    query-id doc-id rank prob run-tag
+    query-id doc-id rank prob clirset
 ordered by descending probability with ties broken by ascending doc id.
 """
 
@@ -25,8 +25,6 @@ from typing import Iterator
 from .corpus import LEXICAL, Corpus, Document, Query, QueryPhrase
 from .errors import DataError, UnsupportedQueryError
 from .evidence.matrix import EvidenceMatrix
-
-DEFAULT_RUN_TAG = "clirset"
 
 # Tightest representable bounds of the open unit interval.
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -62,21 +60,13 @@ class RankedList:
         return [doc_id for doc_id, _ in self.entries]
 
 
-def _log_phrase_sentence(
-    evidence: EvidenceMatrix, doc_id: str, index: int, phrase: QueryPhrase
-) -> float:
-    return sum(math.log(evidence.get(doc_id, index, word)) for word in phrase)
-
-
 def _log_phrase_doc(
     evidence: EvidenceMatrix, doc: Document, phrase: QueryPhrase
 ) -> float:
-    if len(doc) == 0:
-        raise DataError(f"document {doc.id!r} has no sentences")
     log_miss = 0.0  # log prod (1 - p_s)
     for index in range(len(doc)):
-        p = math.exp(_log_phrase_sentence(evidence, doc.id, index, phrase))
-        log_miss += math.log1p(-p)
+        log_p = sum(math.log(evidence.get(doc.id, index, word)) for word in phrase)
+        log_miss += math.log1p(-math.exp(log_p))
     # -expm1 keeps precision when the union is tiny; the one-ulp nudge
     # keeps it inside (0, 1) when rounding would reach an endpoint
     return math.log(_open_unit(-math.expm1(log_miss)))
@@ -105,10 +95,10 @@ def rank(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> RankedList:
     return RankedList(query.id, tuple(scored))
 
 
-def save_run(ranked_lists, path, run_tag: str = DEFAULT_RUN_TAG) -> None:
+def save_run(ranked_lists, path) -> None:
     with open(path, "w", encoding="utf-8") as out:
         for ranked in ranked_lists:
             for position, (doc_id, prob) in enumerate(ranked.entries, 1):
                 out.write(
-                    f"{ranked.query_id} {doc_id} {position} {prob!r} {run_tag}\n"
+                    f"{ranked.query_id} {doc_id} {position} {prob!r} clirset\n"
                 )

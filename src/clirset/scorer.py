@@ -8,8 +8,9 @@ and N_f non-relevant documents returned:
     QV     = 1 - (p_miss + beta * p_fa)
 
 The run score is the unweighted mean of QV over every query with a
-non-empty gold set; queries without gold are excluded with a warning
-because p_miss is undefined for them. Returning nothing scores exactly 0,
+non-empty gold set. A judged query with no returned set scores as an
+empty set; queries without gold are excluded with a warning because
+p_miss is undefined for them. Returning nothing scores exactly 0,
 returning exactly the gold set scores exactly 1.
 
 The report file carries one TSV row per query
@@ -25,6 +26,7 @@ from typing import AbstractSet, Iterable, Mapping
 
 from .corpus import Corpus, Judgments
 from .errors import DataError
+from .numerics import require_positive
 from .thresholder import DEFAULT_BETA
 
 log = logging.getLogger(__name__)
@@ -78,12 +80,12 @@ def score_run(
     corpus: Corpus,
     beta: float = DEFAULT_BETA,
 ) -> RunScore:
-    """Mean QV over all scorable queries, in sorted query order."""
-    if not returned_sets:
-        raise DataError("no returned sets to score")
+    """Mean QV over every judged query, in sorted query order."""
+    require_positive("beta", beta)
+    judgments.validate_against(corpus)
     scores = []
-    for qid in sorted(returned_sets):
-        returned = set(returned_sets[qid])
+    for qid in sorted(judgments.relevant.keys() | returned_sets.keys()):
+        returned = set(returned_sets.get(qid, ()))
         for doc_id in returned:
             if doc_id not in corpus:
                 raise DataError(
@@ -93,12 +95,6 @@ def score_run(
         if not gold:
             log.warning("query %s has no relevant documents; excluded", qid)
             continue
-        for doc_id in gold:
-            if doc_id not in corpus:
-                raise DataError(
-                    f"judgments for query {qid!r} name unknown document"
-                    f" {doc_id!r}"
-                )
         scores.append(score_query(qid, returned, gold, len(corpus), beta))
     if not scores:
         raise DataError("every query was excluded; nothing to score")

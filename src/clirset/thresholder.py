@@ -1,7 +1,7 @@
 """Query-specific cutoff choice by maximizing the expected query value.
 
 Given a ranked list of calibrated probabilities p_1 >= ... >= p_N, two
-linear passes produce, for every prefix length k:
+cumulative sums produce, for every prefix length k:
 
     E_miss(k) = sum_{i > k} p_i        (backward pass)
     E_fa(k)   = sum_{i <= k} (1 - p_i) (forward pass)
@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import data_lines, split_tsv
 from .errors import DataError
-from .numerics import DEFAULT_EPSILON
+from .numerics import DEFAULT_EPSILON, require_positive
 from .relevance import RankedList
 
 DEFAULT_BETA = 40.0
@@ -41,69 +43,48 @@ class ThresholdConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        if self.beta <= 0.0:
-            raise DataError(f"beta {self.beta!r} must be positive")
-        if self.gamma <= 0.0:
-            raise DataError(f"gamma {self.gamma!r} must be positive")
+        require_positive("beta", self.beta)
+        require_positive("gamma", self.gamma)
         if not 0.0 < self.epsilon < 0.5:
             raise DataError(f"epsilon {self.epsilon!r} outside (0, 0.5)")
 
 
 @dataclass(frozen=True)
 class CutoffDecision:
-    """Chosen prefix length plus the expectation passes that led to it."""
+    """Chosen prefix length, its expected QV, and the expected relevant count."""
 
     query_id: str
     k: int
     expected_qv: float
-    e_miss: tuple[float, ...]  # length N + 1, e_miss[0] == e_rel
-    e_fa: tuple[float, ...]  # length N + 1, e_fa[0] == 0
     e_rel: float
 
 
-def _expectation_passes(probs) -> tuple[list[float], list[float]]:
-    n = len(probs)
-    e_miss = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        e_miss[i] = e_miss[i + 1] + probs[i]
-    e_fa = [0.0] * (n + 1)
-    for i in range(1, n + 1):
-        e_fa[i] = e_fa[i - 1] + (1.0 - probs[i - 1])
-    return e_miss, e_fa
-
-
-def _qv_values(probs, cfg: ThresholdConfig) -> tuple[list[float], list[float], list[float]]:
+def _curve(ranked: RankedList, cfg: ThresholdConfig) -> tuple[np.ndarray, float]:
+    """(E_QV(k) for k = 0..N, E_rel), both passes summed in list order."""
+    probs = ranked.probs()
     n = len(probs)
     if n == 0:
         raise DataError("cannot threshold an empty ranked list")
     for p in probs:
         if not 0.0 < p < 1.0:
             raise DataError(f"ranked probability {p!r} outside (0, 1)")
-    e_miss, e_fa = _expectation_passes(probs)
-    e_rel = e_miss[0]
+    probs = np.array(probs)
+    miss = np.append(np.cumsum(probs[::-1])[::-1], 0.0)  # E_miss(k)
+    false_alarm = np.append(0.0, np.cumsum(1.0 - probs))  # E_fa(k)
+    e_rel = float(miss[0])
     scaled = min(max(cfg.gamma * e_rel, cfg.epsilon), n - cfg.epsilon)
-    values = [
-        1.0 - (e_miss[k] / scaled + cfg.beta * e_fa[k] / (n - scaled))
-        for k in range(n + 1)
-    ]
-    return values, e_miss, e_fa
+    return 1.0 - (miss / scaled + cfg.beta * false_alarm / (n - scaled)), e_rel
 
 
 def decide(ranked: RankedList, cfg: ThresholdConfig = ThresholdConfig()) -> CutoffDecision:
     """Pick the smallest k maximizing E_QV(k) over k = 0..N."""
-    probs = ranked.probs()
-    values, e_miss, e_fa = _qv_values(probs, cfg)
-    best_k = 0
-    for k in range(1, len(values)):
-        if values[k] > values[best_k]:
-            best_k = k
+    values, e_rel = _curve(ranked, cfg)
+    best_k = int(np.argmax(values))
     return CutoffDecision(
         query_id=ranked.query_id,
         k=best_k,
-        expected_qv=values[best_k],
-        e_miss=tuple(e_miss),
-        e_fa=tuple(e_fa),
-        e_rel=e_miss[0],
+        expected_qv=float(values[best_k]),
+        e_rel=e_rel,
     )
 
 
@@ -111,8 +92,7 @@ def expected_qv_curve(
     ranked: RankedList, cfg: ThresholdConfig = ThresholdConfig()
 ) -> list[float]:
     """E_QV(k) for every prefix length; index k runs 0..N."""
-    values, _, _ = _qv_values(ranked.probs(), cfg)
-    return values
+    return _curve(ranked, cfg)[0].tolist()
 
 
 def returned_set(ranked: RankedList, decision: CutoffDecision) -> list[str]:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, driving main() in process."""
 
 import json
+import logging
 
 import pytest
 
@@ -33,6 +34,25 @@ def retrieve_args(data_dir, out):
     ]
 
 
+def evaluate_args(data_dir, sets):
+    return [
+        "evaluate",
+        "--corpus", str(data_dir / "corpus.jsonl"),
+        "--judgments", str(data_dir / "judgments.tsv"),
+        "--sets", str(sets),
+    ]
+
+
+def without_query(path, qid, out):
+    """Copy a TSV keyed by query id, leaving out `qid`'s lines."""
+    kept = [
+        line for line in path.read_text().splitlines()
+        if not line.startswith(qid + "\t")
+    ]
+    out.write_text("".join(line + "\n" for line in kept))
+    return out
+
+
 class TestPipeline:
     def test_synth_reports_sizes(self, data_dir, capsys):
         # fixture already ran synth; run again to observe stdout
@@ -53,11 +73,7 @@ class TestPipeline:
         for name in ("ranked.run", "cutoffs.tsv", "sets.tsv"):
             assert (run / name).is_file()
         report = tmp_path / "report.tsv"
-        code = main([
-            "evaluate",
-            "--corpus", str(data_dir / "corpus.jsonl"),
-            "--judgments", str(data_dir / "judgments.tsv"),
-            "--sets", str(run / "sets.tsv"),
+        code = main(evaluate_args(data_dir, run / "sets.tsv") + [
             "--cutoffs", str(run / "cutoffs.tsv"),
             "--out", str(report),
         ])
@@ -69,36 +85,40 @@ class TestPipeline:
     def test_retrieve_output_is_byte_deterministic(self, data_dir, tmp_path):
         run1, run2 = tmp_path / "r1", tmp_path / "r2"
         assert main(retrieve_args(data_dir, run1)) == 0
-        assert main(retrieve_args(data_dir, run2) + ["--jobs", "3"]) == 0
+        assert main(retrieve_args(data_dir, run2)) == 0
         for name in ("ranked.run", "cutoffs.tsv", "sets.tsv"):
             assert (run1 / name).read_bytes() == (run2 / name).read_bytes()
 
-    def test_missing_query_in_sets_counts_only_with_cutoff_roster(
+    def test_missing_query_in_sets_scores_as_empty_set(
         self, data_dir, tmp_path, capsys
     ):
         run = tmp_path / "run"
         assert main(retrieve_args(data_dir, run)) == 0
-        sets = run / "sets.tsv"
-        kept = [
-            line for line in sets.read_text().splitlines()
-            if not line.startswith("q000\t")
-        ]
-        trimmed = tmp_path / "trimmed.tsv"
-        trimmed.write_text("".join(line + "\n" for line in kept))
-        base = [
-            "evaluate",
-            "--corpus", str(data_dir / "corpus.jsonl"),
-            "--judgments", str(data_dir / "judgments.tsv"),
-            "--sets", str(trimmed),
-        ]
-        assert main(base) == 0
-        without_roster = capsys.readouterr().out
-        assert "n_q=4" in without_roster
-        assert main(base + ["--cutoffs", str(run / "cutoffs.tsv")]) == 0
-        with_roster = capsys.readouterr().out
-        # q000 now scores 0 as an empty set, dragging the mean to 4/5
-        assert "n_q=5" in with_roster
-        assert "mAQWV=0.8 " in with_roster
+        trimmed = without_query(run / "sets.tsv", "q000", tmp_path / "sets.tsv")
+        base = evaluate_args(data_dir, trimmed)
+        with_cutoffs = base + ["--cutoffs", str(run / "cutoffs.tsv")]
+        for argv in (base, with_cutoffs):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            # q000 scores 0 as an empty set, dragging the mean to 4/5
+            assert "n_q=5" in out
+            assert "mAQWV=0.8 " in out
+
+    def test_judged_query_missing_from_cutoffs_warns(
+        self, data_dir, tmp_path, caplog
+    ):
+        run = tmp_path / "run"
+        assert main(retrieve_args(data_dir, run)) == 0
+        cutoffs = without_query(
+            run / "cutoffs.tsv", "q000", tmp_path / "cutoffs.tsv"
+        )
+        argv = evaluate_args(data_dir, run / "sets.tsv")
+        with caplog.at_level(logging.WARNING):
+            assert main(argv + ["--cutoffs", str(cutoffs)]) == 0
+        assert [
+            rec.getMessage() for rec in caplog.records
+            if "not retrieved" in rec.getMessage()
+        ] == ["query q000 not retrieved; scored as an empty set"]
 
 
 class TestTrainers:
@@ -270,6 +290,25 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{queries}:{line}: not valid UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, beta", [
+        ("retrieve", "nan"),
+        ("evaluate", "nan"),
+        ("evaluate", "-5"),
+    ])
+    def test_beta_must_be_finite_and_positive(
+        self, data_dir, tmp_path, capsys, command, beta
+    ):
+        if command == "retrieve":
+            argv = retrieve_args(data_dir, tmp_path / "run")
+        else:
+            sets = tmp_path / "sets.tsv"
+            sets.write_text("")
+            argv = evaluate_args(data_dir, sets)
+        assert main(argv + ["--beta", beta]) == 2
+        err = capsys.readouterr().err
+        assert f"beta {float(beta)!r} must be finite and positive" in err
         assert "Traceback" not in err
 
     def test_weights_fit_needs_bitext(self, data_dir, tmp_path, capsys):

@@ -182,6 +182,8 @@ class TestTraining:
             SearcherConfig(depth=2)
         with pytest.raises(DataError):
             SearcherConfig(lr=0.0)
+        with pytest.raises(DataError, match="learning rate nan"):
+            SearcherConfig(lr=float("nan"))
 
 
 class TestGenerator:

@@ -1,0 +1,70 @@
+"""Output-identity guard: the whole pipeline on a tiny world, pinned by hash.
+
+Every command a benchmark run times goes through main() once, on a noisy
+world with speech documents, and the sha256 of each file it writes is
+compared with digests recorded from an earlier version of the code. A
+refactor that must not change outputs fails here, in seconds, before the
+benchmark's own output checks run. A change that alters outputs on
+purpose re-records the digests and says why.
+"""
+
+import hashlib
+
+from clirset.cli import main
+
+SYNTH = [
+    "synth", "--seed", "0", "--docs", "30", "--queries", "5",
+    "--foreign-vocab", "60", "--english-vocab", "60", "--bitext-pairs", "60",
+    "--noise", "0.3", "--speech-fraction", "0.5", "--confusion-depth", "3",
+]
+
+EXPECTED_SHA256 = {
+    "mt.json": (
+        "2696e27408785383a355f0a4a313201e125f2f24e822ed63cb61cd9c3a73c792"
+    ),
+    "searcher.npz": (
+        "08a61c50a35faa602aa10120747cba28b2069a84d5788eeec57dc72c7c4be6d0"
+    ),
+    "weights.tsv": (
+        "3005b0976bdfc1eb4d746d8b61b21c43fafc83c096e9c9cdd4bee1a8888b5262"
+    ),
+    "run/ranked.run": (
+        "3ef189e8681f76798e2453cbe6b800df4f54bf0a0af559ee99e8c7f9aa80757e"
+    ),
+    "run/cutoffs.tsv": (
+        "4c969d753c46309799cbfbe07c81376ffa7c10ada7b8000d3af10f4d4b5958bb"
+    ),
+    "run/sets.tsv": (
+        "43a08c4a2281725f26b50c931a1e502ed970b7792e607bf14fcab5337e00fc34"
+    ),
+}
+
+
+def test_pipeline_outputs_match_recorded_digests(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    out.mkdir()
+    bitext = ["--bitext", str(data / "bitext.tsv")]
+    generators = [
+        "--table", str(data / "table.tsv"),
+        "--mt-hyps", str(data / "mt_hyps.tsv"),
+        "--mt-model", str(out / "mt.json"),
+        "--searcher-model", str(out / "searcher.npz"),
+    ]
+    steps = [
+        SYNTH + ["--out", str(data)],
+        ["fit-ensemble", *bitext, "--mt-hyps", str(data / "mt_hyps.tsv"),
+         "--out", str(out / "mt.json")],
+        ["train-searcher", *bitext, "--dim", "4", "--epochs", "2",
+         "--out", str(out / "searcher.npz")],
+        ["fit-mixture", *bitext, *generators, "--out", str(out / "weights.tsv")],
+        ["retrieve", "--corpus", str(data / "corpus.jsonl"),
+         "--queries", str(data / "queries.tsv"), *generators,
+         "--weights", str(out / "weights.tsv"), "--out", str(out / "run")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv[0]
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in EXPECTED_SHA256
+    }
+    assert digests == EXPECTED_SHA256

@@ -201,10 +201,10 @@ class TestRunIO:
             RankedList("q2", (("da", 1e-06),)),
         ]
         path = tmp_path / "out.run"
-        save_run(lists, path, run_tag="mytag")
+        save_run(lists, path)
         # query-id doc-id rank prob run-tag; repr() reads back bit exact
         assert path.read_text().splitlines() == [
-            "q1 da 1 0.875 mytag",
-            "q1 db 2 0.12345678901234566 mytag",
-            "q2 da 1 1e-06 mytag",
+            "q1 da 1 0.875 clirset",
+            "q1 db 2 0.12345678901234566 clirset",
+            "q2 da 1 1e-06 clirset",
         ]

@@ -79,14 +79,30 @@ class TestScoreRun:
         assert [s.query_id for s in rs.scores] == ["q1", "q2"]
 
     def test_explicit_empty_set_scores_zero(self):
-        # the roster is the returned_sets mapping itself: an empty set is a
-        # real (bad) answer, a missing query is simply not scored
+        # the roster is the judged queries: an empty set and a missing
+        # query are the same (bad) answer
         corpus = corpus_of(10)
         judgments = Judgments({"q1": frozenset({"d000"}), "q2": frozenset({"d001"})})
         rs = score_run({"q1": {"d000"}, "q2": set()}, judgments, corpus, beta=40.0)
         assert rs.maqwv == pytest.approx(0.5, abs=1e-15)
         rs_partial = score_run({"q1": {"d000"}}, judgments, corpus, beta=40.0)
-        assert rs_partial.n_q == 1 and rs_partial.maqwv == 1.0
+        assert rs_partial.n_q == 2
+        assert rs_partial.maqwv == pytest.approx(0.5, abs=1e-15)
+
+    def test_no_returned_sets_scores_every_judged_query_zero(self):
+        corpus = corpus_of(10)
+        judgments = Judgments({"q1": frozenset({"d000"}), "q2": frozenset({"d001"})})
+        rs = score_run({}, judgments, corpus, beta=40.0)
+        assert rs.n_q == 2
+        assert [s.qv for s in rs.scores] == [0.0, 0.0]
+        assert rs.maqwv == 0.0
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -5.0])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        corpus = corpus_of(10)
+        judgments = Judgments({"q1": frozenset({"d000"})})
+        with pytest.raises(DataError, match=f"beta {beta!r} must be finite"):
+            score_run({"q1": {"d000"}}, judgments, corpus, beta=beta)
 
     def test_empty_gold_query_excluded_with_warning(self, caplog):
         corpus = corpus_of(10)

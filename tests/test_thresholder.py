@@ -86,16 +86,31 @@ class TestRecursions:
         # e_miss(k) + sum of p over the prefix = e_rel for every k
         rng = random.Random(4)
         probs = tuple(sorted((rng.uniform(0.01, 0.99) for _ in range(25)), reverse=True))
-        decision = decide(ranked(probs), ThresholdConfig())
-        for k in range(len(probs) + 1):
+        config = ThresholdConfig()
+        n = len(probs)
+        curve = expected_qv_curve(ranked(probs), config)
+        e_rel = decide(ranked(probs), config).e_rel
+        scaled = min(max(config.gamma * e_rel, config.epsilon), n - config.epsilon)
+        for k in range(n + 1):
             prefix = math.fsum(probs[:k])
-            assert decision.e_miss[k] + prefix == pytest.approx(decision.e_rel, abs=1e-9)
-        assert decision.e_rel == pytest.approx(sum(probs), abs=1e-9)
+            e_miss, e_fa = e_rel - prefix, k - prefix
+            want = 1.0 - (e_miss / scaled + config.beta * e_fa / (n - scaled))
+            assert curve[k] == pytest.approx(want, abs=1e-9)
+        assert e_rel == pytest.approx(sum(probs), abs=1e-9)
 
     def test_e_fa_is_forward_sum(self):
-        probs = (0.25, 0.5, 0.75)
-        decision = decide(ranked(sorted(probs, reverse=True)), ThresholdConfig())
-        assert decision.e_fa == pytest.approx((0.0, 0.25, 0.75, 1.5), abs=1e-12)
+        probs = (0.75, 0.5, 0.25)
+        config = ThresholdConfig()
+        curve = expected_qv_curve(ranked(probs), config)
+        e_rel = decide(ranked(probs), config).e_rel
+        scaled = min(max(config.gamma * e_rel, config.epsilon), 3 - config.epsilon)
+        # solve E_QV(k) for e_fa(k), with e_miss(k) from the prefix mass
+        e_fa = [
+            (1.0 - curve[k] - (e_rel - math.fsum(probs[:k])) / scaled)
+            * (3 - scaled) / config.beta
+            for k in range(4)
+        ]
+        assert e_fa == pytest.approx((0.0, 0.25, 0.75, 1.5), abs=1e-12)
 
 
 class TestDecisionRules:
@@ -170,13 +185,21 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0},
         {"beta": -1.0},
+        {"beta": math.nan},
+        {"beta": math.inf},
         {"gamma": 0.0},
+        {"gamma": math.nan},
+        {"gamma": -math.inf},
         {"epsilon": 0.0},
         {"epsilon": 0.5},
     ])
     def test_bad_values(self, kwargs):
         with pytest.raises(DataError):
             ThresholdConfig(**kwargs)
+
+    def test_error_names_the_value(self):
+        with pytest.raises(DataError, match="gamma nan must be finite and positive"):
+            ThresholdConfig(gamma=math.nan)
 
 
 class TestCutoffIO:
