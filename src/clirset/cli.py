@@ -131,6 +131,18 @@ class Options:
             raise ConfigError(f"input file does not exist: {value}")
         return Path(value) if value is not None else None
 
+    def output_file(self, key: str, required: bool = False) -> Path | None:
+        """The path under `key`, with its parent directory created."""
+        value = self.get(key, cast=Path, required=required)
+        if value is None:
+            return None
+        path = Path(value)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create directory for {path}: {exc}") from exc
+        return path
+
     def input_files(self, key: str) -> list[Path]:
         value = self._args.get(key)
         if value is None and key in self._config:
@@ -208,7 +220,7 @@ def cmd_train_searcher(opt: Options) -> int:
         m_neg=opt.get("m_neg", 50, int),
         seed=opt.get("seed", 0, int),
     )
-    out = Path(opt.get("out", cast=Path, required=True))
+    out = opt.output_file("out", required=True)
     model, losses = train_searcher(bitext, vocab, config)
     save_searcher(model, out)
     print(
@@ -222,7 +234,7 @@ def cmd_fit_ensemble(opt: Options) -> int:
     bitext = load_bitext(opt.input_file("bitext", required=True))
     hyps = load_mt_hypotheses(opt.input_file("mt_hyps", required=True))
     vocab = Vocabulary.from_bitext(bitext, opt.get("vocab_size", DEFAULT_VOCAB_SIZE, int))
-    out = Path(opt.get("out", cast=Path, required=True))
+    out = opt.output_file("out", required=True)
     model, loss = fit_mt_ensemble(
         hyps,
         bitext,
@@ -300,7 +312,7 @@ def _fit_weights(opt: Options, generators, bitext_path: Path) -> MixtureWeights:
 def cmd_fit_mixture(opt: Options) -> int:
     bitext_path = opt.input_file("bitext", required=True)
     generators = _build_generators(opt)
-    out = Path(opt.get("out", cast=Path, required=True))
+    out = opt.output_file("out", required=True)
     mixture = _fit_weights(opt, generators, bitext_path)
     save_weights(mixture, out)
     parts = " ".join(
@@ -335,7 +347,7 @@ def cmd_dump_evidence(opt: Options) -> int:
             "dump-evidence writes one matrix; configure exactly one generator"
         )
     epsilon = opt.get("epsilon", DEFAULT_EPSILON, float)
-    out = Path(opt.get("out", cast=Path, required=True))
+    out = opt.output_file("out", required=True)
     matrix = build_evidence(generators[0], corpus, _lexical_queries(queries), epsilon)
     save_matrix(matrix, out)
     print(
@@ -409,9 +421,9 @@ def cmd_evaluate(opt: Options) -> int:
                 log.warning("query %s not retrieved; scored as an empty set", qid)
     beta = opt.get("beta", DEFAULT_BETA, float)
     run_score = score_run(returned_sets, judgments, corpus, beta)
-    out = opt.get("out", cast=Path)
+    out = opt.output_file("out")
     if out is not None:
-        save_report(run_score, Path(out))
+        save_report(run_score, out)
     print(f"evaluate: {format_summary(run_score)}")
     return 0
 

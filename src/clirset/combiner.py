@@ -87,28 +87,23 @@ def combine(
     if len(epsilons) != 1:
         raise DataError("matrices disagree on the evidence floor")
     by_tag = {m.generator: m for m in matrices}
-    ordered = [(tag, by_tag[tag], mixture.weights[tag]) for tag in sorted(by_tag)]
+    ordered = [(mixture.weights[tag], by_tag[tag]) for tag in sorted(by_tag)]
 
-    out = EvidenceMatrix(COMBINED_TAG, epsilons.pop())
-    doc_ids = sorted({doc for m in matrices for doc in m.cells})
-    for doc_id in doc_ids:
-        indices = sorted(
-            {idx for m in matrices for idx in m.cells.get(doc_id, {})}
-        )
-        for index in indices:
-            words = sorted(
+    epsilon = epsilons.pop()
+    out = EvidenceMatrix(COMBINED_TAG, epsilon)
+    for doc_id in sorted({doc for m in matrices for doc in m.cells}):
+        docs = [(weight, m.cells.get(doc_id, {})) for weight, m in ordered]
+        for index in sorted({idx for _, doc in docs for idx in doc}):
+            rows = [(weight, doc.get(index, {})) for weight, doc in docs]
+            words = sorted({word for _, row in rows for word in row})
+            out.put_row(
+                doc_id,
+                index,
                 {
-                    word
-                    for m in matrices
-                    for word in m.cells.get(doc_id, {}).get(index, {})
-                }
+                    word: sum(weight * row.get(word, epsilon) for weight, row in rows)
+                    for word in words
+                },
             )
-            for word in words:
-                value = sum(
-                    weight * matrix.get(doc_id, index, word)
-                    for _, matrix, weight in ordered
-                )
-                out.put(doc_id, index, word, value)
     return out
 
 

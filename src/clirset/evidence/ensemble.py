@@ -229,18 +229,14 @@ class MtEnsembleGenerator:
     def segment_scores(
         self, doc: Document, index: int, segment, words: Iterable[Token]
     ) -> Mapping[Token, float]:
-        translations = [
-            set(self.hyps.translation(system, doc.id, index))
-            for system in self.model.systems
-        ]
-        scores = {}
-        for word in words:
-            z = self.model.bias
-            for weight, translation in zip(self.model.weights, translations):
-                if word in translation:
-                    z += weight
-            scores[word] = float(sigmoid(z))
-        return scores
+        words = list(words)
+        # Adds the same floats in the same order as bias + the weights of
+        # the systems whose translation holds the word, one word at a time.
+        z = np.full(len(words), self.model.bias)
+        for system, weight in zip(self.model.systems, self.model.weights):
+            translation = set(self.hyps.translation(system, doc.id, index))
+            z[np.array([word in translation for word in words], dtype=bool)] += weight
+        return dict(zip(words, sigmoid(z).tolist()))
 
 
 def save_mt_ensemble(model: MtEnsembleModel, path) -> None:

@@ -115,20 +115,26 @@ class EvidenceMatrix:
         if not 0.0 < self.epsilon < 0.5:
             raise DataError(f"evidence floor {self.epsilon!r} outside (0, 0.5)")
 
-    def clamp(self, prob: float) -> float:
+    def put_row(
+        self, doc_id: str, index: int, scores: Mapping[Token, float]
+    ) -> None:
+        """Store one segment's scores, floored; an empty mapping stores nothing."""
+        if not scores:
+            return
         lo, hi = self.epsilon, 1.0 - self.epsilon
-        return lo if prob < lo else hi if prob > hi else prob
+        row = {}
+        for word, prob in scores.items():
+            # NaN fails both clamp comparisons and would be stored as is.
+            if prob != prob:
+                raise DataError(
+                    f"generator {self.generator!r} gave NaN evidence for"
+                    f" document {doc_id!r} segment {index} word {word!r}"
+                )
+            row[word] = lo if prob < lo else hi if prob > hi else prob
+        self.cells.setdefault(doc_id, {}).setdefault(index, {}).update(row)
 
     def put(self, doc_id: str, index: int, word: Token, prob: float) -> None:
-        # NaN fails both of clamp's comparisons and would be stored as is.
-        if prob != prob:
-            raise DataError(
-                f"generator {self.generator!r} gave NaN evidence for document"
-                f" {doc_id!r} segment {index} word {word!r}"
-            )
-        self.cells.setdefault(doc_id, {}).setdefault(index, {})[word] = self.clamp(
-            prob
-        )
+        self.put_row(doc_id, index, {word: prob})
 
     def get(self, doc_id: str, index: int, word: Token) -> float:
         return self.cells.get(doc_id, {}).get(index, {}).get(word, self.epsilon)
@@ -174,9 +180,9 @@ def build_evidence_for_words(
     matrix = EvidenceMatrix(generator.tag, epsilon)
     for doc in corpus:
         for index, segment in enumerate(doc.segments):
-            scores = generator.segment_scores(doc, index, segment, words)
-            for word, prob in scores.items():
-                matrix.put(doc.id, index, word, prob)
+            matrix.put_row(
+                doc.id, index, generator.segment_scores(doc, index, segment, words)
+            )
     return matrix
 
 

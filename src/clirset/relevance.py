@@ -63,9 +63,12 @@ class RankedList:
 def _log_phrase_doc(
     evidence: EvidenceMatrix, doc: Document, phrase: QueryPhrase
 ) -> float:
+    rows = evidence.cells.get(doc.id, {})
+    epsilon = evidence.epsilon
     log_miss = 0.0  # log prod (1 - p_s)
     for index in range(len(doc)):
-        log_p = sum(math.log(evidence.get(doc.id, index, word)) for word in phrase)
+        row = rows.get(index, {})
+        log_p = sum(math.log(row.get(word, epsilon)) for word in phrase)
         log_miss += math.log1p(-math.exp(log_p))
     # -expm1 keeps precision when the union is tiny; the one-ulp nudge
     # keeps it inside (0, 1) when rounding would reach an endpoint

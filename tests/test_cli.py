@@ -245,6 +245,43 @@ class TestDumpEvidence:
         assert code in (1, 2)  # one generator rule or unreadable model
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("train-searcher", "searcher.npz"),
+            ("fit-ensemble", "mt.json"),
+            ("fit-mixture", "weights.tsv"),
+            ("dump-evidence", "evidence.tsv"),
+            ("evaluate", "report.tsv"),
+        ],
+    )
+    def test_out_under_missing_directory_is_created(
+        self, data_dir, tmp_path, command, name
+    ):
+        bitext = ["--bitext", str(data_dir / "bitext.tsv")]
+        table = ["--table", str(data_dir / "table.tsv")]
+        argv = {
+            "train-searcher": [command, *bitext, "--dim", "4", "--epochs", "1"],
+            "fit-ensemble": [
+                command, *bitext, "--mt-hyps", str(data_dir / "mt_hyps.tsv")
+            ],
+            "fit-mixture": [command, *bitext, *table],
+            "dump-evidence": [
+                command,
+                "--corpus", str(data_dir / "corpus.jsonl"),
+                "--queries", str(data_dir / "queries.tsv"),
+                *table,
+            ],
+            "evaluate": evaluate_args(data_dir, tmp_path / "run" / "sets.tsv"),
+        }[command]
+        if command == "evaluate":
+            assert main(retrieve_args(data_dir, tmp_path / "run")) == 0
+        out = tmp_path / "missing" / "deeper" / name
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.is_file()
+
+
 class TestErrorPaths:
     def test_missing_input_file_is_config_error(self, tmp_path):
         code = main([

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clirset.combiner import (
     MixtureWeights,
@@ -89,6 +91,40 @@ class TestCombine:
         a = combine([m1, m2, m3], w)
         b = combine([m3, m1, m2], w)
         assert a.cells == b.cells
+
+    @given(st.data())
+    def test_matches_per_cell_sum_exactly(self, data):
+        keys = st.tuples(
+            st.sampled_from(["a", "b", "c"]),
+            st.integers(0, 3),
+            st.sampled_from(["x", "y", "z"]),
+        )
+        tags = data.draw(
+            st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, unique=True)
+        )
+        matrices = [
+            matrix(tag, [
+                (*key, p) for key, p in data.draw(
+                    st.dictionaries(keys, st.floats(0.0, 1.0), max_size=12)
+                ).items()
+            ])
+            for tag in tags
+        ]
+        raw = data.draw(
+            st.lists(st.floats(0.01, 1.0), min_size=len(tags), max_size=len(tags))
+        )
+        mixture = MixtureWeights(
+            {tag: w / sum(raw) for tag, w in zip(tags, raw)}
+        )
+        expected = EvidenceMatrix("combined")
+        for doc, idx, word in {
+            cell[:3] for m in matrices for cell in m.iter_cells()
+        }:
+            expected.put(doc, idx, word, sum(
+                mixture.weights[m.generator] * m.get(doc, idx, word)
+                for m in sorted(matrices, key=lambda m: m.generator)
+            ))
+        assert combine(matrices, mixture).cells == expected.cells
 
     def test_tag_mismatch_rejected(self):
         m1 = matrix("g1", [])

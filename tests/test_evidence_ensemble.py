@@ -1,17 +1,20 @@
 """Logistic ensemble over MT system occurrence features."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from clirset.corpus import Bitext, Document, bitext_doc_id
+import clirset.evidence.ensemble as ensemble_module
+from clirset.corpus import Bitext, Corpus, Document, bitext_doc_id, parse_query
 from clirset.errors import DataError
 from clirset.evidence import (
     MtEnsembleGenerator,
     MtEnsembleModel,
     MtHypothesisSet,
     Vocabulary,
+    build_evidence,
     ensemble_objective,
     fit_mt_ensemble,
     load_mt_ensemble,
@@ -19,6 +22,7 @@ from clirset.evidence import (
     save_mt_ensemble,
     save_mt_hypotheses,
 )
+from clirset.numerics import sigmoid
 
 VOCAB = Vocabulary(("e0", "e1", "e2", "e3"))
 
@@ -153,6 +157,67 @@ class TestEvidence:
     def test_missing_hypothesis_is_an_error(self):
         with pytest.raises(DataError, match="s1.*d9"):
             self.score("d9", "virus")
+
+    @pytest.mark.parametrize(
+        "systems, weights, bias",
+        [
+            (("s2", "s1"), (0.1, 0.7), 0.2),
+            (("s1", "s3", "s2"), (0.1, 0.7, -2.3), 0.3),
+        ],
+    )
+    def test_scores_match_one_word_at_a_time_bit_for_bit(
+        self, systems, weights, bias
+    ):
+        # one word per presence pattern: the word occurs in the
+        # translations of exactly the systems its pattern marks
+        patterns = list(itertools.product((False, True), repeat=len(systems)))
+        words = ["w" + "".join("1" if bit else "0" for bit in p) for p in patterns]
+        hyps = MtHypothesisSet(
+            tuple(sorted(systems)),
+            {
+                system: {
+                    ("d", 0): tuple(
+                        ["pad"]
+                        + [w for w, p in zip(words, patterns) if p[col]]
+                    )
+                }
+                for col, system in enumerate(systems)
+            },
+        )
+        doc = Document(id="d", kind="text", sentences=(("f",),))
+        gen = MtEnsembleGenerator(MtEnsembleModel(systems, weights, bias), hyps)
+        expected = {}
+        for word, pattern in zip(words, patterns):
+            z = bias
+            for weight, present in zip(weights, pattern):
+                if present:
+                    z += weight
+            expected[word] = float(sigmoid(z))
+        assert gen.segment_scores(doc, 0, doc.sentences[0], words) == expected
+
+    def test_one_sigmoid_call_per_segment(self, monkeypatch):
+        calls = []
+
+        def counting_sigmoid(z):
+            calls.append(z)
+            return sigmoid(z)
+
+        monkeypatch.setattr(ensemble_module, "sigmoid", counting_sigmoid)
+        sentences = {("d1", 0): ("virus",), ("d1", 1): ("fast",), ("d2", 0): ("x",)}
+        hyps = MtHypothesisSet(
+            ("s1", "s2"),
+            {"s1": dict(sentences), "s2": dict(sentences)},
+        )
+        corpus = Corpus.from_documents([
+            Document(id="d1", kind="text", sentences=(("f",), ("g",))),
+            Document(id="d2", kind="text", sentences=(("h",),)),
+        ])
+        queries = [parse_query("q\tvirus spread, fast")]
+        matrix = build_evidence(
+            MtEnsembleGenerator(self.MODEL, hyps), corpus, queries
+        )
+        assert matrix.n_cells() == 3 * 3
+        assert len(calls) == 3
 
 
 class TestIO:

@@ -129,6 +129,21 @@ class TestBuildEvidence:
         assert m_text.cells == m_speech.cells
 
 
+class TestPutRow:
+    def test_nan_names_generator_document_segment_and_word(self):
+        matrix = EvidenceMatrix("gen1")
+        with pytest.raises(
+            DataError, match="'gen1'.*document 'd1' segment 3 word 'w'"
+        ):
+            matrix.put_row("d1", 3, {"v": 0.5, "w": float("nan")})
+
+    def test_empty_mapping_stores_no_row(self):
+        matrix = EvidenceMatrix("gen1")
+        matrix.put_row("d1", 0, {})
+        assert matrix.cells == {}
+        assert matrix.n_cells() == 0
+
+
 class TestMatrixIO:
     def test_round_trip_and_header(self, tmp_path):
         matrix = EvidenceMatrix("gen1")

@@ -86,8 +86,6 @@ class TestNumerics:
 
     def test_clamp_prob(self):
         eps = DEFAULT_EPSILON
-        clamp = EvidenceMatrix("t").clamp
-        assert clamp(0.5) == 0.5
-        assert clamp(0.0) == eps
-        assert clamp(1.0) == 1.0 - eps
-        assert clamp(-3.0) == eps
+        matrix = EvidenceMatrix("t")
+        matrix.put_row("d", 0, {"a": 0.5, "b": 0.0, "c": 1.0, "d": -3.0})
+        assert matrix.cells == {"d": {0: {"a": 0.5, "b": eps, "c": 1.0 - eps, "d": eps}}}
