@@ -137,10 +137,13 @@ class Options:
         if value is None:
             return None
         path = Path(value)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create directory for {path}: {exc}") from exc
+        _make_directory(path.parent, path)
+        return path
+
+    def output_dir(self, key: str) -> Path:
+        """The required directory under `key`, created if it does not exist."""
+        path = Path(self.get(key, cast=Path, required=True))
+        _make_directory(path, path)
         return path
 
     def input_files(self, key: str) -> list[Path]:
@@ -153,6 +156,13 @@ class Options:
             if not Path(path).is_file():
                 raise ConfigError(f"input file does not exist: {path}")
         return [Path(p) for p in value]
+
+
+def _make_directory(directory: Path, target: Path) -> None:
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory for {target}: {exc}") from exc
 
 
 def _int_pair(raw: str) -> tuple[int, int]:
@@ -199,7 +209,7 @@ def cmd_synth(opt: Options) -> int:
             opt.get("mt_error_rates", d.mt_error_rates, _float_pair)
         ),
     )
-    outdir = Path(opt.get("out", cast=Path, required=True))
+    outdir = opt.output_dir("out")
     dataset = generate(spec)
     write_dataset(dataset, outdir)
     print(
@@ -382,7 +392,7 @@ def cmd_retrieve(opt: Options) -> int:
         gamma=opt.get("gamma", DEFAULT_GAMMA, float),
         epsilon=epsilon,
     )
-    outdir = Path(opt.get("out", cast=Path, required=True))
+    outdir = opt.output_dir("out")
 
     matrices = [build_evidence(gen, corpus, queries, epsilon) for gen in generators]
     mixture = _resolve_weights(opt, generators)
@@ -393,7 +403,6 @@ def cmd_retrieve(opt: Options) -> int:
         ranked = rank(combined, corpus, query)
         results.append((ranked, decide(ranked, cfg)))
 
-    outdir.mkdir(parents=True, exist_ok=True)
     save_run([ranked for ranked, _ in results], outdir / RANKED_FILE)
     save_cutoffs([decision for _, decision in results], outdir / CUTOFFS_FILE)
     sets_by_query = {

@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Bitext, bitext_doc_id, data_lines, parse_prob, split_tsv
 from .errors import DataError
 from .evidence.instances import DEFAULT_NEGATIVES_PER_POSITIVE, labeled_instances
-from .evidence.matrix import EvidenceMatrix, Vocabulary
+from .evidence.matrix import EvidenceMatrix, Vocabulary, weighted_sum
 
 log = logging.getLogger(__name__)
 
@@ -89,22 +89,7 @@ def combine(
     by_tag = {m.generator: m for m in matrices}
     ordered = [(mixture.weights[tag], by_tag[tag]) for tag in sorted(by_tag)]
 
-    epsilon = epsilons.pop()
-    out = EvidenceMatrix(COMBINED_TAG, epsilon)
-    for doc_id in sorted({doc for m in matrices for doc in m.cells}):
-        docs = [(weight, m.cells.get(doc_id, {})) for weight, m in ordered]
-        for index in sorted({idx for _, doc in docs for idx in doc}):
-            rows = [(weight, doc.get(index, {})) for weight, doc in docs]
-            words = sorted({word for _, row in rows for word in row})
-            out.put_row(
-                doc_id,
-                index,
-                {
-                    word: sum(weight * row.get(word, epsilon) for weight, row in rows)
-                    for word in words
-                },
-            )
-    return out
+    return weighted_sum(COMBINED_TAG, ordered, epsilons.pop())
 
 
 def em_fit(
@@ -124,19 +109,36 @@ def em_fit(
     if np.any(q <= 0.0):
         raise DataError("EM instance likelihoods must be positive")
     n, k = q.shape
+    columns = np.ascontiguousarray(q.T)  # one contiguous row per generator
     lam = np.full(k, 1.0 / k)
     history: list[float] = []
     prev = float(np.sum(np.log(q @ lam)))
     for _ in range(max_iter):
-        resp = q * lam  # (n, k)
-        resp /= resp.sum(axis=1, keepdims=True)
-        lam = resp.mean(axis=0)
+        resp = [column * weight for column, weight in zip(columns, lam)]
+        total = _row_sums(resp)
+        # The mean over instances, summed front to back as numpy's
+        # mean(axis=0) over the (n, k) matrix does.
+        lam = np.array([np.add.accumulate(r / total)[-1] for r in resp]) / n
         loglik = float(np.sum(np.log(q @ lam)))
         history.append(loglik)
         if loglik - prev < tol:
             break
         prev = loglik
     return lam, history
+
+
+def _row_sums(resp: list[np.ndarray]) -> np.ndarray:
+    """The per-instance sum over generators, in the order numpy's sum(axis=1) adds.
+
+    numpy adds a row of fewer than 8 values left to right; longer rows go
+    through its own blocked summation.
+    """
+    if len(resp) >= 8:
+        return np.stack(resp, axis=1).sum(axis=1)
+    total = resp[0]
+    for r in resp[1:]:
+        total = total + r
+    return total
 
 
 def fit_mixture(
@@ -160,12 +162,26 @@ def fit_mixture(
     if not matrices:
         raise DataError("cannot fit a mixture over no matrices")
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
+    positive = np.array([inst.label == 1 for inst in instances])
+    pairs = np.array([inst.pair_index for inst in instances], dtype=np.int64)
+    by_word: dict[str, list[int]] = {}
+    for i, inst in enumerate(instances):
+        by_word.setdefault(inst.word, []).append(i)
+    members = {word: np.array(ids) for word, ids in by_word.items()}
+    pair_positions = {(bitext_doc_id(i), 0): i for i in range(len(bitext))}
     q = np.empty((len(instances), len(matrices)))
-    for row, inst in enumerate(instances):
-        doc_id = bitext_doc_id(inst.pair_index)
-        for col, matrix in enumerate(matrices):
-            p = matrix.get(doc_id, 0, inst.word)
-            q[row, col] = p if inst.label == 1 else 1.0 - p
+    for col, matrix in enumerate(matrices):
+        p = np.full(len(instances), matrix.epsilon)
+        for word, (held, values) in matrix.cells_at(pair_positions, members).items():
+            if len(held) == 0:
+                continue
+            order = np.argsort(held)  # the pairs holding a cell for the word
+            held, values = held[order], values[order]
+            wanted = pairs[members[word]]
+            at = np.minimum(np.searchsorted(held, wanted), len(held) - 1)
+            hit = held[at] == wanted
+            p[members[word][hit]] = values[at[hit]]
+        q[:, col] = np.where(positive, p, 1.0 - p)
     lam, history = em_fit(q, tol, max_iter)
     log.info(
         "fit mixture over %d instances, %d iterations, loglik %.6f",
@@ -197,6 +213,8 @@ def load_weights(path) -> MixtureWeights:
                 loglik = float(line[len(LOGLIK_PREFIX) :])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad loglik value") from exc
+            if not math.isfinite(loglik):
+                raise DataError(f"{path}:{lineno}: loglik {loglik!r} is not finite")
             continue
         tag, weight_raw = split_tsv(path, lineno, line, 2)
         if tag in weights:

@@ -23,6 +23,7 @@ import json
 import re
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -152,6 +153,17 @@ class Corpus:
 
     def __getitem__(self, doc_id: str) -> Document:
         return self.documents[doc_id]
+
+    @cached_property
+    def segment_counts(self) -> tuple[int, ...]:
+        """The number of segments of each document, in corpus order."""
+        return tuple(len(doc) for doc in self)
+
+    @cached_property
+    def segment_positions(self) -> dict[tuple[str, int], int]:
+        """(doc id, segment index) -> position of every segment, in corpus order."""
+        keys = ((doc.id, index) for doc in self for index in range(len(doc)))
+        return {key: position for position, key in enumerate(keys)}
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document]) -> "Corpus":

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Mapping, Sequence
 
-from .corpus import LEXICAL, Corpus, Document, Query, QueryPhrase
+import numpy as np
+
+from .corpus import LEXICAL, Corpus, Document, Query
 from .errors import DataError, UnsupportedQueryError
 from .evidence.matrix import EvidenceMatrix
 
@@ -60,42 +62,107 @@ class RankedList:
         return [doc_id for doc_id, _ in self.entries]
 
 
-def _log_phrase_doc(
-    evidence: EvidenceMatrix, doc: Document, phrase: QueryPhrase
-) -> float:
-    rows = evidence.cells.get(doc.id, {})
-    epsilon = evidence.epsilon
-    log_miss = 0.0  # log prod (1 - p_s)
-    for index in range(len(doc)):
-        row = rows.get(index, {})
-        log_p = sum(math.log(row.get(word, epsilon)) for word in phrase)
-        log_miss += math.log1p(-math.exp(log_p))
+def _per_value(f, x: np.ndarray) -> np.ndarray:
+    """The scalar math function f at every element of x, called once per distinct value.
+
+    numpy's own log and exp round differently from the math module on
+    some inputs, so the math functions stay, and run once per value.
+    """
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([f(v) for v in values.tolist()], dtype=float)[inverse]
+
+
+def _log_miss(log_p: float) -> float:
+    """log(1 - p) for a segment whose phrase relevance is exp(log_p)."""
+    return math.log1p(-math.exp(log_p))
+
+
+def _log_union(log_miss: float) -> float:
     # -expm1 keeps precision when the union is tiny; the one-ulp nudge
     # keeps it inside (0, 1) when rounding would reach an endpoint
     return math.log(_open_unit(-math.expm1(log_miss)))
 
 
-def query_doc_rel(evidence: EvidenceMatrix, doc: Document, query: Query) -> float:
-    """Product over the query's phrases of their document relevance."""
+def _prob(log_rel: float) -> float:
+    return _open_unit(math.exp(log_rel))
+
+
+def _query_doc_rels(
+    evidence: EvidenceMatrix,
+    positions: Mapping[tuple[str, int], int],
+    counts: Sequence[int],
+    query: Query,
+) -> np.ndarray:
+    """p(query relevant | doc) for each document, in order.
+
+    `positions` numbers the documents' segments by (doc id, index),
+    document after document, and `counts` gives each one's segment
+    count. The work is
+    done on columns over those segments, with the same float operations
+    in the same order as a loop over one segment at a time: a phrase's
+    log relevance in a segment adds its words' logs from 0, in phrase
+    order; a document's log miss adds its segments' log(1 - p) from 0.0,
+    in segment order; the query adds its phrases' logs from 0.
+    """
     if query.kind != LEXICAL:
         raise UnsupportedQueryError(
             f"query {query.id!r} has kind {query.kind!r}; only lexical"
             " queries are retrievable"
         )
-    return _open_unit(
-        math.exp(
-            sum(_log_phrase_doc(evidence, doc, phrase) for phrase in query.phrases)
-        )
-    )
+    counts = np.array(counts, dtype=np.int64)
+    # Segment j of every document that has one, for j = 0, 1, ...: the
+    # documents longest first, so slot j covers a prefix of them.
+    by_length = np.argsort(-counts, kind="stable")
+    starts = np.cumsum(counts) - counts
+    per_slot = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+    slots = [starts[by_length[:n]] + j for j, n in enumerate(per_slot.tolist())]
+
+    words = dict.fromkeys(word for phrase in query.phrases for word in phrase)
+    cells = evidence.cells_at(positions, words)
+    floor_log = math.log(evidence.epsilon)
+    logs = {}
+    for word, (at, values) in cells.items():
+        logs[word] = np.full(len(positions), floor_log)
+        logs[word][at] = _per_value(math.log, values)
+    phrase_logs = []
+    for phrase in query.phrases:
+        log_p = sum(logs[word] for word in phrase)
+        # Every segment where no word of the phrase holds a cell has the
+        # same log_p: the floor's log added once per word.
+        held = np.zeros(len(positions), dtype=bool)
+        for word in phrase:
+            held[cells[word][0]] = True
+        all_floor = _log_miss(sum(floor_log for _ in phrase))
+        log_miss_by_segment = np.full(len(positions), all_floor)
+        log_miss_by_segment[held] = _per_value(_log_miss, log_p[held])
+        log_miss = np.zeros(len(counts))  # in by_length order
+        for segments in slots:
+            log_miss[: len(segments)] += log_miss_by_segment[segments]
+        in_order = np.empty(len(counts))
+        in_order[by_length] = log_miss
+        phrase_logs.append(_per_value(_log_union, in_order))
+    return _per_value(_prob, sum(phrase_logs))
+
+
+def query_doc_rel(evidence: EvidenceMatrix, doc: Document, query: Query) -> float:
+    """Product over the query's phrases of their document relevance."""
+    positions = {(doc.id, index): index for index in range(len(doc))}
+    return float(_query_doc_rels(evidence, positions, [len(doc)], query)[0])
 
 
 def rank(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> RankedList:
     """Score every document and sort, ties broken by ascending doc id."""
     if len(corpus) == 0:
         raise DataError("cannot rank over an empty corpus")
-    scored = [(doc.id, query_doc_rel(evidence, doc, query)) for doc in corpus]
-    scored.sort(key=lambda entry: (-entry[1], entry[0]))
-    return RankedList(query.id, tuple(scored))
+    probs = _query_doc_rels(
+        evidence, corpus.segment_positions, corpus.segment_counts, query
+    )
+    ids = list(corpus.documents)
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+    order = by_id[np.argsort(-probs[by_id], kind="stable")]
+    return RankedList(
+        query.id, tuple(zip([ids[i] for i in order.tolist()], probs[order].tolist()))
+    )
 
 
 def save_run(ranked_lists, path) -> None:

@@ -281,6 +281,22 @@ class TestOutputPaths:
         assert main(argv + ["--out", str(out)]) == 0
         assert out.is_file()
 
+    @pytest.mark.parametrize("command", ["retrieve", "synth"])
+    def test_out_naming_a_file_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, command
+    ):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        argv = {
+            "retrieve": retrieve_args(data_dir, afile),
+            "synth": ["synth", "--docs", "5", "--queries", "2", "--out", str(afile)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create directory for {afile}")
+        assert len(err.splitlines()) == 1
+        assert afile.read_text() == "not a directory\n"
+
 
 class TestErrorPaths:
     def test_missing_input_file_is_config_error(self, tmp_path):

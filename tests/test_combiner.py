@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clirset.combiner import (
@@ -18,7 +18,7 @@ from clirset.combiner import (
 )
 from clirset.corpus import Bitext, bitext_doc_id
 from clirset.errors import DataError
-from clirset.evidence import EvidenceMatrix, Vocabulary
+from clirset.evidence import EvidenceMatrix, Vocabulary, labeled_instances
 
 
 def matrix(tag, cells, epsilon=1e-6):
@@ -26,6 +26,12 @@ def matrix(tag, cells, epsilon=1e-6):
     for doc, idx, word, p in cells:
         m.put(doc, idx, word, p)
     return m
+
+
+def cell(m, doc_id, index, word):
+    """One cell's stored value, or the floor when it was never stored."""
+    stored = {c[:3]: c[3] for c in m.iter_cells()}
+    return stored.get((doc_id, index, word), m.epsilon)
 
 
 class TestMixtureWeights:
@@ -57,18 +63,18 @@ class TestCombine:
         m2 = matrix("g2", [("d", 0, "w", 0.1)])
         out = combine([m1, m2], MixtureWeights({"g1": 0.5, "g2": 0.5}))
         assert out.generator == "combined"
-        assert out.get("d", 0, "w") == pytest.approx(0.5, abs=1e-15)
+        assert cell(out, "d", 0, "w") == pytest.approx(0.5, abs=1e-15)
         # v is missing from g2, which contributes the floor
-        assert out.get("d", 0, "v") == pytest.approx(0.46 + 0.5e-6, abs=1e-15)
+        assert cell(out, "d", 0, "v") == pytest.approx(0.46 + 0.5e-6, abs=1e-15)
 
     def test_degenerate_weights_reproduce_one_matrix(self):
         m1 = matrix("g1", [("d", 0, "w", 0.7), ("d", 1, "w", 0.2)])
         m2 = matrix("g2", [("d", 0, "w", 0.4), ("e", 0, "w", 0.3)])
         out = combine([m1, m2], MixtureWeights({"g1": 1.0, "g2": 0.0}))
-        assert out.get("d", 0, "w") == 0.7
-        assert out.get("d", 1, "w") == 0.2
+        assert cell(out, "d", 0, "w") == 0.7
+        assert cell(out, "d", 1, "w") == 0.2
         # cell only g2 knows about collapses to g1's floor
-        assert out.get("e", 0, "w") == m1.epsilon
+        assert cell(out, "e", 0, "w") == m1.epsilon
 
     def test_convex_bounds(self):
         rng = random.Random(9)
@@ -79,8 +85,8 @@ class TestCombine:
         m1, m2 = matrix("g1", cells1), matrix("g2", cells2)
         out = combine([m1, m2], MixtureWeights({"g1": 0.3, "g2": 0.7}))
         for i in range(30):
-            a, b = m1.get("d", i, "w"), m2.get("d", i, "w")
-            c = out.get("d", i, "w")
+            a, b = cell(m1, "d", i, "w"), cell(m2, "d", i, "w")
+            c = cell(out, "d", i, "w")
             assert min(a, b) - 1e-15 <= c <= max(a, b) + 1e-15
 
     def test_argument_order_ignored(self):
@@ -90,7 +96,7 @@ class TestCombine:
         w = MixtureWeights({"g1": 0.2, "g2": 0.5, "g3": 0.3})
         a = combine([m1, m2, m3], w)
         b = combine([m3, m1, m2], w)
-        assert a.cells == b.cells
+        assert list(a.iter_cells()) == list(b.iter_cells())
 
     @given(st.data())
     def test_matches_per_cell_sum_exactly(self, data):
@@ -116,15 +122,18 @@ class TestCombine:
         mixture = MixtureWeights(
             {tag: w / sum(raw) for tag, w in zip(tags, raw)}
         )
+        stored = [
+            (m.generator, {cell[:3]: cell[3] for cell in m.iter_cells()})
+            for m in matrices
+        ]
         expected = EvidenceMatrix("combined")
-        for doc, idx, word in {
-            cell[:3] for m in matrices for cell in m.iter_cells()
-        }:
+        for doc, idx, word in {key for _, cells in stored for key in cells}:
             expected.put(doc, idx, word, sum(
-                mixture.weights[m.generator] * m.get(doc, idx, word)
-                for m in sorted(matrices, key=lambda m: m.generator)
+                mixture.weights[tag] * cells.get((doc, idx, word), expected.epsilon)
+                for tag, cells in sorted(stored)
             ))
-        assert combine(matrices, mixture).cells == expected.cells
+        got = combine(matrices, mixture)
+        assert list(got.iter_cells()) == list(expected.iter_cells())
 
     def test_tag_mismatch_rejected(self):
         m1 = matrix("g1", [])
@@ -196,6 +205,59 @@ class TestEmFit:
             em_fit(np.array([[0.5, 0.0]]))
 
 
+def em_fit_on_the_matrix(q, tol, max_iter):
+    """em_fit as it was before it worked on per-generator columns, verbatim."""
+    q = np.asarray(q, dtype=float)
+    n, k = q.shape
+    lam = np.full(k, 1.0 / k)
+    history = []
+    prev = float(np.sum(np.log(q @ lam)))
+    for _ in range(max_iter):
+        resp = q * lam  # (n, k)
+        resp /= resp.sum(axis=1, keepdims=True)
+        lam = resp.mean(axis=0)
+        loglik = float(np.sum(np.log(q @ lam)))
+        history.append(loglik)
+        if loglik - prev < tol:
+            break
+        prev = loglik
+    return lam, history
+
+
+def planted_q(n, k, seed, levels):
+    """Instance likelihoods; with `levels` > 0 drawn from that many values."""
+    rng = np.random.default_rng(seed)
+    if levels:
+        return rng.choice(np.linspace(0.01, 0.99, levels), size=(n, k))
+    return rng.uniform(1e-6, 1.0, size=(n, k))
+
+
+class TestEmFitBitExact:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([0, 2, 7, 50]),
+        tol=st.sampled_from([1e-8, 1e-5, 1e-3, 0.1]),
+        max_iter=st.integers(1, 40),
+    )
+    def test_matches_the_matrix_loop(self, n, k, seed, levels, tol, max_iter):
+        q = planted_q(n, k, seed, levels)
+        lam, history = em_fit(q, tol, max_iter)
+        want_lam, want_history = em_fit_on_the_matrix(q, tol, max_iter)
+        assert lam.tolist() == want_lam.tolist()
+        assert history == want_history
+
+    @pytest.mark.parametrize("k", [5, 7, 8, 9, 12])
+    def test_matches_the_matrix_loop_for_many_generators(self, k):
+        q = planted_q(2000, k, k, 0)
+        lam, history = em_fit(q, 1e-12, 30)
+        want_lam, want_history = em_fit_on_the_matrix(q, 1e-12, 30)
+        assert lam.tolist() == want_lam.tolist()
+        assert history == want_history
+
+
 def toy_bitext_and_vocab():
     english = [f"e{i}" for i in range(6)]
     pairs = []
@@ -254,6 +316,42 @@ class TestFitMixture:
         assert fitted.weights["a"] == pytest.approx(0.5, abs=1e-9)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 3), m_neg=st.integers(1, 4))
+    def test_reads_each_instance_cell_exactly(self, data, k, m_neg):
+        bitext, vocab = toy_bitext_and_vocab()
+        # Cells on the bitext pairs, plus some the fit must not read: a
+        # second segment and a document outside the bitext.
+        docs = [bitext_doc_id(i) for i in range(len(bitext.pairs))] + ["other"]
+        cell_st = st.tuples(
+            st.sampled_from(docs),
+            st.sampled_from([0, 0, 0, 1]),
+            st.sampled_from(vocab.tokens),
+            st.floats(0.0, 1.0),
+        )
+        matrices = [
+            matrix(f"g{j}", data.draw(st.lists(cell_st, max_size=60)))
+            for j in range(k)
+        ]
+        instances = labeled_instances(bitext, vocab, m_neg, random.Random(3))
+        q = np.array(
+            [
+                [
+                    p if inst.label == 1 else 1.0 - p
+                    for p in (
+                        cell(m, bitext_doc_id(inst.pair_index), 0, inst.word)
+                        for m in matrices
+                    )
+                ]
+                for inst in instances
+            ]
+        )
+        fitted = fit_mixture(matrices, bitext, vocab, m_neg=m_neg, seed=3)
+        lam, history = em_fit(q)
+        assert [fitted.weights[m.generator] for m in matrices] == lam.tolist()
+        assert list(fitted.loglik_history) == history
+
+
 class TestWeightsIO:
     def test_round_trip(self, tmp_path):
         w = MixtureWeights(
@@ -285,6 +383,13 @@ class TestWeightsIO:
         path = tmp_path / "w.tsv"
         path.write_text("a\t0.5\nb\t0.6\n")
         with pytest.raises(DataError, match="sum"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_loglik_rejected(self, tmp_path, value):
+        path = tmp_path / "w.tsv"
+        path.write_text(f"a\t0.5\nb\t0.5\n#loglik={value}\n")
+        with pytest.raises(DataError, match=rf"w\.tsv:3: loglik .* is not finite"):
             load_weights(path)
 
     def test_invalid_weights_name_the_file(self, tmp_path):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clirset.corpus import ConfusionNetwork, Corpus, Document, TranslationTable
@@ -23,6 +23,12 @@ from clirset.corpus import Bitext, parse_query
 
 def table(entries, tag="tt"):
     return TranslationTable(entries, tag)
+
+
+def cell(matrix, doc_id, index, word):
+    """One cell's stored value, or the floor when it was never stored."""
+    stored = {c[:3]: c[3] for c in matrix.iter_cells()}
+    return stored.get((doc_id, index, word), matrix.epsilon)
 
 
 class TestTtEvidence:
@@ -112,10 +118,10 @@ class TestBuildEvidence:
         # 3 distinct query words x 2 docs x 2 sentences = 12 possible cells
         assert matrix.n_cells() <= 12
         # prob 1.0 clamps to the ceiling
-        assert matrix.get("d1", 0, "vaccine") == 1.0 - matrix.epsilon
+        assert cell(matrix, "d1", 0, "vaccine") == 1.0 - matrix.epsilon
         # absent cells read back the floor
-        assert matrix.get("d2", 0, "vaccine") == matrix.epsilon
-        assert matrix.get("d1", 0, "virus") == matrix.epsilon
+        assert cell(matrix, "d2", 0, "vaccine") == matrix.epsilon
+        assert cell(matrix, "d1", 0, "virus") == matrix.epsilon
 
     def test_speech_and_text_agree_on_certain_arcs(self):
         t = table({"f1": {"e1": 0.6}, "f2": {"e2": 0.3}})
@@ -126,7 +132,7 @@ class TestBuildEvidence:
         gen = TranslationTableGenerator(t)
         m_text = build_evidence(gen, Corpus.from_documents([text_doc]), queries)
         m_speech = build_evidence(gen, Corpus.from_documents([speech_doc]), queries)
-        assert m_text.cells == m_speech.cells
+        assert list(m_text.iter_cells()) == list(m_speech.iter_cells())
 
 
 class TestPutRow:
@@ -140,7 +146,7 @@ class TestPutRow:
     def test_empty_mapping_stores_no_row(self):
         matrix = EvidenceMatrix("gen1")
         matrix.put_row("d1", 0, {})
-        assert matrix.cells == {}
+        assert list(matrix.iter_cells()) == []
         assert matrix.n_cells() == 0
 
 
@@ -156,7 +162,7 @@ class TestMatrixIO:
         assert text.startswith("#generator=gen1\n")
         loaded = load_matrix(path)
         assert loaded.generator == "gen1"
-        assert loaded.cells == matrix.cells
+        assert list(loaded.iter_cells()) == list(matrix.iter_cells())
 
     def test_save_sorted_and_deterministic(self, tmp_path):
         m1 = EvidenceMatrix("g")
@@ -170,6 +176,53 @@ class TestMatrixIO:
         save_matrix(m1, p1)
         save_matrix(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        writes=st.lists(
+            st.tuples(
+                st.sampled_from(["b", "a", "c"]),
+                st.integers(0, 4),
+                st.sampled_from(["y", "x", "z"]),
+                st.floats(0.0, 1.0),
+            ),
+            max_size=40,
+        ),
+        read_after=st.integers(0, 40),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_put_order_and_overwrites_leave_no_trace(
+        self, tmp_path_factory, writes, read_after, rnd
+    ):
+        # In write order, reading part-way so later writes merge into
+        # columns that already exist; a rewritten cell keeps its last value.
+        written = EvidenceMatrix("g")
+        for number, (doc_id, index, word, p) in enumerate(writes):
+            if number == read_after:
+                written.n_cells()
+            written.put(doc_id, index, word, p)
+        final = {(doc_id, index, word): p for doc_id, index, word, p in writes}
+        # The final values only, shuffled, one segment row at a time.
+        rows = {}
+        for (doc_id, index, word), p in final.items():
+            rows.setdefault((doc_id, index), {})[word] = p
+        shuffled = EvidenceMatrix("g")
+        for doc_id, index in rnd.sample(sorted(rows), len(rows)):
+            words = list(rows[doc_id, index].items())
+            rnd.shuffle(words)
+            shuffled.put_row(doc_id, index, dict(words))
+
+        eps = written.epsilon
+        want = [
+            (*key, min(max(p, eps), 1.0 - eps)) for key, p in sorted(final.items())
+        ]
+        assert list(written.iter_cells()) == want
+        assert list(shuffled.iter_cells()) == want
+        assert written.n_cells() == shuffled.n_cells() == len(final)
+        out = tmp_path_factory.mktemp("m")
+        save_matrix(written, out / "1.tsv")
+        save_matrix(shuffled, out / "2.tsv")
+        assert (out / "1.tsv").read_bytes() == (out / "2.tsv").read_bytes()
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"

@@ -88,4 +88,9 @@ class TestNumerics:
         eps = DEFAULT_EPSILON
         matrix = EvidenceMatrix("t")
         matrix.put_row("d", 0, {"a": 0.5, "b": 0.0, "c": 1.0, "d": -3.0})
-        assert matrix.cells == {"d": {0: {"a": 0.5, "b": eps, "c": 1.0 - eps, "d": eps}}}
+        assert list(matrix.iter_cells()) == [
+            ("d", 0, "a", 0.5),
+            ("d", 0, "b", eps),
+            ("d", 0, "c", 1.0 - eps),
+            ("d", 0, "d", eps),
+        ]

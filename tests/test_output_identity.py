@@ -1,8 +1,11 @@
-"""Output-identity guard: the whole pipeline on a tiny world, pinned by hash.
+"""Output-identity guard: the whole pipeline on tiny worlds, pinned by hash.
 
 Every command a benchmark run times goes through main() once, on a noisy
 world with speech documents, and the sha256 of each file it writes is
 compared with digests recorded from an earlier version of the code. A
+second, table-only world of all-speech documents with 9 to 14 segments
+each pins `rank` on documents long enough that a pairwise (numpy-style)
+sum over segments would round differently from the sequential one. A
 refactor that must not change outputs fails here, in seconds, before the
 benchmark's own output checks run. A change that alters outputs on
 purpose re-records the digests and says why.
@@ -39,6 +42,32 @@ EXPECTED_SHA256 = {
     ),
 }
 
+LONG_SPEECH_SYNTH = [
+    "synth", "--seed", "0", "--docs", "30", "--queries", "5",
+    "--foreign-vocab", "60", "--english-vocab", "60", "--bitext-pairs", "60",
+    "--noise", "0.3", "--speech-fraction", "1.0", "--confusion-depth", "5",
+    "--sentences-per-doc", "9", "14",
+]
+
+LONG_SPEECH_SHA256 = {
+    "ranked.run": (
+        "b121507d607f817cffd2f7656bd70ecadf22372e8b766c88a6f0cf68ce38f79d"
+    ),
+    "cutoffs.tsv": (
+        "06381c02cf013bc0f6779c362878938273e999769c3d4e3ed83514b4cf16da64"
+    ),
+    "sets.tsv": (
+        "712d612bcfea297e52c7c285f838ccd84e244fd39b8b87ecd25e45912aef4549"
+    ),
+}
+
+
+def digests(root, names):
+    return {
+        name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+        for name in names
+    }
+
 
 def test_pipeline_outputs_match_recorded_digests(tmp_path):
     data, out = tmp_path / "data", tmp_path / "out"
@@ -63,8 +92,16 @@ def test_pipeline_outputs_match_recorded_digests(tmp_path):
     ]
     for argv in steps:
         assert main(argv) == 0, argv[0]
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in EXPECTED_SHA256
-    }
-    assert digests == EXPECTED_SHA256
+    assert digests(out, EXPECTED_SHA256) == EXPECTED_SHA256
+
+
+def test_table_only_long_speech_documents_match_recorded_digests(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(LONG_SPEECH_SYNTH + ["--out", str(data)]) == 0
+    argv = [
+        "retrieve", "--corpus", str(data / "corpus.jsonl"),
+        "--queries", str(data / "queries.tsv"), "--table", str(data / "table.tsv"),
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert digests(out, LONG_SPEECH_SHA256) == LONG_SPEECH_SHA256

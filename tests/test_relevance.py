@@ -9,6 +9,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clirset.corpus import CONCEPTUAL, LEXICAL, Corpus, Document, Query
 from clirset.errors import DataError, UnsupportedQueryError
@@ -163,6 +165,96 @@ class TestStructuralProperties:
         a = phrase_rel(matrix(base), doc("d", 3), ("a",))
         b = phrase_rel(matrix(shuffled), doc("d", 3), ("a",))
         assert a == pytest.approx(b, rel=1e-15)
+
+
+def open_unit(p):
+    return min(max(p, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+
+
+def scalar_ranking(cells, epsilon, docs, query):
+    """rank's per-segment scalar algebra before it worked on columns, verbatim.
+
+    `cells` maps doc id -> segment index -> word -> stored value.
+    """
+
+    def log_phrase_doc(doc, phrase):
+        rows = cells.get(doc.id, {})
+        log_miss = 0.0  # log prod (1 - p_s)
+        for index in range(len(doc)):
+            row = rows.get(index, {})
+            log_p = sum(math.log(row.get(word, epsilon)) for word in phrase)
+            log_miss += math.log1p(-math.exp(log_p))
+        return math.log(open_unit(-math.expm1(log_miss)))
+
+    scored = [
+        (d.id, open_unit(math.exp(sum(log_phrase_doc(d, p) for p in query.phrases))))
+        for d in docs
+    ]
+    scored.sort(key=lambda entry: (-entry[1], entry[0]))
+    return tuple(scored)
+
+
+class TestMatchesScalarAlgebra:
+    WORDS = ["w0", "w1", "w2", "w3", "w4"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.05, 0.4, 1.0]),
+        n_values=st.sampled_from([0, 2, 12]),
+    )
+    def test_rank_and_query_doc_rel_are_bit_identical(self, seed, density, n_values):
+        rng = random.Random(seed)
+        epsilon = 1e-6
+        # A small pool gives repeated values and ties; 0 draws every value.
+        pool = [rng.random() for _ in range(n_values)] + [0.0, 1.0] if n_values else []
+        docs, writes = [], []
+        for number in rng.sample(range(1000), rng.randint(1, 30)):
+            d = doc(f"d{number}", rng.choice([1, 2, 3, 7, 8, 9, 14, 21]))
+            docs.append(d)
+            all_floor = rng.random() < 0.25
+            for index in range(len(d)):
+                for word in self.WORDS:
+                    if not all_floor and rng.random() < density:
+                        p = rng.choice(pool) if pool else rng.random()
+                        writes.append((d.id, index, word, p))
+        rng.shuffle(writes)  # rows get numbered out of corpus order
+        m = matrix(writes, epsilon)
+        cells = {}
+        for doc_id, index, word, p in writes:
+            cells.setdefault(doc_id, {}).setdefault(index, {})[word] = min(
+                max(p, epsilon), 1.0 - epsilon
+            )
+        phrases = [
+            tuple(rng.choice(self.WORDS + ["unseen"]) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        q = lexical(*phrases)
+        want = scalar_ranking(cells, epsilon, docs, q)
+        assert rank(m, Corpus.from_documents(docs), q).entries == want
+        by_id = dict(want)
+        for d in docs:
+            assert query_doc_rel(m, d, q) == by_id[d.id]
+
+    def test_many_distinct_values(self):
+        # numpy's log and exp round differently from the math module on a
+        # fraction of a percent of inputs; thousands of distinct values
+        # make sure a kernel that swapped them in would be caught.
+        rng = random.Random(11)
+        docs, writes, cells = [], [], {}
+        for number in range(3000):
+            d = doc(f"d{number}", rng.randint(1, 3))
+            docs.append(d)
+            for index in range(len(d)):
+                for word in ("a", "b"):
+                    p = rng.random()
+                    writes.append((d.id, index, word, p))
+                    cells.setdefault(d.id, {}).setdefault(index, {})[word] = min(
+                        max(p, 1e-6), 1.0 - 1e-6
+                    )
+        q = lexical(("a",), ("a", "b"))
+        got = rank(matrix(writes), Corpus.from_documents(docs), q).entries
+        assert got == scalar_ranking(cells, 1e-6, docs, q)
 
 
 class TestRank:
