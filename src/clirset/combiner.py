@@ -100,7 +100,8 @@ def em_fit(
     """EM for mixture weights on an (instances x generators) matrix of q_k.
 
     Starts uniform; stops when the log-likelihood improves by less than
-    `tol` or after `max_iter` iterations. Returns the weights and the
+    `tol` or after `max_iter` iterations, and logs a warning when it stops
+    at the cap while still improving. Returns the weights and the
     per-iteration log-likelihood trace (evaluated after each update).
     """
     q = np.asarray(q, dtype=float)
@@ -121,9 +122,18 @@ def em_fit(
         lam = np.array([np.add.accumulate(r / total)[-1] for r in resp]) / n
         loglik = float(np.sum(np.log(q @ lam)))
         history.append(loglik)
-        if loglik - prev < tol:
+        gain = loglik - prev
+        if gain < tol:
             break
         prev = loglik
+    else:
+        if history:
+            log.warning(
+                "EM stopped at its cap of %d iterations while the log-likelihood"
+                " still rose %.3g per iteration",
+                max_iter,
+                gain,
+            )
     return lam, history
 
 

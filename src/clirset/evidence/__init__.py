@@ -23,7 +23,6 @@ from .matrix import (
     Vocabulary,
     build_evidence,
     build_evidence_for_words,
-    load_matrix,
     query_words,
     save_matrix,
 )
@@ -37,7 +36,7 @@ from .searcher import (
     searcher_objective,
     train_searcher,
 )
-from .tables import TranslationTableGenerator, cn_evidence, tt_evidence
+from .tables import TranslationTableGenerator
 
 __all__ = [
     "DEFAULT_NEGATIVES_PER_POSITIVE",
@@ -56,11 +55,9 @@ __all__ = [
     "Vocabulary",
     "build_evidence",
     "build_evidence_for_words",
-    "cn_evidence",
     "ensemble_objective",
     "fit_mt_ensemble",
     "labeled_instances",
-    "load_matrix",
     "load_mt_ensemble",
     "load_mt_hypotheses",
     "load_searcher",
@@ -71,5 +68,4 @@ __all__ = [
     "save_searcher",
     "searcher_objective",
     "train_searcher",
-    "tt_evidence",
 ]

@@ -19,7 +19,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from ..corpus import (
 from ..errors import DataError
 from ..numerics import sigmoid, softplus
 from .instances import DEFAULT_NEGATIVES_PER_POSITIVE, labeled_instances
-from .matrix import Vocabulary
+from .matrix import SegmentScorer, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -226,17 +226,20 @@ class MtEnsembleGenerator:
         self.model = model
         self.hyps = hyps
 
-    def segment_scores(
-        self, doc: Document, index: int, segment, words: Iterable[Token]
-    ) -> Mapping[Token, float]:
+    def scorer(self, words: Sequence[Token]) -> SegmentScorer:
         words = list(words)
-        # Adds the same floats in the same order as bias + the weights of
-        # the systems whose translation holds the word, one word at a time.
-        z = np.full(len(words), self.model.bias)
-        for system, weight in zip(self.model.systems, self.model.weights):
-            translation = set(self.hyps.translation(system, doc.id, index))
-            z[np.array([word in translation for word in words], dtype=bool)] += weight
-        return dict(zip(words, sigmoid(z).tolist()))
+
+        def score(doc: Document, index: int, segment) -> dict[Token, float]:
+            # Adds the same floats in the same order as bias + the weights of
+            # the systems whose translation holds the word, one word at a time.
+            z = np.full(len(words), self.model.bias)
+            for system, weight in zip(self.model.systems, self.model.weights):
+                translation = set(self.hyps.translation(system, doc.id, index))
+                holds = np.array([word in translation for word in words], dtype=bool)
+                z[holds] += weight
+            return dict(zip(words, sigmoid(z).tolist()))
+
+        return score
 
 
 def save_mt_ensemble(model: MtEnsembleModel, path) -> None:

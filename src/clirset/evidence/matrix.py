@@ -5,9 +5,10 @@ generator, floored into [epsilon, 1 - epsilon]. Cells that were never
 stored read back as the floor, so "no evidence" and "evidence epsilon"
 are deliberately indistinguishable downstream.
 
-Persisted form is TSV with a `#generator=<tag>` header line followed by
-`doc-id <TAB> sentence-index <TAB> english-token <TAB> prob` rows in
-sorted order, probabilities via repr() for exact round trips.
+save_matrix writes a matrix as TSV (the `dump-evidence` output): a
+`#generator=<tag>` header line followed by `doc-id <TAB> sentence-index
+<TAB> english-token <TAB> prob` rows in sorted order, probabilities via
+repr() so the text holds the exact floats.
 """
 
 from __future__ import annotations
@@ -16,21 +17,11 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from ..corpus import (
-    Bitext,
-    Corpus,
-    Document,
-    Query,
-    Token,
-    data_lines,
-    parse_index,
-    parse_prob,
-    split_tsv,
-)
+from ..corpus import Bitext, Corpus, Document, Query, Token
 from ..errors import DataError
 from ..numerics import DEFAULT_EPSILON
 
@@ -88,20 +79,26 @@ class Vocabulary:
         return cls(tuple(token for token, _ in ranked[:size]))
 
 
+# Scores one segment, (document, segment index, segment) -> {word: p}, for
+# the words its generator was bound to.
+SegmentScorer = Callable[[Document, int, Any], Mapping[Token, float]]
+
+
 class EvidenceGenerator(Protocol):
     """One source of per-sentence relevance evidence.
 
-    `segment` is a text Sentence or a speech ConfusionNetwork; `words` is
-    the set of English query words to score. Implementations return a
-    mapping for the words they have evidence about; unscored words fall to
-    the floor when read back from the matrix.
+    A build first binds the generator to the English query words it will
+    score, in sorted order: `scorer(words)` does, once per build, whatever
+    work depends only on the words, and returns the per-segment function.
+    That function takes the document, the segment index and the segment (a
+    text Sentence or a speech ConfusionNetwork) and returns a mapping for
+    the words it has evidence about; unscored words fall to the floor when
+    read back from the matrix.
     """
 
     tag: str
 
-    def segment_scores(
-        self, doc: Document, index: int, segment, words: Iterable[Token]
-    ) -> Mapping[Token, float]: ...
+    def scorer(self, words: Sequence[Token]) -> SegmentScorer: ...
 
 
 class EvidenceMatrix:
@@ -365,13 +362,11 @@ def build_evidence_for_words(
     words: Iterable[Token],
     epsilon: float = DEFAULT_EPSILON,
 ) -> EvidenceMatrix:
-    words = sorted(set(words))
+    score = generator.scorer(sorted(set(words)))
     matrix = EvidenceMatrix(generator.tag, epsilon)
     for doc in corpus:
         for index, segment in enumerate(doc.segments):
-            matrix.put_row(
-                doc.id, index, generator.segment_scores(doc, index, segment, words)
-            )
+            matrix.put_row(doc.id, index, score(doc, index, segment))
     matrix._merge()  # the columns are part of building the matrix
     return matrix
 
@@ -381,33 +376,3 @@ def save_matrix(matrix: EvidenceMatrix, path) -> None:
         out.write(f"{MATRIX_HEADER_PREFIX}{matrix.generator}\n")
         for doc_id, index, word, prob in matrix.iter_cells():
             out.write(f"{doc_id}\t{index}\t{word}\t{prob!r}\n")
-
-
-def load_matrix(path, epsilon: float = DEFAULT_EPSILON) -> EvidenceMatrix:
-    matrix: EvidenceMatrix | None = None
-    for lineno, line in data_lines(path):
-        if matrix is None:
-            if not line.startswith(MATRIX_HEADER_PREFIX):
-                raise DataError(
-                    f"{path}:{lineno}: evidence matrix must start with"
-                    f" {MATRIX_HEADER_PREFIX!r}"
-                )
-            tag = line[len(MATRIX_HEADER_PREFIX) :]
-            try:
-                matrix = EvidenceMatrix(tag, epsilon)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            continue
-        doc_id, index_raw, word, prob_raw = split_tsv(path, lineno, line, 4)
-        index = parse_index(path, lineno, index_raw)
-        if index < 0:
-            raise DataError(f"{path}:{lineno}: negative sentence index {index}")
-        prob = parse_prob(path, lineno, prob_raw)
-        if not 0.0 <= prob <= 1.0:
-            raise DataError(
-                f"{path}:{lineno}: probability {prob!r} outside [0, 1]"
-            )
-        matrix.put(doc_id, index, word, prob)
-    if matrix is None:
-        raise DataError(f"{path}: empty evidence matrix file")
-    return matrix

@@ -26,7 +26,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ..corpus import Bitext, ConfusionNetwork, Document, Sentence, Token
 from ..errors import DataError
 from ..numerics import require_positive, sigmoid
 from .instances import DEFAULT_NEGATIVES_PER_POSITIVE
-from .matrix import Vocabulary, sha256_tokens
+from .matrix import SegmentScorer, Vocabulary, sha256_tokens
 
 log = logging.getLogger(__name__)
 
@@ -290,22 +290,27 @@ class SearcherGenerator:
     def __init__(self, model: SearcherModel):
         self.model = model
 
-    def segment_scores(
-        self, doc: Document, index: int, segment, words: Iterable[Token]
-    ) -> Mapping[Token, float]:
-        sentence = (
-            segment.one_best() if isinstance(segment, ConfusionNetwork) else segment
-        )
-        known = [w for w in words if w in self.model.english_vocab]
+    def scorer(self, words: Sequence[Token]) -> SegmentScorer:
+        model = self.model
+        known = [w for w in words if w in model.english_vocab]
         if not known:
-            return {}
-        x = self.model.params["foreign_emb"][self.model.foreign_ids(sentence)]
-        h, _ = _contextualize(self.model.params, x)
-        ids = np.array([self.model.english_vocab.index_of(w) for w in known])
-        z = (h @ self.model.params["english_emb"][ids].T).max(axis=0)
-        z = z + self.model.params["bias"][ids]
-        probs = sigmoid(z)
-        return {word: float(p) for word, p in zip(known, probs)}
+            return lambda doc, index, segment: {}
+        ids = np.array([model.english_vocab.index_of(w) for w in known])
+        english = model.params["english_emb"][ids].T
+        bias = model.params["bias"][ids]
+
+        def score(doc: Document, index: int, segment) -> dict[Token, float]:
+            sentence = (
+                segment.one_best() if isinstance(segment, ConfusionNetwork) else segment
+            )
+            x = model.params["foreign_emb"][model.foreign_ids(sentence)]
+            h, _ = _contextualize(model.params, x)
+            z = (h @ english).max(axis=0)
+            z = z + bias
+            probs = sigmoid(z)
+            return {word: float(p) for word, p in zip(known, probs)}
+
+        return score
 
 
 def save_searcher(model: SearcherModel, path) -> None:

@@ -1,60 +1,59 @@
 """Translation-table evidence over text sentences and confusion networks.
 
-For a text sentence, the evidence that English word w is relevant is the
-best lexical translation probability reachable from any token in the
-sentence: max over foreign tokens f of p(w|f). For a speech utterance the
-max additionally weighs each arc by its acoustic posterior: max over arcs
-(f, p_f) of p(w|f) * p_f. A depth-1 network whose arcs carry probability
-1 therefore reproduces the text case bit for bit.
+For a speech utterance, the evidence that English word w is relevant is
+the best arc-weighted translation probability in it: max over arcs
+(f, p_f) of p(w|f) * p_f. A text sentence is read as one arc of
+probability 1 per token, and p(w|f) * 1.0 == p(w|f) exactly, so its
+evidence is max over tokens f of p(w|f), and a depth-1 network whose arcs
+carry probability 1 reproduces the text case bit for bit.
+
+A build asks for a fixed set of English words, so the generator first
+inverts the table into postings for those words only: foreign token to
+its (word, p(word|f)) pairs, without the foreign tokens that reach none of
+them. Each arc then costs one lookup, and the table entries of words no
+one asked for are never touched.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from itertools import chain, repeat
+from typing import Sequence
 
-from ..corpus import ConfusionNetwork, Document, Sentence, Token, TranslationTable
-
-
-def tt_evidence(table: TranslationTable, sentence: Sentence) -> dict[Token, float]:
-    """Best translation probability per English word reachable from `sentence`."""
-    best: dict[Token, float] = {}
-    for foreign in sentence:
-        for english, prob in table.entries.get(foreign, {}).items():
-            if prob > best.get(english, 0.0):
-                best[english] = prob
-    return best
-
-
-def cn_evidence(table: TranslationTable, network: ConfusionNetwork) -> dict[Token, float]:
-    """Like tt_evidence but weighing each arc by its posterior probability."""
-    best: dict[Token, float] = {}
-    for slot in network.slots:
-        for foreign, arc_prob in slot:
-            for english, prob in table.entries.get(foreign, {}).items():
-                score = prob * arc_prob
-                if score > best.get(english, 0.0):
-                    best[english] = score
-    return best
+from ..corpus import ConfusionNetwork, Document, Token, TranslationTable
+from .matrix import SegmentScorer
 
 
 class TranslationTableGenerator:
     """Evidence generator backed by one translation table.
 
-    Handles both document kinds: sentences route through tt_evidence,
-    confusion networks through cn_evidence. The generator tag is the
-    table's source tag, so multiple aligners coexist as separate matrices.
+    Handles both document kinds through one loop over arcs. The generator
+    tag is the table's source tag, so multiple aligners coexist as
+    separate matrices.
     """
 
     def __init__(self, table: TranslationTable):
         self.table = table
         self.tag = table.source_tag
 
-    def segment_scores(
-        self, doc: Document, index: int, segment, words: Iterable[Token]
-    ) -> Mapping[Token, float]:
-        if isinstance(segment, ConfusionNetwork):
-            scores = cn_evidence(self.table, segment)
-        else:
-            scores = tt_evidence(self.table, segment)
+    def scorer(self, words: Sequence[Token]) -> SegmentScorer:
         wanted = set(words)
-        return {word: prob for word, prob in scores.items() if word in wanted}
+        postings: dict[Token, list[tuple[Token, float]]] = {}
+        for foreign, row in self.table.entries.items():
+            hits = [(english, p) for english, p in row.items() if english in wanted]
+            if hits:
+                postings[foreign] = hits
+
+        def score(doc: Document, index: int, segment) -> dict[Token, float]:
+            if isinstance(segment, ConfusionNetwork):
+                arcs = chain.from_iterable(segment.slots)
+            else:
+                arcs = zip(segment, repeat(1.0))
+            best: dict[Token, float] = {}
+            for foreign, arc_prob in arcs:
+                for english, prob in postings.get(foreign, ()):
+                    value = prob * arc_prob
+                    if value > best.get(english, 0.0):
+                        best[english] = value
+            return best
+
+        return score

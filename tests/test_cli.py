@@ -7,7 +7,7 @@ import pytest
 
 from clirset.cli import main
 from clirset.combiner import load_weights
-from clirset.evidence import load_matrix, load_mt_ensemble, load_searcher
+from clirset.evidence import load_mt_ensemble, load_searcher
 
 
 @pytest.fixture(scope="module")
@@ -229,9 +229,13 @@ class TestDumpEvidence:
             "--out", str(out),
         ])
         assert code == 0
-        matrix = load_matrix(out)
-        assert matrix.generator == "table"
-        assert matrix.n_cells() > 0
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert header == "#generator=table"
+        assert rows
+        for row in rows:
+            doc_id, index, word, prob = row.split("\t")
+            assert int(index) >= 0 and word
+            assert 0.0 < float(prob) < 1.0
 
     def test_two_generators_rejected(self, data_dir, tmp_path):
         code = main([

@@ -1,5 +1,6 @@
 """Mixture weights, the EM fitter, and matrix combination."""
 
+import logging
 import math
 import random
 
@@ -267,22 +268,58 @@ def toy_bitext_and_vocab():
     return Bitext(tuple(pairs)), Vocabulary(tuple(english))
 
 
+def sharp_and_flat(bitext, vocab):
+    """A generator sure of each pair's first reference word, and one at 0.5."""
+    sharp_cells = []
+    flat_cells = []
+    for i, (_, reference) in enumerate(bitext.pairs):
+        doc = bitext_doc_id(i)
+        sharp_cells.append((doc, 0, reference[0], 0.95))
+        for word in vocab.tokens:
+            flat_cells.append((doc, 0, word, 0.5))
+    return matrix("sharp", sharp_cells), matrix("flat", flat_cells)
+
+
+def em_warnings(caplog):
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "clirset.combiner" and record.levelno == logging.WARNING
+    ]
+
+
 class TestFitMixture:
     def test_sharp_generator_wins(self):
         bitext, vocab = toy_bitext_and_vocab()
-        sharp_cells = []
-        flat_cells = []
-        for i, (_, reference) in enumerate(bitext.pairs):
-            doc = bitext_doc_id(i)
-            sharp_cells.append((doc, 0, reference[0], 0.95))
-            for word in vocab.tokens:
-                flat_cells.append((doc, 0, word, 0.5))
-        sharp = matrix("sharp", sharp_cells)
-        flat = matrix("flat", flat_cells)
-        fitted = fit_mixture([sharp, flat], bitext, vocab, m_neg=3, seed=0)
+        fitted = fit_mixture(
+            list(sharp_and_flat(bitext, vocab)), bitext, vocab, m_neg=3, seed=0
+        )
         assert fitted.weights["sharp"] > 0.9
         assert fitted.loglik is not None
         assert fitted.loglik == fitted.loglik_history[-1]
+
+    def test_cap_while_still_rising_logs_a_warning(self, caplog):
+        bitext, vocab = toy_bitext_and_vocab()
+        matrices = list(sharp_and_flat(bitext, vocab))
+        with caplog.at_level(logging.WARNING, logger="clirset.combiner"):
+            capped = fit_mixture(matrices, bitext, vocab, m_neg=3, seed=0, max_iter=5)
+        history = capped.loglik_history
+        assert len(history) == 5
+        assert history[-1] - history[-2] >= 1e-8
+        [message] = em_warnings(caplog)
+        assert "cap of 5 iterations" in message
+        # the capped fit is the first five steps of a longer one
+        longer = fit_mixture(matrices, bitext, vocab, m_neg=3, seed=0, max_iter=6)
+        assert longer.loglik_history[:5] == history
+
+    def test_converged_fit_logs_no_warning(self, caplog):
+        bitext, vocab = toy_bitext_and_vocab()
+        with caplog.at_level(logging.WARNING, logger="clirset.combiner"):
+            fitted = fit_mixture(
+                list(sharp_and_flat(bitext, vocab)), bitext, vocab, m_neg=3, seed=0
+            )
+        assert len(fitted.loglik_history) < 500
+        assert em_warnings(caplog) == []
 
     def test_weights_keyed_by_tag_not_position(self):
         bitext, vocab = toy_bitext_and_vocab()

@@ -140,7 +140,7 @@ class TestEvidence:
     def score(self, doc_id, word):
         doc = Document(id=doc_id, kind="text", sentences=(("f",),))
         gen = MtEnsembleGenerator(self.MODEL, self.hyps())
-        return gen.segment_scores(doc, 0, doc.sentences[0], [word])[word]
+        return gen.scorer([word])(doc, 0, doc.sentences[0])[word]
 
     def test_hand_values(self):
         # virus: only s1 -> sigmoid(1)
@@ -193,7 +193,7 @@ class TestEvidence:
                 if present:
                     z += weight
             expected[word] = float(sigmoid(z))
-        assert gen.segment_scores(doc, 0, doc.sentences[0], words) == expected
+        assert gen.scorer(words)(doc, 0, doc.sentences[0]) == expected
 
     def test_one_sigmoid_call_per_segment(self, monkeypatch):
         calls = []

@@ -13,7 +13,7 @@ from clirset.corpus import (
     load_translation_table,
 )
 from clirset.errors import DataError
-from clirset.evidence import load_matrix, load_mt_hypotheses
+from clirset.evidence import load_mt_hypotheses
 from clirset.thresholder import load_cutoffs, load_returned_sets
 
 LOADERS = [
@@ -22,7 +22,6 @@ LOADERS = [
     load_bitext,
     load_queries,
     load_judgments,
-    load_matrix,
     load_mt_hypotheses,
     load_weights,
     load_cutoffs,
