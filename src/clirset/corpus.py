@@ -20,12 +20,16 @@ File formats:
 from __future__ import annotations
 
 import json
+import os
 import re
 import string
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .errors import DataError
 
@@ -155,15 +159,43 @@ class Corpus:
         return self.documents[doc_id]
 
     @cached_property
-    def segment_counts(self) -> tuple[int, ...]:
+    def segment_counts(self) -> np.ndarray:
         """The number of segments of each document, in corpus order."""
-        return tuple(len(doc) for doc in self)
+        return np.array([len(doc) for doc in self], dtype=np.int64)
 
     @cached_property
     def segment_positions(self) -> dict[tuple[str, int], int]:
         """(doc id, segment index) -> position of every segment, in corpus order."""
         keys = ((doc.id, index) for doc in self for index in range(len(doc)))
         return {key: position for position, key in enumerate(keys)}
+
+    @cached_property
+    def by_id(self) -> np.ndarray:
+        """The corpus-order index of every document, in ascending id order."""
+        ids = list(self.documents)
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+
+    @cached_property
+    def by_length(self) -> np.ndarray:
+        """The corpus-order index of every document, most segments first.
+
+        Documents with equally many segments keep corpus order.
+        """
+        return np.argsort(-self.segment_counts, kind="stable")
+
+    @cached_property
+    def segment_slots(self) -> tuple[np.ndarray, ...]:
+        """Slot j: the position of segment j of each document that has one.
+
+        The documents are taken in `by_length` order, so slot j covers a
+        prefix of `by_length`.
+        """
+        counts = self.segment_counts
+        starts = np.cumsum(counts) - counts
+        per_slot = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+        return tuple(
+            starts[self.by_length[:n]] + j for j, n in enumerate(per_slot.tolist())
+        )
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document]) -> "Corpus":
@@ -366,6 +398,25 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+@contextmanager
+def atomic_output(path) -> Iterator[TextIO]:
+    """A text handle whose contents replace `path` only once the block ends.
+
+    The text goes to a temporary file next to `path`, which os.replace
+    moves into place. If the block raises, the temporary file is removed
+    and whatever `path` held before stays.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def split_tsv(path, lineno: int, line: str, n_fields: int) -> list[str]:
     fields = line.split("\t")
     if len(fields) != n_fields:
@@ -391,8 +442,14 @@ def parse_index(path, lineno: int, raw: str) -> int:
 
 
 def load_corpus(path) -> Corpus:
-    """Read a JSONL corpus, validating every document."""
+    """Read a JSONL corpus, validating every document.
+
+    Each distinct raw arc token is normalized once per call: `arc_tokens`
+    maps it to its one normalized token, so every arc with that raw token
+    shares one string.
+    """
     docs: dict[str, Document] = {}
+    arc_tokens: dict[str, Token] = {}
     for lineno, line in data_lines(path):
         ctx = f"{path}:{lineno}"
         try:
@@ -402,7 +459,7 @@ def load_corpus(path) -> Corpus:
         if not isinstance(obj, dict):
             raise DataError(f"{ctx}: document line is not a JSON object")
         try:
-            doc = _document_from_json(obj, ctx)
+            doc = _document_from_json(obj, ctx, arc_tokens)
         except DataError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -413,7 +470,13 @@ def load_corpus(path) -> Corpus:
     return Corpus(docs)
 
 
-def _document_from_json(obj: dict, ctx: str) -> Document:
+def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Document:
+    """Build one document; `arc_tokens` holds the arc tokens seen so far.
+
+    A raw arc token enters `arc_tokens` only once it has passed the
+    exactly-one-token check, so every arc is checked, on its token's first
+    sight or by the lookup.
+    """
     doc_id = obj.get("id")
     kind = obj.get("kind")
     if not isinstance(doc_id, str) or not doc_id:
@@ -460,18 +523,23 @@ def _document_from_json(obj: dict, ctx: str) -> Document:
                             f"{ctx}: utterance {u} slot {s} of {doc_id!r} has a"
                             " non-string token"
                         )
-                    tokens = normalize(raw_token)
-                    if len(tokens) != 1:
-                        raise DataError(
-                            f"{ctx}: arc token {raw_token!r} in {doc_id!r} does not"
-                            " normalize to exactly one token"
-                        )
-                    if not isinstance(prob, (int, float)):
-                        raise DataError(
-                            f"{ctx}: arc prob for {raw_token!r} in {doc_id!r}"
-                            " is not a number"
-                        )
-                    arcs.append((tokens[0], float(prob)))
+                    token = arc_tokens.get(raw_token)
+                    if token is None:
+                        tokens = normalize(raw_token)
+                        if len(tokens) != 1:
+                            raise DataError(
+                                f"{ctx}: arc token {raw_token!r} in {doc_id!r} does"
+                                " not normalize to exactly one token"
+                            )
+                        token = arc_tokens[raw_token] = tokens[0]
+                    if type(prob) is not float:  # float(prob) is prob for a float
+                        if not isinstance(prob, (int, float)):
+                            raise DataError(
+                                f"{ctx}: arc prob for {raw_token!r} in {doc_id!r}"
+                                " is not a number"
+                            )
+                        prob = float(prob)
+                    arcs.append((token, prob))
                 slots.append(tuple(arcs))
             try:
                 utterances.append(ConfusionNetwork(tuple(slots)))

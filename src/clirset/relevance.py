@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import count
+from operator import itemgetter, lt
 
 import numpy as np
 
-from .corpus import LEXICAL, Corpus, Document, Query
+from .corpus import LEXICAL, Corpus, Document, Query, atomic_output
 from .errors import DataError, UnsupportedQueryError
 from .evidence.matrix import EvidenceMatrix
 
@@ -46,20 +47,19 @@ class RankedList:
     entries: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        for (_, a), (_, b) in zip(self.entries, self.entries[1:]):
-            if b > a:
-                raise DataError(
-                    f"ranked list for {self.query_id!r} is not sorted"
-                )
+        probs = self.probs()
+        # unsorted: some adjacent pair (a, b) has b > a; comparisons with NaN are false
+        if any(map(lt, probs, probs[1:])):
+            raise DataError(f"ranked list for {self.query_id!r} is not sorted")
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def probs(self) -> list[float]:
-        return [prob for _, prob in self.entries]
+        return list(map(itemgetter(1), self.entries))
 
     def doc_ids(self) -> list[str]:
-        return [doc_id for doc_id, _ in self.entries]
+        return list(map(itemgetter(0), self.entries))
 
 
 def _per_value(f, x: np.ndarray) -> np.ndarray:
@@ -87,36 +87,22 @@ def _prob(log_rel: float) -> float:
     return _open_unit(math.exp(log_rel))
 
 
-def _query_doc_rels(
-    evidence: EvidenceMatrix,
-    positions: Mapping[tuple[str, int], int],
-    counts: Sequence[int],
-    query: Query,
-) -> np.ndarray:
-    """p(query relevant | doc) for each document, in order.
+def _query_doc_rels(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> np.ndarray:
+    """p(query relevant | doc) for each document, in corpus order.
 
-    `positions` numbers the documents' segments by (doc id, index),
-    document after document, and `counts` gives each one's segment
-    count. The work is
-    done on columns over those segments, with the same float operations
-    in the same order as a loop over one segment at a time: a phrase's
-    log relevance in a segment adds its words' logs from 0, in phrase
-    order; a document's log miss adds its segments' log(1 - p) from 0.0,
-    in segment order; the query adds its phrases' logs from 0.
+    The work is done on columns over the corpus's segments, with the same
+    float operations in the same order as a loop over one segment at a
+    time: a phrase's log relevance in a segment adds its words' logs from
+    0, in phrase order; a document's log miss adds its segments'
+    log(1 - p) from 0.0, in segment order; the query adds its phrases'
+    logs from 0.
     """
     if query.kind != LEXICAL:
         raise UnsupportedQueryError(
             f"query {query.id!r} has kind {query.kind!r}; only lexical"
             " queries are retrievable"
         )
-    counts = np.array(counts, dtype=np.int64)
-    # Segment j of every document that has one, for j = 0, 1, ...: the
-    # documents longest first, so slot j covers a prefix of them.
-    by_length = np.argsort(-counts, kind="stable")
-    starts = np.cumsum(counts) - counts
-    per_slot = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
-    slots = [starts[by_length[:n]] + j for j, n in enumerate(per_slot.tolist())]
-
+    positions = corpus.segment_positions
     words = dict.fromkeys(word for phrase in query.phrases for word in phrase)
     cells = evidence.cells_at(positions, words)
     floor_log = math.log(evidence.epsilon)
@@ -135,40 +121,48 @@ def _query_doc_rels(
         all_floor = _log_miss(sum(floor_log for _ in phrase))
         log_miss_by_segment = np.full(len(positions), all_floor)
         log_miss_by_segment[held] = _per_value(_log_miss, log_p[held])
-        log_miss = np.zeros(len(counts))  # in by_length order
-        for segments in slots:
+        log_miss = np.zeros(len(corpus))  # in by_length order
+        for segments in corpus.segment_slots:
             log_miss[: len(segments)] += log_miss_by_segment[segments]
-        in_order = np.empty(len(counts))
-        in_order[by_length] = log_miss
+        in_order = np.empty(len(corpus))
+        in_order[corpus.by_length] = log_miss
         phrase_logs.append(_per_value(_log_union, in_order))
     return _per_value(_prob, sum(phrase_logs))
 
 
 def query_doc_rel(evidence: EvidenceMatrix, doc: Document, query: Query) -> float:
     """Product over the query's phrases of their document relevance."""
-    positions = {(doc.id, index): index for index in range(len(doc))}
-    return float(_query_doc_rels(evidence, positions, [len(doc)], query)[0])
+    return float(_query_doc_rels(evidence, Corpus({doc.id: doc}), query)[0])
 
 
 def rank(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> RankedList:
     """Score every document and sort, ties broken by ascending doc id."""
     if len(corpus) == 0:
         raise DataError("cannot rank over an empty corpus")
-    probs = _query_doc_rels(
-        evidence, corpus.segment_positions, corpus.segment_counts, query
-    )
+    probs = _query_doc_rels(evidence, corpus, query)
     ids = list(corpus.documents)
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+    by_id = corpus.by_id
     order = by_id[np.argsort(-probs[by_id], kind="stable")]
     return RankedList(
-        query.id, tuple(zip([ids[i] for i in order.tolist()], probs[order].tolist()))
+        query.id, tuple(zip(map(ids.__getitem__, order.tolist()), probs[order].tolist()))
+    )
+
+
+def _run_text(ranked: RankedList) -> str:
+    """The run-file lines of one ranked list, each distinct probability formatted once."""
+    probs = ranked.probs()
+    text = {prob: repr(prob) for prob in set(probs)}
+    # 0.0 == -0.0 would share one entry, yet the two print differently
+    formatted = map(repr, probs) if 0.0 in text else map(text.__getitem__, probs)
+    return "".join(
+        [
+            f"{ranked.query_id} {doc_id} {position} {prob} clirset\n"
+            for position, doc_id, prob in zip(count(1), ranked.doc_ids(), formatted)
+        ]
     )
 
 
 def save_run(ranked_lists, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for ranked in ranked_lists:
-            for position, (doc_id, prob) in enumerate(ranked.entries, 1):
-                out.write(
-                    f"{ranked.query_id} {doc_id} {position} {prob!r} clirset\n"
-                )
+            out.write(_run_text(ranked))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import data_lines, split_tsv
+from .corpus import atomic_output, data_lines, split_tsv
 from .errors import DataError
 from .numerics import DEFAULT_EPSILON, require_positive
 from .relevance import RankedList
@@ -106,7 +106,7 @@ def returned_set(ranked: RankedList, decision: CutoffDecision) -> list[str]:
 
 
 def save_cutoffs(decisions, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for decision in decisions:
             out.write(
                 f"{decision.query_id}\t{decision.k}\t{decision.expected_qv!r}\n"
@@ -127,7 +127,7 @@ def load_cutoffs(path) -> dict[str, tuple[int, float]]:
 
 
 def save_returned_sets(sets_by_query: dict[str, list[str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for qid in sets_by_query:
             for doc_id in sets_by_query[qid]:
                 out.write(f"{qid}\t{doc_id}\n")

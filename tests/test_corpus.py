@@ -1,11 +1,13 @@
 """Tokenizer, query parsing, and file-format round trips."""
 
 import json
+import os
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clirset.corpus as corpus_module
 from clirset.corpus import (
     Bitext,
     ConfusionNetwork,
@@ -30,6 +32,8 @@ from clirset.corpus import (
     save_translation_table,
 )
 from clirset.errors import DataError
+from clirset.relevance import RankedList, save_run
+from clirset.thresholder import CutoffDecision, save_cutoffs, save_returned_sets
 
 
 class TestNormalize:
@@ -168,6 +172,156 @@ class TestCorpusIO:
         save_corpus(corpus, p1)
         save_corpus(corpus, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Raw arc tokens: case and edge-punctuation variants of a few words, so a
+# normalized token comes from several raw spellings.
+RAW_TOKENS = st.builds(
+    lambda head, word, upper, tail: head + (word.upper() if upper else word) + tail,
+    st.sampled_from(["", "(", "\"", "--"]),
+    st.sampled_from(["foo", "bar", "ba-z", "qu/x"]),
+    st.booleans(),
+    st.sampled_from(["", ",", "!", "..."]),
+)
+# Raw tokens that normalize to no token or to two.
+BAD_TOKENS = st.sampled_from(["...", "--", "Foo bar", "foo, BAR"])
+ARCS = st.one_of(
+    st.tuples(RAW_TOKENS, st.just(1)).map(lambda arc: [list(arc)]),
+    st.lists(
+        st.tuples(RAW_TOKENS, st.sampled_from([0.1, 0.2, 0.25])).map(list),
+        min_size=1,
+        max_size=4,
+    ),
+)
+TEXT_DOC = st.lists(
+    st.lists(RAW_TOKENS, min_size=1, max_size=4).map(" ".join), min_size=1, max_size=3
+).map(lambda sentences: {"kind": "text", "sentences": sentences})
+SPEECH_DOC = st.lists(
+    st.lists(ARCS, min_size=1, max_size=3), min_size=1, max_size=3
+).map(lambda utterances: {"kind": "speech", "utterances": utterances})
+
+
+def per_arc_reference(objs):
+    """The corpus the JSON objects describe, normalizing every arc on its own."""
+    docs = []
+    for obj in objs:
+        if obj["kind"] == "text":
+            sentences = tuple(tuple(normalize(raw)) for raw in obj["sentences"])
+            docs.append(Document(id=obj["id"], kind="text", sentences=sentences))
+            continue
+        utterances = []
+        for raw_slots in obj["utterances"]:
+            slots = []
+            for raw_arcs in raw_slots:
+                arcs = []
+                for raw_token, prob in raw_arcs:
+                    (token,) = normalize(raw_token)
+                    arcs.append((token, float(prob)))
+                slots.append(tuple(arcs))
+            utterances.append(ConfusionNetwork(tuple(slots)))
+        docs.append(Document(id=obj["id"], kind="speech", utterances=tuple(utterances)))
+    return Corpus.from_documents(docs)
+
+
+def write_corpus(path, objs):
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs), encoding="utf-8")
+    return path
+
+
+class TestLoadCorpusPerDistinctToken:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.one_of(TEXT_DOC, SPEECH_DOC), min_size=1, max_size=6),
+        bad=st.none() | st.tuples(BAD_TOKENS, st.integers(0, 5), st.integers(0, 99)),
+    )
+    def test_equals_per_arc_reference(self, tmp_path_factory, kinds, bad):
+        objs = [{"id": f"d{i}", **obj} for i, obj in enumerate(kinds)]
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        later = [i for i, obj in enumerate(objs) if i > 0 and obj["kind"] == "speech"]
+        if bad is None or not later:
+            write_corpus(path, objs)
+            corpus = load_corpus(path)
+            assert corpus == per_arc_reference(objs)
+            probs = [p for doc in corpus for cn in doc.utterances for slot in cn.slots
+                     for _, p in slot]
+            assert all(type(p) is float for p in probs)  # also where the JSON had 1
+            return
+        # A bad token first used in a speech document after the first line,
+        # once good spellings of the same words have been seen.
+        bad_token, pick, slot_pick = bad
+        target = later[pick % len(later)]
+        raw_slots = objs[target]["utterances"][0]
+        raw_slots[slot_pick % len(raw_slots)][0][0] = bad_token
+        write_corpus(path, objs)
+        with pytest.raises(DataError, match="exactly one token") as info:
+            load_corpus(path)
+        assert f"corpus.jsonl:{target + 1}:" in str(info.value)
+        assert f"'d{target}'" in str(info.value)
+
+    def test_one_normalize_call_per_distinct_arc_token(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_normalize(raw):
+            calls.append(raw)
+            return normalize(raw)
+
+        monkeypatch.setattr(corpus_module, "normalize", counting_normalize)
+        objs = [
+            {"id": "t", "kind": "text", "sentences": ["Foo bar", "foo", "Foo bar"]},
+            {"id": "s1", "kind": "speech",
+             "utterances": [[[["Foo", 0.5], ["bar,", 0.5]], [["Foo", 1.0]]]]},
+            {"id": "s2", "kind": "speech",
+             "utterances": [[[["bar,", 0.5], ["foo", 0.5]]], [[["Foo", 1.0]]]]},
+        ]
+        corpus = load_corpus(write_corpus(tmp_path / "corpus.jsonl", objs))
+        assert corpus == per_arc_reference(objs)
+        # three sentences, three distinct raw arc tokens: Foo, bar, and foo
+        assert sorted(calls) == sorted(["Foo bar", "foo", "Foo bar", "Foo", "bar,", "foo"])
+        # every arc with one raw token holds the same string object
+        s1, s2 = corpus["s1"].utterances, corpus["s2"].utterances
+        from_foo_upper = [s1[0].slots[0][0][0], s1[0].slots[1][0][0], s2[1].slots[0][0][0]]
+        assert all(token is from_foo_upper[0] for token in from_foo_upper)
+        assert s1[0].slots[0][1][0] is s2[0].slots[0][0][0]
+
+    def test_non_string_token_checked_before_the_lookup(self, tmp_path):
+        line = {"id": "d", "kind": "speech", "utterances": [[[[["a"], 1.0]]]]}
+        with pytest.raises(DataError, match=r"corpus\.jsonl:1: .*non-string token"):
+            load_corpus(write_corpus(tmp_path / "corpus.jsonl", [line]))
+
+
+class TestAtomicOutput:
+    """A writer that fails part way leaves the earlier file and no temp file."""
+
+    @staticmethod
+    def _then_fail(*items):
+        yield from items
+        raise RuntimeError("writer failed")
+
+    @pytest.mark.parametrize("writer", ["save_run", "save_cutoffs", "save_returned_sets"])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, writer):
+        path = tmp_path / "out.tsv"
+        path.write_text("earlier\n", encoding="utf-8")
+        fail = self._then_fail
+        write = {
+            "save_run": lambda: save_run(fail(RankedList("q1", (("d1", 0.5),))), path),
+            "save_cutoffs": lambda: save_cutoffs(
+                fail(CutoffDecision("q1", 1, 0.25, 1.0)), path
+            ),
+            "save_returned_sets": lambda: save_returned_sets(
+                {"q1": ["d1"], "q2": fail("d2")}, path
+            ),
+        }[writer]
+        with pytest.raises(RuntimeError, match="writer failed"):
+            write()
+        assert path.read_text(encoding="utf-8") == "earlier\n"
+        assert os.listdir(tmp_path) == ["out.tsv"]
+
+    def test_successful_write_replaces_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "sets.tsv"
+        path.write_text("earlier\n", encoding="utf-8")
+        save_returned_sets({"q1": ["d1", "d2"]}, path)
+        assert path.read_text(encoding="utf-8") == "q1\td1\nq1\td2\n"
+        assert os.listdir(tmp_path) == ["sets.tsv"]
 
 
 class TestTranslationTableIO:

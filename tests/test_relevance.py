@@ -282,11 +282,69 @@ class TestRank:
             rank(matrix([]), corpus, q)
 
     def test_unsorted_ranked_list_rejected(self):
-        with pytest.raises(DataError, match="sorted"):
-            RankedList("q", (("d1", 0.2), ("d2", 0.9)))
+        with pytest.raises(DataError, match="ranked list for 'q7' is not sorted"):
+            RankedList("q7", (("d1", 0.2), ("d2", 0.9)))
+
+    def test_nan_accepted_as_by_the_pairwise_rule(self):
+        # No adjacent pair has b > a, since every comparison with NaN is false.
+        ranked = RankedList("q", (("d1", 0.2), ("d2", math.nan), ("d3", 0.9)))
+        assert ranked.doc_ids() == ["d1", "d2", "d3"]
+        with pytest.raises(DataError, match="'q'"):
+            RankedList("q", (("d1", math.nan), ("d2", 0.2), ("d3", 0.9)))
+
+    @given(st.lists(st.sampled_from([0.9, 0.5, 0.5, 0.1, 0.0, -0.0, math.nan, math.inf])))
+    def test_sorted_rule_is_the_pairwise_rule(self, probs):
+        entries = tuple((f"d{i}", p) for i, p in enumerate(probs))
+        unsorted = any(b > a for a, b in zip(probs, probs[1:]))
+        if unsorted:
+            with pytest.raises(DataError, match="not sorted"):
+                RankedList("q", entries)
+        else:
+            assert RankedList("q", entries).entries == entries
+
+    @given(st.permutations([f"d{i:02d}" for i in range(12)]), st.integers(0, 12))
+    def test_ties_ranked_by_ascending_id_whatever_the_file_order(self, ids, n_held):
+        # Lengths 1 to 3 and the first n_held documents in file order holding
+        # a cell: documents alike in both tie exactly.
+        docs = [doc(doc_id, 1 + i % 3) for i, doc_id in enumerate(ids)]
+        corpus = Corpus.from_documents(docs)
+        m = matrix([(doc_id, 0, "a", 0.5) for doc_id in ids[:n_held]])
+        q = lexical(("a",))
+        ids_in_file_order = list(corpus.documents)
+        assert [ids_in_file_order[i] for i in corpus.by_id] == sorted(ids)
+        want = sorted(ids, key=lambda doc_id: (-query_doc_rel(m, corpus[doc_id], q), doc_id))
+        assert rank(m, corpus, q).doc_ids() == want
+
+
+RUN_PROBS = st.sampled_from(
+    [5e-324, math.nextafter(1.0, 0.0), 0.5, 0.1, 1e-06, 0.12345678901234567, 0.0, -0.0]
+) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def ranked_lists(draw):
+    """Descending lists over a few repeated values, some with NaN slotted in."""
+    lists = []
+    for qid in draw(st.lists(st.sampled_from(["q1", "q2", "Q 3"]), max_size=4)):
+        probs = sorted(draw(st.lists(RUN_PROBS, max_size=12)), reverse=True)
+        for at in draw(st.lists(st.integers(0, len(probs)), max_size=2)):
+            probs.insert(at, math.nan)
+        lists.append(RankedList(qid, tuple((f"d{i}", p) for i, p in enumerate(probs))))
+    return lists
 
 
 class TestRunIO:
+    @given(ranked_lists())
+    def test_bytes_match_per_line_repr(self, tmp_path_factory, lists):
+        path = tmp_path_factory.mktemp("run") / "ranked.run"
+        save_run(lists, path)
+        want = "".join(
+            f"{ranked.query_id} {d} {i} {p!r} clirset\n"
+            for ranked in lists
+            for i, (d, p) in enumerate(ranked.entries, 1)
+        )
+        assert path.read_bytes() == want.encode("utf-8")
+
     def test_round_trip(self, tmp_path):
         lists = [
             RankedList("q1", (("da", 0.875), ("db", 0.12345678901234567))),
