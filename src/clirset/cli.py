@@ -308,15 +308,17 @@ def _fit_weights(opt: Options, generators, bitext_path: Path) -> MixtureWeights:
     m_neg = opt.get("m_neg", 50, int)
     seed = opt.get("seed", 0, int)
 
-    # The fitter re-derives the same instances from (bitext, vocab, m_neg,
-    # seed), so the matrices only need to cover these words.
+    # The instances are drawn once: the matrices only need to cover their
+    # words, and the fitter reads them as they are.
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
     words = {inst.word for inst in instances}
     pseudo = bitext_corpus(bitext)
     matrices = [
         build_evidence_for_words(gen, pseudo, words, epsilon) for gen in generators
     ]
-    return fit_mixture(matrices, bitext, vocab, m_neg=m_neg, seed=seed)
+    return fit_mixture(
+        matrices, bitext, vocab, m_neg=m_neg, seed=seed, instances=instances
+    )
 
 
 def cmd_fit_mixture(opt: Options) -> int:

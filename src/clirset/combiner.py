@@ -22,7 +22,11 @@ import numpy as np
 
 from .corpus import Bitext, bitext_doc_id, data_lines, parse_prob, split_tsv
 from .errors import DataError
-from .evidence.instances import DEFAULT_NEGATIVES_PER_POSITIVE, labeled_instances
+from .evidence.instances import (
+    DEFAULT_NEGATIVES_PER_POSITIVE,
+    LabeledInstance,
+    labeled_instances,
+)
 from .evidence.matrix import EvidenceMatrix, Vocabulary, weighted_sum
 
 log = logging.getLogger(__name__)
@@ -159,19 +163,25 @@ def fit_mixture(
     seed: int = 0,
     tol: float = DEFAULT_EM_TOLERANCE,
     max_iter: int = DEFAULT_EM_MAX_ITERATIONS,
+    *,
+    instances: Sequence[LabeledInstance] | None = None,
 ) -> MixtureWeights:
     """Fit weights on held-out bitext instances read out of the matrices.
 
     The matrices must be built over the bitext pseudo-corpus (see
     corpus.bitext_corpus); entries the generators never stored read as the
-    floor, i.e. a near-certain vote for "not relevant".
+    floor, i.e. a near-certain vote for "not relevant". `instances`, when
+    given, must be `labeled_instances(bitext, vocab, m_neg,
+    random.Random(seed))`, which a caller that already drew them passes
+    instead of having them drawn again.
     """
     tags = [m.generator for m in matrices]
     if len(set(tags)) != len(tags):
         raise DataError("duplicate generator tags among matrices")
     if not matrices:
         raise DataError("cannot fit a mixture over no matrices")
-    instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
+    if instances is None:
+        instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
     positive = np.array([inst.label == 1 for inst in instances])
     pairs = np.array([inst.pair_index for inst in instances], dtype=np.int64)
     by_word: dict[str, list[int]] = {}

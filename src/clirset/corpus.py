@@ -19,6 +19,7 @@ File formats:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -447,26 +448,37 @@ def load_corpus(path) -> Corpus:
     Each distinct raw arc token is normalized once per call: `arc_tokens`
     maps it to its one normalized token, so every arc with that raw token
     shares one string.
+
+    The cyclic garbage collector is paused while the file is parsed, and
+    its earlier state is restored afterwards. JSON values and the documents
+    built from them are trees, so it has no cycles to find; left running,
+    it promotes each line's lists and rescans them in full collections.
     """
     docs: dict[str, Document] = {}
     arc_tokens: dict[str, Token] = {}
-    for lineno, line in data_lines(path):
-        ctx = f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also too deeply nested
-            raise DataError(f"{ctx}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DataError(f"{ctx}: document line is not a JSON object")
-        try:
-            doc = _document_from_json(obj, ctx, arc_tokens)
-        except DataError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{ctx}: malformed document: {exc}") from exc
-        if doc.id in docs:
-            raise DataError(f"{ctx}: duplicate document id {doc.id!r}")
-        docs[doc.id] = doc
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lineno, line in data_lines(path):
+            ctx = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # also too deeply nested
+                raise DataError(f"{ctx}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{ctx}: document line is not a JSON object")
+            try:
+                doc = _document_from_json(obj, ctx, arc_tokens)
+            except DataError:
+                raise
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise DataError(f"{ctx}: malformed document: {exc}") from exc
+            if doc.id in docs:
+                raise DataError(f"{ctx}: duplicate document id {doc.id!r}")
+            docs[doc.id] = doc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return Corpus(docs)
 
 

@@ -36,7 +36,11 @@ from ..corpus import (
 )
 from ..errors import DataError
 from ..numerics import sigmoid, softplus
-from .instances import DEFAULT_NEGATIVES_PER_POSITIVE, labeled_instances
+from .instances import (
+    DEFAULT_NEGATIVES_PER_POSITIVE,
+    LabeledInstance,
+    labeled_instances,
+)
 from .matrix import SegmentScorer, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -161,6 +165,34 @@ def _minimize(objective, weights: np.ndarray, bias: float, lr: float,
     return weights, bias, loss
 
 
+def _instance_features(
+    hyps: MtHypothesisSet, vocab: Vocabulary, instances: Sequence[LabeledInstance]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (instances x systems) 0/1 features and the labels.
+
+    A feature is 1 when the system's translation of the instance's pair
+    holds the instance's word. Each (pair, system) translation is read
+    once, in pair order and then system order, so a missing one raises for
+    the first such pair that has instances.
+    """
+    labels = np.array([inst.label for inst in instances], dtype=float)
+    words = np.array([vocab.index_of(inst.word) for inst in instances], dtype=np.int64)
+    pairs, pair_slots = np.unique(
+        np.array([inst.pair_index for inst in instances], dtype=np.int64),
+        return_inverse=True,
+    )
+    # holds[col, slot, w]: system col's translation of pair `slot` holds word w.
+    holds = np.zeros((len(hyps.systems), len(pairs), len(vocab)), dtype=bool)
+    for slot, pair in enumerate(pairs.tolist()):
+        doc_id = bitext_doc_id(pair)
+        for col, system in enumerate(hyps.systems):
+            translation = hyps.translation(system, doc_id, 0)
+            held = [vocab.index_of(word) for word in translation if word in vocab]
+            holds[col, slot, held] = True
+    features = holds[:, pair_slots, words].T.astype(float, order="C")
+    return features, labels
+
+
 def fit_mt_ensemble(
     hyps: MtHypothesisSet,
     bitext: Bitext,
@@ -179,19 +211,7 @@ def fit_mt_ensemble(
     bitext pseudo-document ids) from every system.
     """
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
-    reference_sets: dict[tuple[str, int], set[Token]] = {}
-    features = np.zeros((len(instances), len(hyps.systems)))
-    labels = np.zeros(len(instances))
-    for row, inst in enumerate(instances):
-        labels[row] = inst.label
-        for col, system in enumerate(hyps.systems):
-            key = (system, inst.pair_index)
-            if key not in reference_sets:
-                reference_sets[key] = set(
-                    hyps.translation(system, bitext_doc_id(inst.pair_index), 0)
-                )
-            if inst.word in reference_sets[key]:
-                features[row, col] = 1.0
+    features, labels = _instance_features(hyps, vocab, instances)
 
     if init is None:
         weights = np.zeros(len(hyps.systems))

@@ -12,7 +12,9 @@ for each sentence pair, -log p for every vocabulary word in the reference
 translation and -log(1 - p) for the rest of the vocabulary (the full
 complement when the vocabulary is small, otherwise a sampled subset).
 Gradients are computed in closed form; `searcher_objective` exposes the
-loss/gradient pair so finite-difference checks can run against it.
+loss/gradient pair so finite-difference checks can run against it. A
+training step computes and updates only the parameter rows its sentence
+pair touches.
 
 Persisted form is a .npz archive holding the parameter arrays, both token
 lists, and a JSON manifest recording the dimension, the attention depth,
@@ -26,7 +28,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,10 +126,53 @@ def _contextualize(params: Mapping[str, np.ndarray], x: np.ndarray):
     return h, (x, q, k, v, attn, scale)
 
 
-def _backprop_context(params, cache, grad_h, grads, foreign_ids) -> None:
+class _Ids(NamedTuple):
+    """Row ids as a step reads them, and the distinct rows they touch."""
+
+    ids: np.ndarray
+    rows: np.ndarray  # the distinct ids
+    slots: np.ndarray | None  # each id's index into rows; None when ids are distinct
+
+    @classmethod
+    def distinct(cls, ids: np.ndarray) -> "_Ids":
+        return cls(ids, ids, None)
+
+    @classmethod
+    def grouped(cls, ids: np.ndarray) -> "_Ids":
+        rows, slots = np.unique(ids, return_inverse=True)
+        return cls(ids, rows, slots)
+
+    def row_grads(self, values: np.ndarray) -> np.ndarray:
+        """The gradient rows `rows`, as `np.add.at` into zeros leaves them."""
+        if self.slots is None:
+            return values + 0.0
+        return _add_at(self.slots, values, len(self.rows))
+
+
+def _add_at(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """`np.add.at(np.zeros((n, ...)), ids, values)`, by one `np.bincount`.
+
+    Both add each value into its row from 0.0 in the order of `ids`, so the
+    sums are bit-identical; bincount does it without add.at's per-element
+    dispatch.
+    """
+    if values.ndim == 1:
+        return np.bincount(ids, weights=values, minlength=n)
+    width = values.shape[1]
+    flat = (ids[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=n * width)
+    return sums.reshape(n, width)
+
+
+# One step's gradient: (parameter key, rows, values). `values` holds those
+# rows of the dense gradient, which is zero in every other row.
+_Grads = list[tuple[str, np.ndarray | slice, np.ndarray]]
+_ALL_ROWS = slice(None)
+
+
+def _backprop_context(params, cache, grad_h, foreign: _Ids) -> _Grads:
     if cache is None:
-        np.add.at(grads["foreign_emb"], foreign_ids, grad_h)
-        return
+        return [("foreign_emb", foreign.rows, foreign.row_grads(grad_h))]
     x, q, k, v, attn, scale = cache
     grad_v = attn.T @ grad_h
     grad_attn = grad_h @ v.T
@@ -135,35 +180,37 @@ def _backprop_context(params, cache, grad_h, grads, foreign_ids) -> None:
     grad_scores = attn * (grad_attn - (grad_attn * attn).sum(axis=1, keepdims=True))
     grad_q = (grad_scores @ k) * scale
     grad_k = (grad_scores.T @ q) * scale
-    grads["wq"] += x.T @ grad_q
-    grads["wk"] += x.T @ grad_k
-    grads["wv"] += x.T @ grad_v
     grad_x = grad_q @ params["wq"].T + grad_k @ params["wk"].T + grad_v @ params["wv"].T
-    np.add.at(grads["foreign_emb"], foreign_ids, grad_x)
+    # `+ 0.0` as adding into a zero gradient does: -0.0 becomes 0.0.
+    return [
+        ("wq", _ALL_ROWS, x.T @ grad_q + 0.0),
+        ("wk", _ALL_ROWS, x.T @ grad_k + 0.0),
+        ("wv", _ALL_ROWS, x.T @ grad_v + 0.0),
+        ("foreign_emb", foreign.rows, foreign.row_grads(grad_x)),
+    ]
 
 
 def _pair_loss_and_grads(
     params: Mapping[str, np.ndarray],
-    foreign_ids: np.ndarray,
-    word_ids: np.ndarray,
+    foreign: _Ids,
+    words: _Ids,
     labels: np.ndarray,
-    grads: Mapping[str, np.ndarray],
-) -> float:
-    """Summed cross-entropy for one sentence's words; grads accumulate."""
-    x = params["foreign_emb"][foreign_ids]
+) -> tuple[float, _Grads]:
+    """Summed cross-entropy for one sentence's words, and its gradient."""
+    x = params["foreign_emb"][foreign.ids]
     h, cache = _contextualize(params, x)
-    word_emb = params["english_emb"][word_ids]
+    word_emb = params["english_emb"][words.ids]
     scores = h @ word_emb.T  # (tokens, words)
     best = scores.argmax(axis=0)
-    z = scores[best, np.arange(len(word_ids))] + params["bias"][word_ids]
+    z = scores[best, np.arange(len(words.ids))] + params["bias"][words.ids]
     loss = float(np.sum(np.logaddexp(0.0, z) - labels * z))
     dz = sigmoid(z) - labels
-    np.add.at(grads["bias"], word_ids, dz)
-    np.add.at(grads["english_emb"], word_ids, dz[:, None] * h[best])
-    grad_h = np.zeros_like(h)
-    np.add.at(grad_h, best, dz[:, None] * word_emb)
-    _backprop_context(params, cache, grad_h, grads, foreign_ids)
-    return loss
+    grads = [
+        ("bias", words.rows, words.row_grads(dz)),
+        ("english_emb", words.rows, words.row_grads(dz[:, None] * h[best])),
+    ]
+    grad_h = _add_at(best, dz[:, None] * word_emb, len(h))
+    return loss, grads + _backprop_context(params, cache, grad_h, foreign)
 
 
 def searcher_objective(
@@ -179,8 +226,13 @@ def searcher_objective(
     total = 0.0
     count = 0
     for foreign_ids, word_ids, labels in examples:
-        total += _pair_loss_and_grads(params, foreign_ids, word_ids, labels, grads)
+        loss, pair_grads = _pair_loss_and_grads(
+            params, _Ids.grouped(foreign_ids), _Ids.grouped(word_ids), labels
+        )
+        total += loss
         count += len(word_ids)
+        for key, rows, values in pair_grads:
+            grads[key][rows] += values
     if count == 0:
         raise DataError("no scoring instances in objective")
     for key in grads:
@@ -224,26 +276,27 @@ def train_searcher(
     unk = len(foreign_tokens)
     all_word_ids = np.arange(k)
 
-    # Positive word ids per pair are fixed; negatives are re-drawn per epoch
-    # unless the vocabulary is small enough to score in full.
-    pair_foreign: list[np.ndarray] = []
-    pair_positive: list[np.ndarray] = []
-    for src, tgt in bitext:
+    # Foreign rows and positive word ids per pair are fixed; negatives are
+    # re-drawn per step unless the vocabulary is small enough to score in
+    # full. Pairs without a vocabulary word are never trained on.
+    pair_foreign: dict[int, _Ids] = {}
+    pair_positive: dict[int, np.ndarray] = {}
+    for i, (src, tgt) in enumerate(bitext):
         reference = {word for word in tgt if word in vocab}
         if not reference:
-            pair_foreign.append(np.empty(0, dtype=int))
-            pair_positive.append(np.empty(0, dtype=int))
             continue
-        pair_foreign.append(
+        pair_foreign[i] = _Ids.grouped(
             np.array([foreign_index.get(tok, unk) for tok in src], dtype=int)
         )
-        pair_positive.append(
-            np.array(sorted(vocab.index_of(word) for word in reference), dtype=int)
+        pair_positive[i] = np.array(
+            sorted(vocab.index_of(word) for word in reference), dtype=int
         )
-    usable = [i for i in range(len(bitext)) if len(pair_positive[i])]
+    usable = list(pair_positive)
     if not usable:
         raise DataError("no bitext pair shares a word with the vocabulary")
 
+    # A step reads and updates only the rows its pair touches: every other
+    # row of the dense gradient is 0.0, and p - s * 0.0 leaves p as it is.
     full_vocab = k <= FULL_VOCAB_MAX
     losses: list[float] = []
     for epoch in range(config.epochs):
@@ -253,23 +306,23 @@ def train_searcher(
         epoch_count = 0
         for i in order:
             positives = pair_positive[i]
+            is_positive = np.zeros(k, dtype=bool)
+            is_positive[positives] = True
             if full_vocab:
-                negatives = np.setdiff1d(all_word_ids, positives, assume_unique=True)
+                negatives = all_word_ids[~is_positive]
+                words = _Ids.distinct(np.concatenate([positives, negatives]))
             else:
                 negatives = rng.integers(0, k, size=config.m_neg * len(positives))
-                negatives = negatives[~np.isin(negatives, positives)]
-            word_ids = np.concatenate([positives, negatives])
-            labels = np.zeros(len(word_ids))
+                negatives = negatives[~is_positive[negatives]]
+                words = _Ids.grouped(np.concatenate([positives, negatives]))
+            labels = np.zeros(len(words.ids))
             labels[: len(positives)] = 1.0
-            grads = {key: np.zeros_like(value) for key, value in params.items()}
-            loss = _pair_loss_and_grads(
-                params, pair_foreign[i], word_ids, labels, grads
-            )
-            scale = config.lr / len(word_ids)
-            for key in params:
-                params[key] -= scale * grads[key]
+            loss, grads = _pair_loss_and_grads(params, pair_foreign[i], words, labels)
+            scale = config.lr / len(words.ids)
+            for key, rows, values in grads:
+                params[key][rows] -= scale * values
             epoch_loss += loss
-            epoch_count += len(word_ids)
+            epoch_count += len(words.ids)
         losses.append(epoch_loss / epoch_count)
         log.info("searcher epoch %d mean loss %.6f", epoch + 1, losses[-1])
 

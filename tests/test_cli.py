@@ -5,9 +5,11 @@ import logging
 
 import pytest
 
+import clirset.cli as cli_module
+import clirset.combiner as combiner_module
 from clirset.cli import main
 from clirset.combiner import load_weights
-from clirset.evidence import load_mt_ensemble, load_searcher
+from clirset.evidence import labeled_instances, load_mt_ensemble, load_searcher
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +170,25 @@ class TestTrainers:
         weights = load_weights(out).weights
         assert weights["t1"] == pytest.approx(0.5, abs=1e-9)
         assert "loglik=" in capsys.readouterr().out
+
+    def test_fit_mixture_draws_the_instances_once(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return labeled_instances(*args)
+
+        monkeypatch.setattr(cli_module, "labeled_instances", counted)
+        monkeypatch.setattr(combiner_module, "labeled_instances", counted)
+        assert main([
+            "fit-mixture",
+            "--bitext", str(data_dir / "bitext.tsv"),
+            "--table", str(data_dir / "table.tsv"),
+            "--out", str(tmp_path / "weights.tsv"),
+        ]) == 0
+        assert len(calls) == 1
 
     def test_retrieve_with_fitted_weights_file(self, data_dir, tmp_path):
         weights = tmp_path / "weights.tsv"

@@ -1,5 +1,6 @@
 """Tokenizer, query parsing, and file-format round trips."""
 
+import gc
 import json
 import os
 
@@ -287,6 +288,37 @@ class TestLoadCorpusPerDistinctToken:
         line = {"id": "d", "kind": "speech", "utterances": [[[[["a"], 1.0]]]]}
         with pytest.raises(DataError, match=r"corpus\.jsonl:1: .*non-string token"):
             load_corpus(write_corpus(tmp_path / "corpus.jsonl", [line]))
+
+
+class TestLoadCorpusPausesTheCollector:
+    GOOD = {"id": "d", "kind": "speech", "utterances": [[[["a", 1.0]]]]}
+    BAD = {"id": "d", "kind": "speech", "utterances": [[[["a b", 1.0]]]]}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("bad", [False, True], ids=["loads", "raises"])
+    def test_paused_while_parsing_and_restored(self, tmp_path, monkeypatch, enabled, bad):
+        seen = []
+        build = corpus_module._document_from_json
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return build(*args)
+
+        monkeypatch.setattr(corpus_module, "_document_from_json", recording)
+        objs = [self.GOOD, self.BAD] if bad else [self.GOOD]
+        path = write_corpus(tmp_path / "corpus.jsonl", objs)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if bad:
+                with pytest.raises(DataError, match="exactly one token"):
+                    load_corpus(path)
+            else:
+                load_corpus(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False] * len(objs)
 
 
 class TestAtomicOutput:

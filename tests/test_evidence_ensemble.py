@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clirset.evidence.ensemble as ensemble_module
 from clirset.corpus import Bitext, Corpus, Document, bitext_doc_id, parse_query
@@ -17,6 +20,7 @@ from clirset.evidence import (
     build_evidence,
     ensemble_objective,
     fit_mt_ensemble,
+    labeled_instances,
     load_mt_ensemble,
     load_mt_hypotheses,
     save_mt_ensemble,
@@ -254,3 +258,122 @@ class TestIO:
     def test_mismatched_systems_validated(self):
         with pytest.raises(DataError, match="no hypotheses"):
             MtHypothesisSet(("s1",), {})
+
+
+def per_instance_features(hyps, bitext, instances):
+    """The feature loop as it stood before the per-(pair, system) table:
+    one set lookup per (instance, system), translations read on first use."""
+    reference_sets = {}
+    features = np.zeros((len(instances), len(hyps.systems)))
+    labels = np.zeros(len(instances))
+    for row, inst in enumerate(instances):
+        labels[row] = inst.label
+        for col, system in enumerate(hyps.systems):
+            key = (system, inst.pair_index)
+            if key not in reference_sets:
+                reference_sets[key] = set(
+                    hyps.translation(system, bitext_doc_id(inst.pair_index), 0)
+                )
+            if inst.word in reference_sets[key]:
+                features[row, col] = 1.0
+    return features, labels
+
+
+def per_instance_fit(hyps, bitext, vocab, m_neg, seed):
+    instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
+    features, labels = per_instance_features(hyps, bitext, instances)
+
+    def objective(w, b):
+        return ensemble_objective(w, b, features, labels, ensemble_module.DEFAULT_L2)
+
+    weights, bias, loss = ensemble_module._minimize(
+        objective,
+        np.zeros(len(hyps.systems)),
+        0.0,
+        ensemble_module.DEFAULT_LEARNING_RATE,
+        ensemble_module.DEFAULT_TOLERANCE,
+        ensemble_module.DEFAULT_MAX_ITERATIONS,
+    )
+    model = MtEnsembleModel(hyps.systems, tuple(float(w) for w in weights), bias)
+    return model, loss
+
+
+@st.composite
+def ensemble_worlds(draw):
+    """A bitext, a vocabulary drawn from its English side (so some pairs may
+    hold no vocabulary word) and 1-3 systems whose translations mix
+    vocabulary words, repeats and words outside the vocabulary."""
+    english = [f"e{i}" for i in range(draw(st.integers(2, 7)))]
+    n_pairs = draw(st.integers(1, 10))
+    pairs = tuple(
+        (("f",), tuple(draw(st.lists(st.sampled_from(english), min_size=1, max_size=4))))
+        for _ in range(n_pairs)
+    )
+    bitext = Bitext(pairs)
+    used = sorted({word for _, tgt in pairs for word in tgt})
+    vocab = Vocabulary(tuple(draw(st.lists(st.sampled_from(used), min_size=1, unique=True))))
+    systems = tuple(f"s{j}" for j in range(draw(st.integers(1, 3))))
+    words = st.sampled_from(english + ["oov"])
+    hypotheses = {
+        system: {
+            (bitext_doc_id(i), 0): tuple(draw(st.lists(words, min_size=1, max_size=5)))
+            for i in range(n_pairs)
+        }
+        for system in systems
+    }
+    return bitext, vocab, MtHypothesisSet(systems, hypotheses)
+
+
+def one_error(call):
+    """The DataError message `call` raises, or None with its result."""
+    try:
+        return None, call()
+    except DataError as exc:
+        return str(exc), None
+
+
+class TestFitFeaturesPerPairAndSystem:
+    @settings(max_examples=60, deadline=None)
+    @given(world=ensemble_worlds(), m_neg=st.integers(1, 3), seed=st.integers(0, 99))
+    def test_features_and_model_equal_the_per_instance_loop(self, world, m_neg, seed):
+        bitext, vocab, hyps = world
+        try:
+            instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
+        except DataError:
+            return  # no positive or no negative instance: nothing to fit
+        features, labels = ensemble_module._instance_features(hyps, vocab, instances)
+        want_features, want_labels = per_instance_features(hyps, bitext, instances)
+        assert features.tobytes() == want_features.tobytes()
+        assert features.flags.c_contiguous
+        assert labels.tobytes() == want_labels.tobytes()
+        model, loss = fit_mt_ensemble(hyps, bitext, vocab, m_neg=m_neg, seed=seed)
+        assert (model, loss) == per_instance_fit(hyps, bitext, vocab, m_neg, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(world=ensemble_worlds(), dropped=st.sets(st.tuples(st.integers(0, 2), st.integers(0, 9))))
+    def test_missing_hypothesis_names_the_same_first_sentence(self, world, dropped):
+        bitext, vocab, hyps = world
+        hypotheses = {system: dict(per_pair) for system, per_pair in hyps.hypotheses.items()}
+        for col, pair in dropped:
+            if col < len(hyps.systems):
+                hypotheses[hyps.systems[col]].pop((bitext_doc_id(pair), 0), None)
+        hyps = MtHypothesisSet(hyps.systems, hypotheses)
+        try:
+            instances = labeled_instances(bitext, vocab, 2, random.Random(0))
+        except DataError:
+            return
+        got, _ = one_error(lambda: ensemble_module._instance_features(hyps, vocab, instances))
+        want, _ = one_error(lambda: per_instance_features(hyps, bitext, instances))
+        assert got == want
+
+    def test_missing_hypothesis_message(self):
+        bitext = toy_bitext(6)
+        hyps = hyp_set({"a": lambda i: ("e0",), "b": lambda i: ("e1",)})
+        del hyps.hypotheses["b"][(bitext_doc_id(4), 0)]
+        del hyps.hypotheses["b"][(bitext_doc_id(2), 0)]
+        del hyps.hypotheses["a"][(bitext_doc_id(3), 0)]
+        with pytest.raises(DataError) as raised:
+            fit_mt_ensemble(hyps, bitext, VOCAB, m_neg=2, seed=0)
+        assert str(raised.value) == (
+            f"system 'b' has no hypothesis for sentence {bitext_doc_id(2)!r}:0"
+        )

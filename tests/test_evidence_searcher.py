@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import clirset.evidence.searcher as searcher_module
 from clirset.corpus import Bitext, ConfusionNetwork, Corpus, Document, parse_query
 from clirset.errors import DataError
 from clirset.evidence import (
@@ -18,6 +21,13 @@ from clirset.evidence import (
     searcher_objective,
     train_searcher,
 )
+from clirset.evidence.searcher import (
+    INIT_SCALE,
+    _contextualize,
+    _foreign_vocabulary,
+    _Ids,
+)
+from clirset.numerics import sigmoid
 
 
 def zero_model(n_english=3, n_foreign=2, dim=4, depth=0):
@@ -269,3 +279,213 @@ class TestPersistence:
         path.write_bytes(b"not a zip")
         with pytest.raises(DataError, match="cannot read"):
             load_searcher(path)
+
+
+# The training loop as it stood before steps touched only their own rows:
+# dense gradients from zeros, np.add.at scatters, setdiff1d/isin
+# negatives, and a full update of every parameter array. Copied line for
+# line, except that `full_vocab_max` stands in for the module constant,
+# the epoch log is dropped, and the params and losses are returned.
+
+
+def dense_backprop_context(params, cache, grad_h, grads, foreign_ids) -> None:
+    if cache is None:
+        np.add.at(grads["foreign_emb"], foreign_ids, grad_h)
+        return
+    x, q, k, v, attn, scale = cache
+    grad_v = attn.T @ grad_h
+    grad_attn = grad_h @ v.T
+    # softmax backward, rowwise
+    grad_scores = attn * (grad_attn - (grad_attn * attn).sum(axis=1, keepdims=True))
+    grad_q = (grad_scores @ k) * scale
+    grad_k = (grad_scores.T @ q) * scale
+    grads["wq"] += x.T @ grad_q
+    grads["wk"] += x.T @ grad_k
+    grads["wv"] += x.T @ grad_v
+    grad_x = grad_q @ params["wq"].T + grad_k @ params["wk"].T + grad_v @ params["wv"].T
+    np.add.at(grads["foreign_emb"], foreign_ids, grad_x)
+
+
+def dense_pair_loss_and_grads(params, foreign_ids, word_ids, labels, grads) -> float:
+    x = params["foreign_emb"][foreign_ids]
+    h, cache = _contextualize(params, x)
+    word_emb = params["english_emb"][word_ids]
+    scores = h @ word_emb.T  # (tokens, words)
+    best = scores.argmax(axis=0)
+    z = scores[best, np.arange(len(word_ids))] + params["bias"][word_ids]
+    loss = float(np.sum(np.logaddexp(0.0, z) - labels * z))
+    dz = sigmoid(z) - labels
+    np.add.at(grads["bias"], word_ids, dz)
+    np.add.at(grads["english_emb"], word_ids, dz[:, None] * h[best])
+    grad_h = np.zeros_like(h)
+    np.add.at(grad_h, best, dz[:, None] * word_emb)
+    dense_backprop_context(params, cache, grad_h, grads, foreign_ids)
+    return loss
+
+
+def dense_train_searcher(bitext, vocab, config, full_vocab_max):
+    rng = np.random.default_rng(config.seed)
+    foreign_tokens = _foreign_vocabulary(bitext)
+    if not foreign_tokens:
+        raise DataError("bitext yields an empty foreign vocabulary")
+
+    k = len(vocab)
+    params = {
+        "foreign_emb": rng.normal(
+            0.0, INIT_SCALE, (len(foreign_tokens) + 1, config.dim)
+        ),
+        "english_emb": rng.normal(0.0, INIT_SCALE, (k, config.dim)),
+        "bias": np.zeros(k),
+    }
+    if config.depth == 1:
+        for key in ("wq", "wk", "wv"):
+            params[key] = rng.normal(0.0, INIT_SCALE, (config.dim, config.dim))
+
+    foreign_index = {tok: i for i, tok in enumerate(foreign_tokens)}
+    unk = len(foreign_tokens)
+    all_word_ids = np.arange(k)
+
+    pair_foreign = []
+    pair_positive = []
+    for src, tgt in bitext:
+        reference = {word for word in tgt if word in vocab}
+        if not reference:
+            pair_foreign.append(np.empty(0, dtype=int))
+            pair_positive.append(np.empty(0, dtype=int))
+            continue
+        pair_foreign.append(
+            np.array([foreign_index.get(tok, unk) for tok in src], dtype=int)
+        )
+        pair_positive.append(
+            np.array(sorted(vocab.index_of(word) for word in reference), dtype=int)
+        )
+    usable = [i for i in range(len(bitext)) if len(pair_positive[i])]
+    if not usable:
+        raise DataError("no bitext pair shares a word with the vocabulary")
+
+    full_vocab = k <= full_vocab_max
+    losses = []
+    for epoch in range(config.epochs):
+        order = np.array(usable)
+        rng.shuffle(order)
+        epoch_loss = 0.0
+        epoch_count = 0
+        for i in order:
+            positives = pair_positive[i]
+            if full_vocab:
+                negatives = np.setdiff1d(all_word_ids, positives, assume_unique=True)
+            else:
+                negatives = rng.integers(0, k, size=config.m_neg * len(positives))
+                negatives = negatives[~np.isin(negatives, positives)]
+            word_ids = np.concatenate([positives, negatives])
+            labels = np.zeros(len(word_ids))
+            labels[: len(positives)] = 1.0
+            grads = {key: np.zeros_like(value) for key, value in params.items()}
+            loss = dense_pair_loss_and_grads(
+                params, pair_foreign[i], word_ids, labels, grads
+            )
+            scale = config.lr / len(word_ids)
+            for key in params:
+                params[key] -= scale * grads[key]
+            epoch_loss += loss
+            epoch_count += len(word_ids)
+        losses.append(epoch_loss / epoch_count)
+    return params, losses
+
+
+@st.composite
+def small_bitexts(draw):
+    """Short pairs over a few foreign tokens, with repeats; the vocabulary
+    is drawn from the English side, so some pairs hold no vocabulary word."""
+    n_foreign = draw(st.integers(1, 6))
+    n_english = draw(st.integers(2, 8))
+    sentence = st.lists(st.integers(0, n_foreign - 1), min_size=1, max_size=6)
+    translation = st.lists(st.integers(0, n_english - 1), min_size=1, max_size=4)
+    pairs = draw(st.lists(st.tuples(sentence, translation), min_size=1, max_size=12))
+    bitext = Bitext(
+        tuple(
+            (tuple(f"f{i}" for i in src), tuple(f"e{i}" for i in tgt))
+            for src, tgt in pairs
+        )
+    )
+    used = sorted({i for _, tgt in pairs for i in tgt})
+    vocab_ids = draw(st.lists(st.sampled_from(used), min_size=1, unique=True))
+    return bitext, Vocabulary(tuple(f"e{i}" for i in sorted(vocab_ids)))
+
+
+class TestTrainingBitExact:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=small_bitexts(),
+        depth=st.sampled_from([0, 1]),
+        sampled=st.booleans(),
+        m_neg=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_dense_loop(self, data, depth, sampled, m_neg, seed):
+        bitext, vocab = data
+        full_vocab_max = 0 if sampled else searcher_module.FULL_VOCAB_MAX
+        config = SearcherConfig(dim=3, depth=depth, epochs=3, lr=1.5, m_neg=m_neg, seed=seed)
+        want_params, want_losses = dense_train_searcher(
+            bitext, vocab, config, full_vocab_max
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(searcher_module, "FULL_VOCAB_MAX", full_vocab_max)
+            model, losses = train_searcher(bitext, vocab, config)
+        assert losses == want_losses
+        assert model.params.keys() == want_params.keys()
+        for key, want in want_params.items():
+            assert model.params[key].tobytes() == want.tobytes(), key
+
+    def test_mix3_sized_vocabulary(self):
+        bitext, vocab = dictionary_bitext(n_words=40, n_pairs=120, seed=3)
+        config = SearcherConfig(dim=8, epochs=2, lr=2.0, seed=0)
+        want_params, want_losses = dense_train_searcher(
+            bitext, vocab, config, searcher_module.FULL_VOCAB_MAX
+        )
+        model, losses = train_searcher(bitext, vocab, config)
+        assert losses == want_losses
+        for key, want in want_params.items():
+            assert model.params[key].tobytes() == want.tobytes(), key
+
+
+class TestRowGrads:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_ids=st.integers(0, 60),
+        n_rows=st.integers(1, 7),
+        width=st.sampled_from([0, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.booleans(),
+        spread=st.sampled_from([0, 3, 300]),
+    )
+    def test_equal_add_at_into_zeros(self, n_ids, n_rows, width, seed, zeros, spread):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, n_rows, size=n_ids)
+        shape = (len(ids), width) if width else (len(ids),)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-spread, spread + 1, size=shape)
+        if zeros:  # -0.0 must come out as add.at leaves it: 0.0 + -0.0 == +0.0
+            values[rng.random(size=shape) < 0.5] = -0.0
+        for rows in (_Ids.grouped(ids), _Ids.distinct(np.unique(ids))):
+            if rows.slots is None:
+                values = values[: len(rows.ids)]
+            want = np.zeros((ids.max(initial=-1) + 1, *values.shape[1:]))
+            np.add.at(want, rows.ids, values)
+            assert rows.row_grads(values).tobytes() == want[rows.rows].tobytes()
+
+
+class TestObjectiveSharesTheStep:
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_one_example_equals_the_dense_scatter(self, depth):
+        # repeated foreign ids, the unknown-token row and repeated word ids
+        rng = np.random.default_rng(depth)
+        params = random_params(rng, 3, 4, 3, depth)
+        foreign_ids = np.array([3, 0, 3, 1, 3])
+        word_ids = np.array([2, 0, 1, 0, 3, 1])
+        labels = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        loss, grads = searcher_objective(params, [(foreign_ids, word_ids, labels)])
+        want = {key: np.zeros_like(value) for key, value in params.items()}
+        want_loss = dense_pair_loss_and_grads(params, foreign_ids, word_ids, labels, want)
+        assert loss == want_loss / len(word_ids)
+        for key in want:
+            assert np.array_equal(grads[key], want[key] / len(word_ids)), key
