@@ -74,10 +74,10 @@ def combine(
 ) -> EvidenceMatrix:
     """Weighted sum of matrices over the union of their cells.
 
-    Absent cells contribute the floor, so a generator with no opinion
-    drags the mixture toward epsilon rather than being skipped. The sum
-    runs in sorted tag order, which makes the result invariant to the
-    order the matrices are passed in.
+    Absent cells contribute their matrix's background: the floor for a
+    generator with no opinion, which drags the mixture toward epsilon
+    rather than being skipped. The sum runs in sorted tag order, which
+    makes the result invariant to the order the matrices are passed in.
     """
     tags = [m.generator for m in matrices]
     if len(set(tags)) != len(tags):
@@ -169,11 +169,11 @@ def fit_mixture(
     """Fit weights on held-out bitext instances read out of the matrices.
 
     The matrices must be built over the bitext pseudo-corpus (see
-    corpus.bitext_corpus); entries the generators never stored read as the
-    floor, i.e. a near-certain vote for "not relevant". `instances`, when
-    given, must be `labeled_instances(bitext, vocab, m_neg,
-    random.Random(seed))`, which a caller that already drew them passes
-    instead of having them drawn again.
+    corpus.bitext_corpus); entries the generators never stored read as
+    their background, mostly the floor: a near-certain vote for "not
+    relevant". `instances`, when given, must be `labeled_instances(bitext,
+    vocab, m_neg, random.Random(seed))`, which a caller that already drew
+    them passes instead of having them drawn again.
     """
     tags = [m.generator for m in matrices]
     if len(set(tags)) != len(tags):
@@ -191,16 +191,11 @@ def fit_mixture(
     pair_positions = {(bitext_doc_id(i), 0): i for i in range(len(bitext))}
     q = np.empty((len(instances), len(matrices)))
     for col, matrix in enumerate(matrices):
-        p = np.full(len(instances), matrix.epsilon)
+        p = np.empty(len(instances))
         for word, (held, values) in matrix.cells_at(pair_positions, members).items():
-            if len(held) == 0:
-                continue
-            order = np.argsort(held)  # the pairs holding a cell for the word
-            held, values = held[order], values[order]
-            wanted = pairs[members[word]]
-            at = np.minimum(np.searchsorted(held, wanted), len(held) - 1)
-            hit = held[at] == wanted
-            p[members[word][hit]] = values[at[hit]]
+            by_pair = np.full(len(bitext), matrix.background)
+            by_pair[held] = values
+            p[members[word]] = by_pair[pairs[members[word]]]
         q[:, col] = np.where(positive, p, 1.0 - p)
     lam, history = em_fit(q, tol, max_iter)
     log.info(

@@ -27,6 +27,7 @@ import string
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -103,7 +104,7 @@ class ConfusionNetwork:
 
     def one_best(self) -> Sentence:
         """Highest-probability token per slot (first arc wins ties)."""
-        return tuple(max(slot, key=lambda arc: arc[1])[0] for slot in self.slots)
+        return tuple(max(slot, key=itemgetter(1))[0] for slot in self.slots)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..corpus import (
     Bitext,
-    Document,
+    Corpus,
     Sentence,
     Token,
     bitext_doc_id,
@@ -41,7 +41,7 @@ from .instances import (
     LabeledInstance,
     labeled_instances,
 )
-from .matrix import SegmentScorer, Vocabulary
+from .matrix import Columns, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -246,20 +246,45 @@ class MtEnsembleGenerator:
         self.model = model
         self.hyps = hyps
 
-    def scorer(self, words: Sequence[Token]) -> SegmentScorer:
-        words = list(words)
+    def columns(self, corpus: Corpus, words: Sequence[Token]) -> Columns:
+        """The ensemble's probability for every segment and word.
 
-        def score(doc: Document, index: int, segment) -> dict[Token, float]:
-            # Adds the same floats in the same order as bias + the weights of
-            # the systems whose translation holds the word, one word at a time.
-            z = np.full(len(words), self.model.bias)
-            for system, weight in zip(self.model.systems, self.model.weights):
-                translation = set(self.hyps.translation(system, doc.id, index))
-                holds = np.array([word in translation for word in words], dtype=bool)
-                z[holds] += weight
-            return dict(zip(words, sigmoid(z).tolist()))
-
-        return score
+        sigmoid(bias) is the background, for the segments whose
+        translations hold none of a word. Every other cell adds to the bias,
+        in model order, the weight of each system whose translation holds
+        the word, as a per-segment z[holds] += weight did. The holders come
+        from an index, not from z != bias, which a zero weight would fool.
+        """
+        positions = corpus.segment_positions
+        systems, hypotheses = self.model.systems, self.hyps.hypotheses
+        for doc_id, index in positions:  # raises for a missing one, in that order
+            for system in systems:
+                self.hyps.translation(system, doc_id, index)
+        code = {word: i for i, word in enumerate(words)}
+        n = len(positions)
+        # Per system: word code * n + position of each cell its translation holds.
+        held = [
+            np.array(
+                [
+                    code[word] * n + position
+                    for position, key in enumerate(positions)
+                    for word in code.keys() & hypotheses[system][key]
+                ],
+                dtype=np.int64,
+            )
+            for system in systems
+        ]
+        cells = np.unique(np.concatenate(held))  # word by word, positions ascending
+        z = np.full(len(cells), self.model.bias)
+        for weight, keys in zip(self.model.weights, held):
+            z[np.searchsorted(cells, keys)] += weight
+        values = sigmoid(z)
+        word_codes, rows = np.divmod(cells, n)
+        bounds = np.searchsorted(word_codes, np.arange(len(words) + 1)).tolist()
+        return {
+            word: (rows[start:end], values[start:end])
+            for word, start, end in zip(words, bounds, bounds[1:])
+        }, sigmoid(self.model.bias)
 
 
 def save_mt_ensemble(model: MtEnsembleModel, path) -> None:

@@ -1,9 +1,10 @@
-"""Sparse per-sentence evidence storage and the generator driver.
+"""Column-stored per-sentence evidence and the build that fills it.
 
 An EvidenceMatrix holds p(rel | sentence, English word) for one evidence
-generator, floored into [epsilon, 1 - epsilon]. Cells that were never
-stored read back as the floor, so "no evidence" and "evidence epsilon"
-are deliberately indistinguishable downstream.
+generator, floored into [epsilon, 1 - epsilon]. Cells a word's column
+does not hold read back as the matrix's background: the floor, so "no
+evidence" and "evidence epsilon" are deliberately indistinguishable
+downstream, or MT's sigmoid(bias) for a word no translation holds.
 
 save_matrix writes a matrix as TSV (the `dump-evidence` output): a
 `#generator=<tag>` header line followed by `doc-id <TAB> sentence-index
@@ -17,11 +18,11 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from ..corpus import Bitext, Corpus, Document, Query, Token
+from ..corpus import Bitext, Corpus, Query, Token
 from ..errors import DataError
 from ..numerics import DEFAULT_EPSILON
 
@@ -79,66 +80,71 @@ class Vocabulary:
         return cls(tuple(token for token, _ in ranked[:size]))
 
 
-# Scores one segment, (document, segment index, segment) -> {word: p}, for
-# the words its generator was bound to.
-SegmentScorer = Callable[[Document, int, Any], Mapping[Token, float]]
+# A generator's scores before the floor: per word, the ascending corpus
+# positions (int64) of the segments holding a value, and the values
+# (float64); then every other segment's value, or None for the floor.
+Columns = tuple[dict[Token, tuple[np.ndarray, np.ndarray]], float | None]
 
 
 class EvidenceGenerator(Protocol):
     """One source of per-sentence relevance evidence.
 
-    A build first binds the generator to the English query words it will
-    score, in sorted order: `scorer(words)` does, once per build, whatever
-    work depends only on the words, and returns the per-segment function.
-    That function takes the document, the segment index and the segment (a
-    text Sentence or a speech ConfusionNetwork) and returns a mapping for
-    the words it has evidence about; unscored words fall to the floor when
-    read back from the matrix.
+    `columns(corpus, words)` scores every segment of the corpus (a text
+    Sentence or a speech ConfusionNetwork), numbered by
+    `corpus.segment_positions`, for the English query words `words`, which
+    come sorted and distinct.
     """
 
     tag: str
 
-    def scorer(self, words: Sequence[Token]) -> SegmentScorer: ...
+    def columns(self, corpus: Corpus, words: Sequence[Token]) -> Columns: ...
 
 
 class EvidenceMatrix:
-    """p(rel | segment, word) for one generator, floored and sparse.
+    """p(rel | segment, word) for one generator, floored, stored by column.
 
-    The store is columnar. A segment registry numbers every (doc id,
-    segment index) that holds a cell, in the order it was first written.
-    Each word has one column: the sorted row numbers (int64) of the
-    segments that hold a cell for it, and their values (float64). Writes
-    go to a log, which is packed into arrays every _LOG_CELLS cells and
-    sorted into the columns the next time the matrix is read; a later
-    write of a cell replaces the earlier. put_row is the one way to write
-    cells; weighted_sum, which makes a matrix from whole columns, floors
-    them through the same check.
+    A built matrix numbers its rows, the segments, as its corpus's
+    `segment_positions`; `put` numbers a new segment next. Each word has
+    one column: the ascending rows (int64) that hold a cell for it, and
+    their values (float64). Every other cell reads as `background`, the
+    floor unless the generator gave one. Such a background is a cell of
+    the words in `filled` at every segment: iter_cells lists those cells
+    too, n_cells counts the column cells only.
     """
 
-    def __init__(self, generator: str, epsilon: float = DEFAULT_EPSILON) -> None:
+    def __init__(
+        self,
+        generator: str,
+        epsilon: float = DEFAULT_EPSILON,
+        columns: Columns | None = None,
+        rows: dict[tuple[str, int], int] | None = None,
+        filled: Iterable[Token] = (),
+    ) -> None:
+        """A matrix of `columns`, floored, over the segments `rows` numbers."""
         if not generator:
             raise DataError("evidence matrix with empty generator tag")
         if not 0.0 < epsilon < 0.5:
             raise DataError(f"evidence floor {epsilon!r} outside (0, 0.5)")
         self.generator = generator
         self.epsilon = epsilon
-        self._rows: dict[tuple[str, int], int] = {}
-        self._segments: list[tuple[str, int]] = []
+        self.filled = frozenset(filled)
+        # (doc id, segment index) -> row; the rows count up in the dict's order
+        self._rows = {} if rows is None else rows
+        self._own_rows = rows is None  # else the corpus's, which put must not change
         self._columns: dict[Token, tuple[np.ndarray, np.ndarray]] = {}
-        # The write log: blocks of consecutive rows written with the same
-        # words, as (words, row numbers, per row its floored values).
-        self._log: list[tuple[tuple[Token, ...], list[int], list[np.ndarray]]] = []
-        self._log_cells = 0
-        # Packed log cells, per word: (rows, values) pieces in write order.
-        self._pieces: dict[Token, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    def _row(self, key: tuple[str, int]) -> int:
-        """The row number of a segment, registering it if it is new."""
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = len(self._segments)
-            self._segments.append(key)
-        return row
+        cells, background = ({}, None) if columns is None else columns
+        self.background = epsilon if background is None else float(
+            # NaN here is the value of the first segment for the first word
+            self._floored(
+                np.array([background]),
+                lambda i: (*next(iter(self._rows)), min(self.filled, default=None)),
+            )[0]
+        )
+        for word, (column_rows, values) in cells.items():
+            floored = self._floored(
+                values, lambda i: (*list(self._rows)[column_rows[i]], word)
+            )
+            self._columns[word] = _read_only(column_rows, floored)
 
     def _floored(self, values: np.ndarray, cell) -> np.ndarray:
         """`values` floored into [epsilon, 1 - epsilon].
@@ -156,83 +162,22 @@ class EvidenceMatrix:
             )
         return floored
 
-    def put_row(
-        self, doc_id: str, index: int, scores: Mapping[Token, float]
-    ) -> None:
-        """Store one segment's scores, floored; an empty mapping stores nothing."""
-        if not scores:
-            return
-        words = tuple(scores)
-        floored = self._floored(
-            np.fromiter(scores.values(), np.float64, len(words)),
-            lambda i: (doc_id, index, words[i]),
-        )
-        row = self._row((doc_id, index))
-        if not self._log or self._log[-1][0] != words:
-            self._log.append((words, [], []))
-        _, rows, values = self._log[-1]
-        rows.append(row)
-        values.append(floored)
-        self._log_cells += len(words)
-        if self._log_cells >= _LOG_CELLS:
-            self._pack_log()
-
     def put(self, doc_id: str, index: int, word: Token, prob: float) -> None:
-        self.put_row(doc_id, index, {word: prob})
-
-    def _pack_log(self) -> None:
-        """Move the write log into per-word array pieces, in write order.
-
-        A block of several rows (a generator that scores every word of
-        every segment writes one) packs as a (rows x words) array; runs of
-        one-row blocks pack together, cell by cell.
-        """
-        run: list[tuple[tuple[Token, ...], int, np.ndarray]] = []
-        for words, rows, values in self._log:
-            if len(rows) == 1:
-                run.append((words, rows[0], values[0]))
-                continue
-            self._pack_cells(run)
-            run = []
-            block = np.array(values)
-            rows = np.array(rows, dtype=np.int64)
-            for j, word in enumerate(words):
-                self._pieces.setdefault(word, []).append((rows, block[:, j]))
-        self._pack_cells(run)
-        self._log, self._log_cells = [], 0
-
-    def _pack_cells(self, run: list[tuple[tuple[Token, ...], int, np.ndarray]]) -> None:
-        if not run:
-            return
-        words = [word for row_words, _, _ in run for word in row_words]
-        distinct = list(dict.fromkeys(words))
-        code = {word: i for i, word in enumerate(distinct)}
-        codes = np.fromiter(map(code.__getitem__, words), np.int64, len(words))
-        values = np.concatenate([values for _, _, values in run])
-        rows = np.repeat([row for _, row, _ in run], [len(w) for w, _, _ in run])
-        by_word = np.argsort(codes, kind="stable")
-        ends = np.cumsum(np.bincount(codes)).tolist()
-        for word, start, end in zip(distinct, [0, *ends], ends):
-            cells = by_word[start:end]
-            self._pieces.setdefault(word, []).append((rows[cells], values[cells]))
-
-    def _merge(self) -> None:
-        """Sort everything written so far into the columns."""
-        self._pack_log()
-        for word, pieces in self._pieces.items():
-            if word in self._columns:
-                pieces.insert(0, self._columns[word])
-            rows = np.concatenate([rows for rows, _ in pieces])
-            values = np.concatenate([values for _, values in pieces])
-            if np.any(rows[1:] <= rows[:-1]):
-                order = np.argsort(rows, kind="stable")
-                rows, values = rows[order], values[order]
-                last = np.append(rows[1:] != rows[:-1], True)  # last write wins
-                rows, values = rows[last], values[last]
-            rows.flags.writeable = False
-            values.flags.writeable = False
-            self._columns[word] = rows, values
-        self._pieces = {}
+        """Store one cell, floored, replacing an earlier one; copies its column."""
+        value = self._floored(np.array([prob], dtype=float), lambda i: (doc_id, index, word))
+        key = (doc_id, index)
+        row = self._rows.get(key)
+        if row is None:
+            if not self._own_rows:
+                self._rows, self._own_rows = dict(self._rows), True
+            row = self._rows[key] = len(self._rows)
+        rows, values = self._columns.get(word, _NO_COLUMN)
+        at = int(np.searchsorted(rows, row))
+        end = at + int(at < len(rows) and rows[at] == row)  # a cell it replaces
+        self._columns[word] = _read_only(
+            np.concatenate((rows[:at], [row], rows[end:])),
+            np.concatenate((values[:at], value, values[end:])),
+        )
 
     def cells_at(
         self, positions: Mapping[tuple[str, int], int], words: Iterable[Token]
@@ -241,19 +186,16 @@ class EvidenceMatrix:
 
         `positions` maps (doc id, segment index) to a position. For each
         word: the positions of the segments that hold a cell for it, and
-        those cells' values; every other position reads as the floor. Only
-        the segments holding a cell for one of the words are looked up.
+        those cells' values; every other position reads as the
+        background. A matrix whose rows are numbered as `positions` (one
+        built over the corpus they come from) gives its columns as they
+        are; any other looks up each of its segments.
         """
-        self._merge()
         columns = {word: self._columns.get(word, _NO_COLUMN) for word in words}
-        wanted = np.zeros(len(self._segments), dtype=bool)
-        for rows, _ in columns.values():
-            wanted[rows] = True
-        needed = np.flatnonzero(wanted)
-        keys = map(self._segments.__getitem__, needed.tolist())
-        position = np.full(len(self._segments), -1, dtype=np.int64)
-        position[needed] = np.fromiter(
-            map(positions.get, keys, repeat(-1)), np.int64, len(needed)
+        if positions is self._rows or positions == self._rows:
+            return columns
+        position = np.fromiter(
+            map(positions.get, self._rows, repeat(-1)), np.int64, len(self._rows)
         )
         out = {}
         for word, (rows, values) in columns.items():
@@ -263,20 +205,26 @@ class EvidenceMatrix:
         return out
 
     def n_cells(self) -> int:
-        self._merge()
+        """The cells the columns hold; background cells are not counted."""
         return sum(len(rows) for rows, _ in self._columns.values())
 
     def iter_cells(self) -> Iterator[tuple[str, int, Token, float]]:
-        """All stored cells in sorted (doc, sentence, word) order."""
-        self._merge()
-        words = sorted(self._columns)
+        """All held cells, background ones included, in sorted (doc, sentence, word) order."""
+        words = sorted(self._columns.keys() | self.filled)
         if not words:
             return
-        segments = self._segments
+        segments = list(self._rows)
         by_key = sorted(range(len(segments)), key=segments.__getitem__)
         key_rank = np.empty(len(segments), dtype=np.int64)
         key_rank[by_key] = np.arange(len(segments))
-        columns = [self._columns[word] for word in words]
+        columns = []
+        for word in words:
+            rows, values = self._columns.get(word, _NO_COLUMN)
+            if word in self.filled:
+                full = np.full(len(segments), self.background)
+                full[rows] = values
+                rows, values = np.arange(len(segments)), full
+            columns.append((rows, values))
         rows = np.concatenate([rows for rows, _ in columns])
         values = np.concatenate([values for _, values in columns])
         word_ids = np.repeat(
@@ -292,15 +240,17 @@ class EvidenceMatrix:
                 yield doc_id, index, words[word_id], value
 
 
-# Cells the write log holds before it is packed into per-word arrays.
-_LOG_CELLS = 1 << 16
-
 # Cells converted to Python objects at a time by iter_cells.
 _ITER_CHUNK = 1 << 16
 
-_NO_COLUMN = (np.empty(0, dtype=np.int64), np.empty(0))
-for _array in _NO_COLUMN:
-    _array.flags.writeable = False
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+_NO_COLUMN = _read_only(np.empty(0, dtype=np.int64), np.empty(0))
 
 
 def weighted_sum(
@@ -311,33 +261,41 @@ def weighted_sum(
     """The matrix of sum(weight * matrix value) over `weighted`, floored.
 
     A cell is stored wherever one of the matrices stores one; the others
-    give their floor `epsilon` there. Each cell sums from 0 in the given
-    order, as Python's sum() over the weighted values would.
+    give their background there. Each cell, and the background, sums from
+    0 in the given order, as Python's sum() over the weighted values would.
+    The background fills the words any of the matrices fills.
     """
-    out = EvidenceMatrix(generator, epsilon)
-    parts = []
-    for weight, matrix in weighted:
-        matrix._merge()
-        segments = matrix._segments
-        rows = np.fromiter(map(out._row, segments), np.int64, len(segments))
-        parts.append((weight, rows, matrix._columns))
-    n = len(out._segments)
-    for word in sorted({word for _, _, columns in parts for word in columns}):
+    matrices = [matrix for _, matrix in weighted]
+    # Matrices built over one corpus share its row numbers; others get new ones.
+    shared = all(matrix._rows is matrices[0]._rows for matrix in matrices)
+    rows = matrices[0]._rows if shared else {}
+    own_rows = [
+        np.fromiter(
+            (rows.setdefault(key, len(rows)) for key in matrix._rows),
+            np.int64,
+            len(matrix._rows),
+        )
+        for matrix in matrices
+    ]
+    n = len(rows)
+    cells = {}
+    for word in sorted({word for matrix in matrices for word in matrix._columns}):
         held = np.zeros(n, dtype=bool)
-        for _, own_rows, columns in parts:
-            if word in columns:
-                held[own_rows[columns[word][0]]] = True
-        rows = np.flatnonzero(held)
         total = 0
-        for weight, own_rows, columns in parts:
-            values = np.full(n, epsilon)
-            if word in columns:
-                column_rows, column_values = columns[word]
-                values[own_rows[column_rows]] = column_values
-            total = total + weight * values[rows]
-        floored = out._floored(total, lambda i: (*out._segments[rows[i]], word))
-        out._pieces[word] = [(rows, floored)]
-    return out
+        for (weight, matrix), own in zip(weighted, own_rows):
+            values = np.full(n, matrix.background)
+            if word in matrix._columns:
+                column_rows, column_values = matrix._columns[word]
+                values[own[column_rows]] = column_values
+                held[own[column_rows]] = True
+            total = total + weight * values
+        at = np.flatnonzero(held)
+        cells[word] = at, total[at]
+    background = 0
+    for weight, matrix in weighted:
+        background = background + weight * matrix.background
+    filled = frozenset().union(*(matrix.filled for matrix in matrices))
+    return EvidenceMatrix(generator, epsilon, (cells, background), rows, filled)
 
 
 def query_words(queries: Iterable[Query]) -> list[Token]:
@@ -362,13 +320,11 @@ def build_evidence_for_words(
     words: Iterable[Token],
     epsilon: float = DEFAULT_EPSILON,
 ) -> EvidenceMatrix:
-    score = generator.scorer(sorted(set(words)))
-    matrix = EvidenceMatrix(generator.tag, epsilon)
-    for doc in corpus:
-        for index, segment in enumerate(doc.segments):
-            matrix.put_row(doc.id, index, score(doc, index, segment))
-    matrix._merge()  # the columns are part of building the matrix
-    return matrix
+    columns = generator.columns(corpus, sorted(set(words)))
+    cells, background = columns
+    # a background the generator gives is its value at every segment
+    filled = () if background is None else cells
+    return EvidenceMatrix(generator.tag, epsilon, columns, corpus.segment_positions, filled)
 
 
 def save_matrix(matrix: EvidenceMatrix, path) -> None:

@@ -28,15 +28,16 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..corpus import Bitext, ConfusionNetwork, Document, Sentence, Token
+from ..corpus import Bitext, ConfusionNetwork, Corpus, Token
 from ..errors import DataError
 from ..numerics import require_positive, sigmoid
 from .instances import DEFAULT_NEGATIVES_PER_POSITIVE
-from .matrix import SegmentScorer, Vocabulary, sha256_tokens
+from .matrix import Columns, Vocabulary, sha256_tokens
 
 log = logging.getLogger(__name__)
 
@@ -104,11 +105,10 @@ class SearcherModel:
     def depth(self) -> int:
         return 1 if "wq" in self.params else 0
 
-    def foreign_ids(self, sentence: Sentence) -> np.ndarray:
+    def foreign_ids(self, tokens: Iterable[Token]) -> np.ndarray:
+        """Each token's embedding row; the unknown-token row for the unknown ones."""
         unk = len(self.foreign_tokens)
-        return np.array(
-            [self._foreign_index.get(tok, unk) for tok in sentence], dtype=int
-        )
+        return np.fromiter(map(self._foreign_index.get, tokens, repeat(unk)), dtype=int)
 
 
 def _contextualize(params: Mapping[str, np.ndarray], x: np.ndarray):
@@ -343,27 +343,30 @@ class SearcherGenerator:
     def __init__(self, model: SearcherModel):
         self.model = model
 
-    def scorer(self, words: Sequence[Token]) -> SegmentScorer:
+    def columns(self, corpus: Corpus, words: Sequence[Token]) -> Columns:
+        """One matmul per segment, since a batched one may sum in another
+        order; then bias and sigmoid, element by element, over all segments."""
         model = self.model
         known = [w for w in words if w in model.english_vocab]
         if not known:
-            return lambda doc, index, segment: {}
+            return {}, None
         ids = np.array([model.english_vocab.index_of(w) for w in known])
         english = model.params["english_emb"][ids].T
-        bias = model.params["bias"][ids]
-
-        def score(doc: Document, index: int, segment) -> dict[Token, float]:
-            sentence = (
-                segment.one_best() if isinstance(segment, ConfusionNetwork) else segment
-            )
-            x = model.params["foreign_emb"][model.foreign_ids(sentence)]
-            h, _ = _contextualize(model.params, x)
-            z = (h @ english).max(axis=0)
-            z = z + bias
-            probs = sigmoid(z)
-            return {word: float(p) for word, p in zip(known, probs)}
-
-        return score
+        foreign_emb = model.params["foreign_emb"]
+        sentences = [
+            segment.one_best() if isinstance(segment, ConfusionNetwork) else segment
+            for doc in corpus
+            for segment in doc.segments
+        ]
+        token_ids = model.foreign_ids(chain.from_iterable(sentences))
+        ends = np.cumsum([len(sentence) for sentence in sentences]).tolist()
+        best = np.empty((len(sentences), len(known)))
+        for position, (start, end) in enumerate(zip([0, *ends], ends)):
+            h, _ = _contextualize(model.params, foreign_emb[token_ids[start:end]])
+            np.maximum.reduce(h @ english, axis=0, out=best[position])
+        probs = sigmoid(best + model.params["bias"][ids]).T
+        rows = np.arange(len(best))
+        return {word: (rows, column) for word, column in zip(known, probs)}, None
 
 
 def save_searcher(model: SearcherModel, path) -> None:

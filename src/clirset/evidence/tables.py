@@ -11,7 +11,8 @@ A build asks for a fixed set of English words, so the generator first
 inverts the table into postings for those words only: foreign token to
 its (word, p(word|f)) pairs, without the foreign tokens that reach none of
 them. Each arc then costs one lookup, and the table entries of words no
-one asked for are never touched.
+one asked for are never touched. Each segment's best values go straight
+into the words' columns; the other segments read as the floor.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Sequence
 
-from ..corpus import ConfusionNetwork, Document, Token, TranslationTable
-from .matrix import SegmentScorer
+import numpy as np
+
+from ..corpus import ConfusionNetwork, Corpus, Token, TranslationTable
+from .matrix import Columns
 
 
 class TranslationTableGenerator:
@@ -35,7 +38,7 @@ class TranslationTableGenerator:
         self.table = table
         self.tag = table.source_tag
 
-    def scorer(self, words: Sequence[Token]) -> SegmentScorer:
+    def columns(self, corpus: Corpus, words: Sequence[Token]) -> Columns:
         wanted = set(words)
         postings: dict[Token, list[tuple[Token, float]]] = {}
         for foreign, row in self.table.entries.items():
@@ -43,7 +46,9 @@ class TranslationTableGenerator:
             if hits:
                 postings[foreign] = hits
 
-        def score(doc: Document, index: int, segment) -> dict[Token, float]:
+        cells: dict[Token, tuple[list[int], list[float]]] = {w: ([], []) for w in words}
+        segments = (segment for doc in corpus for segment in doc.segments)
+        for position, segment in enumerate(segments):
             if isinstance(segment, ConfusionNetwork):
                 arcs = chain.from_iterable(segment.slots)
             else:
@@ -54,6 +59,11 @@ class TranslationTableGenerator:
                     value = prob * arc_prob
                     if value > best.get(english, 0.0):
                         best[english] = value
-            return best
-
-        return score
+            for english, value in best.items():
+                rows, values = cells[english]
+                rows.append(position)
+                values.append(value)
+        return {
+            word: (np.array(rows, dtype=np.int64), np.array(values, dtype=float))
+            for word, (rows, values) in cells.items()
+        }, None

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from operator import itemgetter, lt
+from operator import itemgetter, lt, ne
 
 import numpy as np
 
@@ -105,21 +105,21 @@ def _query_doc_rels(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> n
     positions = corpus.segment_positions
     words = dict.fromkeys(word for phrase in query.phrases for word in phrase)
     cells = evidence.cells_at(positions, words)
-    floor_log = math.log(evidence.epsilon)
+    background_log = math.log(evidence.background)
     logs = {}
     for word, (at, values) in cells.items():
-        logs[word] = np.full(len(positions), floor_log)
+        logs[word] = np.full(len(positions), background_log)
         logs[word][at] = _per_value(math.log, values)
     phrase_logs = []
     for phrase in query.phrases:
         log_p = sum(logs[word] for word in phrase)
         # Every segment where no word of the phrase holds a cell has the
-        # same log_p: the floor's log added once per word.
+        # same log_p: the background's log added once per word.
         held = np.zeros(len(positions), dtype=bool)
         for word in phrase:
             held[cells[word][0]] = True
-        all_floor = _log_miss(sum(floor_log for _ in phrase))
-        log_miss_by_segment = np.full(len(positions), all_floor)
+        all_background = _log_miss(sum(background_log for _ in phrase))
+        log_miss_by_segment = np.full(len(positions), all_background)
         log_miss_by_segment[held] = _per_value(_log_miss, log_p[held])
         log_miss = np.zeros(len(corpus))  # in by_length order
         for segments in corpus.segment_slots:
@@ -149,11 +149,15 @@ def rank(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> RankedList:
 
 
 def _run_text(ranked: RankedList) -> str:
-    """The run-file lines of one ranked list, each distinct probability formatted once."""
+    """The run-file lines of one ranked list; a pooled list formats each distinct probability once."""
     probs = ranked.probs()
-    text = {prob: repr(prob) for prob in set(probs)}
-    # 0.0 == -0.0 would share one entry, yet the two print differently
-    formatted = map(repr, probs) if 0.0 in text else map(text.__getitem__, probs)
+    changes = sum(map(ne, probs, probs[1:]))  # the list is sorted
+    if 2 * changes >= len(probs):
+        formatted = map(repr, probs)
+    else:
+        text = {prob: repr(prob) for prob in set(probs)}
+        # 0.0 == -0.0 would share one entry, yet the two print differently
+        formatted = map(repr, probs) if 0.0 in text else map(text.__getitem__, probs)
     return "".join(
         [
             f"{ranked.query_id} {doc_id} {position} {prob} clirset\n"

@@ -51,6 +51,15 @@ def hyp_set(per_pair):
     return MtHypothesisSet(tuple(sorted(per_pair)), hypotheses)
 
 
+def segment_scores(gen, doc, words):
+    """The generator's raw evidence for each word in a one-segment document."""
+    cells, background = gen.columns(Corpus.from_documents([doc]), words)
+    return {
+        word: float(values[0]) if len(rows) else background
+        for word, (rows, values) in cells.items()
+    }
+
+
 class TestFit:
     def test_reliable_system_outweighs_uninformative_one(self):
         bitext = toy_bitext()
@@ -144,7 +153,7 @@ class TestEvidence:
     def score(self, doc_id, word):
         doc = Document(id=doc_id, kind="text", sentences=(("f",),))
         gen = MtEnsembleGenerator(self.MODEL, self.hyps())
-        return gen.scorer([word])(doc, 0, doc.sentences[0])[word]
+        return segment_scores(gen, doc, [word])[word]
 
     def test_hand_values(self):
         # virus: only s1 -> sigmoid(1)
@@ -197,9 +206,9 @@ class TestEvidence:
                 if present:
                     z += weight
             expected[word] = float(sigmoid(z))
-        assert gen.scorer(words)(doc, 0, doc.sentences[0]) == expected
+        assert segment_scores(gen, doc, words) == expected
 
-    def test_one_sigmoid_call_per_segment(self, monkeypatch):
+    def test_two_sigmoid_calls_per_build(self, monkeypatch):
         calls = []
 
         def counting_sigmoid(z):
@@ -220,8 +229,11 @@ class TestEvidence:
         matrix = build_evidence(
             MtEnsembleGenerator(self.MODEL, hyps), corpus, queries
         )
-        assert matrix.n_cells() == 3 * 3
-        assert len(calls) == 3
+        # one for the cells some system's translation holds, one for the
+        # background; every segment still reads a value for every word
+        assert len(calls) == 2
+        assert matrix.n_cells() == 2
+        assert len(list(matrix.iter_cells())) == 3 * 3
 
 
 class TestIO:

@@ -44,10 +44,17 @@ def zero_model(n_english=3, n_foreign=2, dim=4, depth=0):
     return SearcherModel(vocab, foreign, params)
 
 
+def segment_scores(gen, doc, words):
+    """The generator's raw evidence for each word it scores in a one-segment document."""
+    cells, background = gen.columns(Corpus.from_documents([doc]), words)
+    assert background is None
+    return {word: float(values[0]) for word, (_, values) in cells.items()}
+
+
 def score(model, sentence, word):
     """The searcher's evidence for `word` in a one-sentence text document."""
     doc = Document(id="d", kind="text", sentences=(sentence,))
-    return SearcherGenerator(model).scorer([word])(doc, 0, sentence)[word]
+    return segment_scores(SearcherGenerator(model), doc, [word])[word]
 
 
 def random_params(rng, n_foreign, n_english, dim, depth):
@@ -204,7 +211,7 @@ class TestGenerator:
         )
         gen = SearcherGenerator(model)
         doc = Document(id="d", kind="text", sentences=(("f0", "f4"),))
-        scores = gen.scorer(["e0", "e2"])(doc, 0, doc.sentences[0])
+        scores = segment_scores(gen, doc, ["e0", "e2"])
         # sigmoid(max_j <e(w), h_j> + bias_w), with h_j the token embeddings
         # since the model has no attention layer
         rows = [model.foreign_tokens.index(tok) for tok in ("f0", "f4")]
@@ -227,7 +234,7 @@ class TestGenerator:
     def test_oov_words_skipped(self):
         gen = SearcherGenerator(zero_model())
         doc = Document(id="d", kind="text", sentences=(("f0",),))
-        scores = gen.scorer(["e0", "unknowable"])(doc, 0, doc.sentences[0])
+        scores = segment_scores(gen, doc, ["e0", "unknowable"])
         assert set(scores) == {"e0"}
 
     def test_speech_uses_one_best_path(self):
@@ -238,7 +245,7 @@ class TestGenerator:
         cn = ConfusionNetwork(((("f1", 0.6), ("f0", 0.4)),))
         speech = Document(id="d", kind="speech", utterances=(cn,))
         gen = SearcherGenerator(model)
-        scores = gen.scorer(["e0"])(speech, 0, cn)
+        scores = segment_scores(gen, speech, ["e0"])
         # one-best token is f1, so the score tracks f1's embedding
         assert scores["e0"] == pytest.approx(1 / (1 + math.exp(5.0)), abs=1e-12)
 

@@ -30,13 +30,17 @@ def cell(matrix, doc_id, index, word):
 
 
 def scores(t, segment):
-    """The bound table scorer's evidence for one segment, over every table word."""
+    """The table generator's evidence for one segment, over every table word."""
     words = sorted({english for row in t.entries.values() for english in row})
     if isinstance(segment, ConfusionNetwork):
         doc = Document(id="d", kind="speech", utterances=(segment,))
     else:
         doc = Document(id="d", kind="text", sentences=(segment,))
-    return TranslationTableGenerator(t).scorer(words)(doc, 0, segment)
+    cells, background = TranslationTableGenerator(t).columns(
+        Corpus.from_documents([doc]), words
+    )
+    assert background is None
+    return {word: float(values[0]) for word, (rows, values) in cells.items() if len(rows)}
 
 
 def read_matrix_tsv(path):
@@ -244,13 +248,13 @@ class TestTableEvidenceBitExact:
     @pytest.mark.parametrize("n_docs", [1, 7])
     def test_binds_once_per_build(self, monkeypatch, n_docs):
         bound = []
-        scorer = TranslationTableGenerator.scorer
+        columns = TranslationTableGenerator.columns
 
-        def counting_scorer(self, words):
+        def counting_columns(self, corpus, words):
             bound.append(list(words))
-            return scorer(self, words)
+            return columns(self, corpus, words)
 
-        monkeypatch.setattr(TranslationTableGenerator, "scorer", counting_scorer)
+        monkeypatch.setattr(TranslationTableGenerator, "columns", counting_columns)
         t = table({"f1": {"e1": 0.6}, "f2": {"e2": 0.3, "e3": 0.2}})
         corpus = Corpus.from_documents(
             Document(id=f"d{i}", kind="text", sentences=(("f1",), ("f2", "f1")))
@@ -263,19 +267,24 @@ class TestTableEvidenceBitExact:
         assert matrix.n_cells() == 3 * n_docs
 
 
-class TestPutRow:
+class TestPut:
     def test_nan_names_generator_document_segment_and_word(self):
         matrix = EvidenceMatrix("gen1")
+        matrix.put("d1", 3, "v", 0.5)
         with pytest.raises(
             DataError, match="'gen1'.*document 'd1' segment 3 word 'w'"
         ):
-            matrix.put_row("d1", 3, {"v": 0.5, "w": float("nan")})
+            matrix.put("d1", 3, "w", float("nan"))
 
-    def test_empty_mapping_stores_no_row(self):
-        matrix = EvidenceMatrix("gen1")
-        matrix.put_row("d1", 0, {})
+    def test_build_without_evidence_stores_no_cell(self):
+        t = table({"f1": {"e1": 0.6}})
+        corpus = Corpus.from_documents(
+            [Document(id="d1", kind="text", sentences=(("zz",),))]
+        )
+        matrix = build_evidence_for_words(TranslationTableGenerator(t), corpus, ["e1"])
         assert list(matrix.iter_cells()) == []
         assert matrix.n_cells() == 0
+        assert matrix.background == matrix.epsilon
 
 
 class TestMatrixIO:
@@ -328,15 +337,10 @@ class TestMatrixIO:
                 written.n_cells()
             written.put(doc_id, index, word, p)
         final = {(doc_id, index, word): p for doc_id, index, word, p in writes}
-        # The final values only, shuffled, one segment row at a time.
-        rows = {}
-        for (doc_id, index, word), p in final.items():
-            rows.setdefault((doc_id, index), {})[word] = p
+        # The final values only, shuffled.
         shuffled = EvidenceMatrix("g")
-        for doc_id, index in rnd.sample(sorted(rows), len(rows)):
-            words = list(rows[doc_id, index].items())
-            rnd.shuffle(words)
-            shuffled.put_row(doc_id, index, dict(words))
+        for (doc_id, index, word), p in rnd.sample(sorted(final.items()), len(final)):
+            shuffled.put(doc_id, index, word, p)
 
         eps = written.epsilon
         want = [

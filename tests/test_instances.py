@@ -87,7 +87,8 @@ class TestNumerics:
     def test_clamp_prob(self):
         eps = DEFAULT_EPSILON
         matrix = EvidenceMatrix("t")
-        matrix.put_row("d", 0, {"a": 0.5, "b": 0.0, "c": 1.0, "d": -3.0})
+        for word, prob in {"a": 0.5, "b": 0.0, "c": 1.0, "d": -3.0}.items():
+            matrix.put("d", 0, word, prob)
         assert list(matrix.iter_cells()) == [
             ("d", 0, "a", 0.5),
             ("d", 0, "b", eps),

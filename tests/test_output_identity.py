@@ -6,6 +6,8 @@ compared with digests recorded from an earlier version of the code. A
 second, table-only world of all-speech documents with 9 to 14 segments
 each pins `rank` on documents long enough that a pairwise (numpy-style)
 sum over segments would round differently from the sequential one. A
+third test pins the `dump-evidence` file of each generator (table, MT,
+searcher) on the noisy world, MT's background cells included. A
 refactor that must not change outputs fails here, in seconds, before the
 benchmark's own output checks run. A change that alters outputs on
 purpose re-records the digests and says why.
@@ -105,3 +107,40 @@ def test_table_only_long_speech_documents_match_recorded_digests(tmp_path):
     ]
     assert main(argv) == 0
     assert digests(out, LONG_SPEECH_SHA256) == LONG_SPEECH_SHA256
+
+
+DUMP_EVIDENCE_SHA256 = {
+    "table.tsv": (
+        "829f1745310ef6cdaa5bcd9b09b7a2013da76c50d4e858155d453e6479affecb"
+    ),
+    "mt.tsv": (
+        "c3da0f0900300831dcb2fa85cc8cd00596a49159cff95e80f9f39433867cdd63"
+    ),
+    "searcher.tsv": (
+        "2e04c962040f7a3443ccb89475cb18b28de5b2eb4e8fa5510afdabb86f9a0caa"
+    ),
+}
+
+
+def test_dump_evidence_matches_recorded_digests(tmp_path):
+    """`dump-evidence` of each generator on the noisy world, byte for byte."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    out.mkdir()
+    bitext = ["--bitext", str(data / "bitext.tsv")]
+    inputs = ["--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "queries.tsv")]
+    steps = [
+        SYNTH + ["--out", str(data)],
+        ["fit-ensemble", *bitext, "--mt-hyps", str(data / "mt_hyps.tsv"),
+         "--out", str(out / "mt.json")],
+        ["train-searcher", *bitext, "--dim", "4", "--epochs", "2",
+         "--out", str(out / "searcher.npz")],
+        ["dump-evidence", *inputs, "--table", str(data / "table.tsv"),
+         "--out", str(out / "table.tsv")],
+        ["dump-evidence", *inputs, "--mt-hyps", str(data / "mt_hyps.tsv"),
+         "--mt-model", str(out / "mt.json"), "--out", str(out / "mt.tsv")],
+        ["dump-evidence", *inputs, "--searcher-model", str(out / "searcher.npz"),
+         "--out", str(out / "searcher.tsv")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv[0]
+    assert digests(out, DUMP_EVIDENCE_SHA256) == DUMP_EVIDENCE_SHA256

@@ -316,17 +316,26 @@ class TestRank:
         assert rank(m, corpus, q).doc_ids() == want
 
 
-RUN_PROBS = st.sampled_from(
+POOLED_PROBS = st.sampled_from(
     [5e-324, math.nextafter(1.0, 0.0), 0.5, 0.1, 1e-06, 0.12345678901234567, 0.0, -0.0]
-) | st.floats(0.0, 1.0)
+)
+RUN_PROBS = POOLED_PROBS | st.floats(0.0, 1.0)
+
+# save_run formats each line itself when at least half of a list's lines
+# differ from the line before, and each distinct probability once otherwise.
+RUN_LISTS = st.one_of(
+    st.lists(RUN_PROBS, max_size=12),
+    st.lists(st.floats(0.0, 1.0), max_size=12, unique=True),  # per line
+    st.lists(POOLED_PROBS, min_size=24, max_size=40),  # per distinct value
+)
 
 
 @st.composite
 def ranked_lists(draw):
-    """Descending lists over a few repeated values, some with NaN slotted in."""
+    """Descending lists, distinct or over a few repeated values, some with NaN slotted in."""
     lists = []
     for qid in draw(st.lists(st.sampled_from(["q1", "q2", "Q 3"]), max_size=4)):
-        probs = sorted(draw(st.lists(RUN_PROBS, max_size=12)), reverse=True)
+        probs = sorted(draw(RUN_LISTS), reverse=True)
         for at in draw(st.lists(st.integers(0, len(probs)), max_size=2)):
             probs.insert(at, math.nan)
         lists.append(RankedList(qid, tuple((f"d{i}", p) for i, p in enumerate(probs))))
