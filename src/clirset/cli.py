@@ -30,6 +30,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError
 from .evidence import (
+    DEFAULT_NEGATIVES_PER_POSITIVE,
     MtEnsembleGenerator,
     SearcherConfig,
     SearcherGenerator,
@@ -47,6 +48,7 @@ from .evidence import (
     save_searcher,
     train_searcher,
 )
+from .evidence.ensemble import DEFAULT_L2, DEFAULT_LEARNING_RATE
 from .numerics import DEFAULT_EPSILON
 from .relevance import rank, save_run
 from .scorer import format_summary, save_report, score_run
@@ -222,13 +224,14 @@ def cmd_synth(opt: Options) -> int:
 def cmd_train_searcher(opt: Options) -> int:
     bitext = load_bitext(opt.input_file("bitext", required=True))
     vocab = Vocabulary.from_bitext(bitext, opt.get("vocab_size", DEFAULT_VOCAB_SIZE, int))
+    d = SearcherConfig()
     config = SearcherConfig(
-        dim=opt.get("dim", 16, int),
-        depth=opt.get("depth", 0, int),
-        epochs=opt.get("epochs", 20, int),
-        lr=opt.get("lr", 0.5, float),
-        m_neg=opt.get("m_neg", 50, int),
-        seed=opt.get("seed", 0, int),
+        dim=opt.get("dim", d.dim, int),
+        depth=opt.get("depth", d.depth, int),
+        epochs=opt.get("epochs", d.epochs, int),
+        lr=opt.get("lr", d.lr, float),
+        m_neg=opt.get("m_neg", d.m_neg, int),
+        seed=opt.get("seed", d.seed, int),
     )
     out = opt.output_file("out", required=True)
     model, losses = train_searcher(bitext, vocab, config)
@@ -249,9 +252,9 @@ def cmd_fit_ensemble(opt: Options) -> int:
         hyps,
         bitext,
         vocab,
-        m_neg=opt.get("m_neg", 50, int),
-        l2=opt.get("l2", 1e-3, float),
-        lr=opt.get("lr", 0.1, float),
+        m_neg=opt.get("m_neg", DEFAULT_NEGATIVES_PER_POSITIVE, int),
+        l2=opt.get("l2", DEFAULT_L2, float),
+        lr=opt.get("lr", DEFAULT_LEARNING_RATE, float),
         seed=opt.get("seed", 0, int),
     )
     save_mt_ensemble(model, out)
@@ -280,15 +283,6 @@ def _build_generators(opt: Options) -> list:
     if searcher_path is not None:
         generators.append(SearcherGenerator(load_searcher(searcher_path)))
 
-    wanted = opt.get("generators")
-    if wanted:
-        tags = [tag.strip() for tag in wanted.split(",") if tag.strip()]
-        known = {gen.tag for gen in generators}
-        for tag in tags:
-            if tag not in known:
-                raise ConfigError(f"--generators names unknown tag {tag!r}")
-        generators = [gen for gen in generators if gen.tag in tags]
-
     if not generators:
         raise ConfigError(
             "no evidence generators configured; pass --table, --mt-hyps/"
@@ -305,7 +299,7 @@ def _fit_weights(opt: Options, generators, bitext_path: Path) -> MixtureWeights:
     bitext = load_bitext(bitext_path)
     vocab = Vocabulary.from_bitext(bitext, opt.get("vocab_size", DEFAULT_VOCAB_SIZE, int))
     epsilon = opt.get("epsilon", DEFAULT_EPSILON, float)
-    m_neg = opt.get("m_neg", 50, int)
+    m_neg = opt.get("m_neg", DEFAULT_NEGATIVES_PER_POSITIVE, int)
     seed = opt.get("seed", 0, int)
 
     # The instances are drawn once: the matrices only need to cover their
@@ -361,11 +355,8 @@ def cmd_dump_evidence(opt: Options) -> int:
     epsilon = opt.get("epsilon", DEFAULT_EPSILON, float)
     out = opt.output_file("out", required=True)
     matrix = build_evidence(generators[0], corpus, _lexical_queries(queries), epsilon)
-    save_matrix(matrix, out)
-    print(
-        f"dump-evidence: generator={matrix.generator}"
-        f" cells={matrix.n_cells()} -> {out}"
-    )
+    cells = save_matrix(matrix, out)
+    print(f"dump-evidence: generator={matrix.generator} cells={cells} -> {out}")
     return 0
 
 
@@ -501,8 +492,6 @@ def build_parser() -> _Parser:
         p.add_argument("--mt-hyps", type=Path)
         p.add_argument("--mt-model", type=Path)
         p.add_argument("--searcher-model", type=Path)
-        p.add_argument("--generators",
-                       help="comma-separated tags to keep enabled")
         p.add_argument("--epsilon", type=float)
 
     p = sub.add_parser("fit-mixture", parents=[common],

@@ -74,10 +74,12 @@ def combine(
 ) -> EvidenceMatrix:
     """Weighted sum of matrices over the union of their cells.
 
-    Absent cells contribute their matrix's background: the floor for a
-    generator with no opinion, which drags the mixture toward epsilon
-    rather than being skipped. The sum runs in sorted tag order, which
-    makes the result invariant to the order the matrices are passed in.
+    The matrices must be built over one corpus, whose row numbering they
+    share; others raise DataError. Absent cells contribute their matrix's
+    background: the floor for a generator with no opinion, which drags the
+    mixture toward epsilon rather than being skipped. The sum runs in
+    sorted tag order, which makes the result invariant to the order the
+    matrices are passed in.
     """
     tags = [m.generator for m in matrices]
     if len(set(tags)) != len(tags):

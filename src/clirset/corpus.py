@@ -583,8 +583,8 @@ def save_corpus(corpus: Corpus, path) -> None:
             out.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def load_translation_table(path, source_tag: str | None = None) -> TranslationTable:
-    """Read a TSV translation table; the tag defaults to the file stem."""
+def load_translation_table(path) -> TranslationTable:
+    """Read a TSV translation table, tagged with the file stem."""
     entries: dict[Token, dict[Token, float]] = {}
     first_line: dict[tuple[Token, Token], int] = {}
     for lineno, line in data_lines(path):
@@ -614,8 +614,7 @@ def load_translation_table(path, source_tag: str | None = None) -> TranslationTa
             raise DataError(
                 f"{path}: translation probs for {foreign!r} sum to {total!r} > 1"
             )
-    tag = source_tag if source_tag is not None else Path(path).stem
-    return TranslationTable(entries, tag)
+    return TranslationTable(entries, Path(path).stem)
 
 
 def save_translation_table(table: TranslationTable, path) -> None:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -78,6 +79,36 @@ class MtHypothesisSet:
                 f" {doc_id!r}:{index}"
             ) from None
 
+    def holders(
+        self,
+        systems: Sequence[str],
+        keys: Collection[tuple[str, int]],
+        words: Sequence[Token],
+    ) -> list[np.ndarray]:
+        """Per system, word slot * len(keys) + key slot of each held (key, word).
+
+        A (key, word) is held when the system's translation of the sentence
+        `key` holds the word. Every key must have a translation from every
+        system; a missing one raises for the first key, and within it the
+        first system, in the given orders.
+        """
+        for doc_id, index in keys:
+            for system in systems:
+                self.translation(system, doc_id, index)
+        code = {word: slot for slot, word in enumerate(words)}
+        n = len(keys)
+        return [
+            np.array(
+                [
+                    code[word] * n + slot
+                    for slot, key in enumerate(keys)
+                    for word in code.keys() & translations[key]
+                ],
+                dtype=np.int64,
+            )
+            for translations in (self.hypotheses[system] for system in systems)
+        ]
+
 
 def load_mt_hypotheses(path) -> MtHypothesisSet:
     hypotheses: dict[str, dict[tuple[str, int], Sentence]] = {}
@@ -121,6 +152,11 @@ class MtEnsembleModel:
             raise DataError("ensemble weights do not match systems")
         if not self.systems:
             raise DataError("ensemble model with no systems")
+        for system, weight in zip(self.systems, self.weights):
+            if not math.isfinite(weight):
+                raise DataError(f"ensemble weight for {system!r} is not finite")
+        if not math.isfinite(self.bias):
+            raise DataError("ensemble bias is not finite")
 
 
 def ensemble_objective(
@@ -171,9 +207,8 @@ def _instance_features(
     """The (instances x systems) 0/1 features and the labels.
 
     A feature is 1 when the system's translation of the instance's pair
-    holds the instance's word. Each (pair, system) translation is read
-    once, in pair order and then system order, so a missing one raises for
-    the first such pair that has instances.
+    holds the instance's word. A missing translation raises for the first
+    pair that has instances, and within it the first of `hyps.systems`.
     """
     labels = np.array([inst.label for inst in instances], dtype=float)
     words = np.array([vocab.index_of(inst.word) for inst in instances], dtype=np.int64)
@@ -181,16 +216,11 @@ def _instance_features(
         np.array([inst.pair_index for inst in instances], dtype=np.int64),
         return_inverse=True,
     )
-    # holds[col, slot, w]: system col's translation of pair `slot` holds word w.
-    holds = np.zeros((len(hyps.systems), len(pairs), len(vocab)), dtype=bool)
-    for slot, pair in enumerate(pairs.tolist()):
-        doc_id = bitext_doc_id(pair)
-        for col, system in enumerate(hyps.systems):
-            translation = hyps.translation(system, doc_id, 0)
-            held = [vocab.index_of(word) for word in translation if word in vocab]
-            holds[col, slot, held] = True
-    features = holds[:, pair_slots, words].T.astype(float, order="C")
-    return features, labels
+    keys = [(bitext_doc_id(pair), 0) for pair in pairs.tolist()]
+    held = hyps.holders(hyps.systems, keys, vocab.tokens)
+    cells = words * len(keys) + pair_slots
+    features = np.stack([np.isin(cells, system_held) for system_held in held], axis=1)
+    return features.astype(float), labels
 
 
 def fit_mt_ensemble(
@@ -200,32 +230,24 @@ def fit_mt_ensemble(
     m_neg: int = DEFAULT_NEGATIVES_PER_POSITIVE,
     l2: float = DEFAULT_L2,
     lr: float = DEFAULT_LEARNING_RATE,
-    tol: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITERATIONS,
     seed: int = 0,
-    init: tuple[Iterable[float], float] | None = None,
 ) -> tuple[MtEnsembleModel, float]:
     """Fit per-system weights on held-out bitext; returns (model, final loss).
 
     Requires a hypothesis for every bitext sentence (addressed via the
-    bitext pseudo-document ids) from every system.
+    bitext pseudo-document ids) from every system. The fit starts from
+    zero weights and bias.
     """
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
     features, labels = _instance_features(hyps, vocab, instances)
 
-    if init is None:
-        weights = np.zeros(len(hyps.systems))
-        bias = 0.0
-    else:
-        weights = np.asarray(list(init[0]), dtype=float)
-        bias = float(init[1])
-        if weights.shape != (len(hyps.systems),):
-            raise DataError("ensemble init has the wrong number of weights")
-
     def objective(w, b):
         return ensemble_objective(w, b, features, labels, l2)
 
-    weights, bias, loss = _minimize(objective, weights, bias, lr, tol, max_iter)
+    weights, bias, loss = _minimize(
+        objective, np.zeros(len(hyps.systems)), 0.0, lr,
+        DEFAULT_TOLERANCE, DEFAULT_MAX_ITERATIONS,
+    )
     log.info(
         "fit mt ensemble on %d instances, final loss %.6f", len(instances), loss
     )
@@ -256,24 +278,8 @@ class MtEnsembleGenerator:
         from an index, not from z != bias, which a zero weight would fool.
         """
         positions = corpus.segment_positions
-        systems, hypotheses = self.model.systems, self.hyps.hypotheses
-        for doc_id, index in positions:  # raises for a missing one, in that order
-            for system in systems:
-                self.hyps.translation(system, doc_id, index)
-        code = {word: i for i, word in enumerate(words)}
+        held = self.hyps.holders(self.model.systems, positions, words)
         n = len(positions)
-        # Per system: word code * n + position of each cell its translation holds.
-        held = [
-            np.array(
-                [
-                    code[word] * n + position
-                    for position, key in enumerate(positions)
-                    for word in code.keys() & hypotheses[system][key]
-                ],
-                dtype=np.int64,
-            )
-            for system in systems
-        ]
         cells = np.unique(np.concatenate(held))  # word by word, positions ascending
         z = np.full(len(cells), self.model.bias)
         for weight, keys in zip(self.model.weights, held):
@@ -302,7 +308,8 @@ def load_mt_ensemble(path) -> MtEnsembleModel:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+    # ValueError: bad JSON or not UTF-8; RecursionError: nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read ensemble model {path}: {exc}") from exc
     try:
         return MtEnsembleModel(
@@ -312,3 +319,5 @@ def load_mt_ensemble(path) -> MtEnsembleModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed ensemble model: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -32,6 +32,12 @@ MATRIX_HEADER_PREFIX = "#generator="
 def sha256_tokens(tokens: Sequence[Token]) -> str:
     """Hash of a token list, as recorded next to a saved vocabulary."""
     return hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+
+
+def ranked_tokens(sentences: Iterable[Sequence[Token]]) -> tuple[Token, ...]:
+    """Every token of `sentences`, the most frequent first, ties lexicographic."""
+    counts = Counter(chain.from_iterable(sentences))
+    return tuple(sorted(counts, key=lambda token: (-counts[token], token)))
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,7 @@ class Vocabulary:
         """The `size` most frequent English-side tokens, ties lexicographic."""
         if size < 1:
             raise DataError(f"vocabulary size {size} must be positive")
-        counts: Counter[Token] = Counter()
-        for _, english in bitext:
-            counts.update(english)
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        return cls(tuple(token for token, _ in ranked[:size]))
+        return cls(ranked_tokens(english for _, english in bitext)[:size])
 
 
 # A generator's scores before the floor: per word, the ascending corpus
@@ -260,34 +262,28 @@ def weighted_sum(
 ) -> EvidenceMatrix:
     """The matrix of sum(weight * matrix value) over `weighted`, floored.
 
-    A cell is stored wherever one of the matrices stores one; the others
-    give their background there. Each cell, and the background, sums from
-    0 in the given order, as Python's sum() over the weighted values would.
-    The background fills the words any of the matrices fills.
+    The matrices must number their rows with one dict, as those built over
+    one corpus share its `segment_positions`. A cell is stored wherever one
+    of the matrices stores one; the others give their background there.
+    Each cell, and the background, sums from 0 in the given order, as
+    Python's sum() over the weighted values would. The background fills
+    the words any of the matrices fills.
     """
     matrices = [matrix for _, matrix in weighted]
-    # Matrices built over one corpus share its row numbers; others get new ones.
-    shared = all(matrix._rows is matrices[0]._rows for matrix in matrices)
-    rows = matrices[0]._rows if shared else {}
-    own_rows = [
-        np.fromiter(
-            (rows.setdefault(key, len(rows)) for key in matrix._rows),
-            np.int64,
-            len(matrix._rows),
-        )
-        for matrix in matrices
-    ]
+    rows = matrices[0]._rows
+    if any(matrix._rows is not rows for matrix in matrices):
+        raise DataError("evidence matrices to combine are not built over one corpus")
     n = len(rows)
     cells = {}
     for word in sorted({word for matrix in matrices for word in matrix._columns}):
         held = np.zeros(n, dtype=bool)
         total = 0
-        for (weight, matrix), own in zip(weighted, own_rows):
+        for weight, matrix in weighted:
             values = np.full(n, matrix.background)
             if word in matrix._columns:
                 column_rows, column_values = matrix._columns[word]
-                values[own[column_rows]] = column_values
-                held[own[column_rows]] = True
+                values[column_rows] = column_values
+                held[column_rows] = True
             total = total + weight * values
         at = np.flatnonzero(held)
         cells[word] = at, total[at]
@@ -327,8 +323,12 @@ def build_evidence_for_words(
     return EvidenceMatrix(generator.tag, epsilon, columns, corpus.segment_positions, filled)
 
 
-def save_matrix(matrix: EvidenceMatrix, path) -> None:
+def save_matrix(matrix: EvidenceMatrix, path) -> int:
+    """Write `matrix` as TSV; returns the number of cell lines written."""
+    lines = 0
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"{MATRIX_HEADER_PREFIX}{matrix.generator}\n")
         for doc_id, index, word, prob in matrix.iter_cells():
             out.write(f"{doc_id}\t{index}\t{word}\t{prob!r}\n")
+            lines += 1
+    return lines

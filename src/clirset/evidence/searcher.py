@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import Counter
+import zipfile
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -37,7 +37,7 @@ from ..corpus import Bitext, ConfusionNetwork, Corpus, Token
 from ..errors import DataError
 from ..numerics import require_positive, sigmoid
 from .instances import DEFAULT_NEGATIVES_PER_POSITIVE
-from .matrix import Columns, Vocabulary, sha256_tokens
+from .matrix import Columns, Vocabulary, ranked_tokens, sha256_tokens
 
 log = logging.getLogger(__name__)
 
@@ -241,11 +241,7 @@ def searcher_objective(
 
 
 def _foreign_vocabulary(bitext: Bitext) -> tuple[Token, ...]:
-    counts: Counter[Token] = Counter()
-    for src, _ in bitext:
-        counts.update(src)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(token for token, _ in ranked)
+    return ranked_tokens(src for src, _ in bitext)
 
 
 def train_searcher(
@@ -386,7 +382,7 @@ def save_searcher(model: SearcherModel, path) -> None:
 def load_searcher(path) -> SearcherModel:
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read searcher model {path}: {exc}") from exc
     with archive:
         try:
@@ -400,8 +396,12 @@ def load_searcher(path) -> SearcherModel:
             if manifest["depth"] == 1:
                 for key in _ATTENTION_KEYS:
                     params[key] = archive[key].astype(float)
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        # TypeError: a manifest that is not an object; RecursionError: nested too deeply
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataError(f"{path}: malformed searcher model: {exc}") from exc
+    for key, values in params.items():
+        if not np.isfinite(values).all():
+            raise DataError(f"{path}: searcher parameter {key!r} is not finite")
     vocab = Vocabulary(english)
     if manifest.get("english_vocab_sha256") != vocab.sha256():
         raise DataError(f"{path}: english vocabulary hash mismatch")

@@ -2,14 +2,29 @@
 
 import json
 import logging
+import math
+import zipfile
 
+import numpy as np
 import pytest
 
 import clirset.cli as cli_module
 import clirset.combiner as combiner_module
 from clirset.cli import main
 from clirset.combiner import load_weights
-from clirset.evidence import labeled_instances, load_mt_ensemble, load_searcher
+from clirset.corpus import load_bitext
+from clirset.evidence import (
+    SearcherConfig,
+    Vocabulary,
+    fit_mt_ensemble,
+    labeled_instances,
+    load_mt_ensemble,
+    load_mt_hypotheses,
+    load_searcher,
+    save_mt_ensemble,
+    save_searcher,
+    train_searcher,
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +49,22 @@ def retrieve_args(data_dir, out):
         "--table", str(data_dir / "table.tsv"),
         "--out", str(out),
     ]
+
+
+def fit_ensemble(data_dir, out):
+    assert main([
+        "fit-ensemble",
+        "--bitext", str(data_dir / "bitext.tsv"),
+        "--mt-hyps", str(data_dir / "mt_hyps.tsv"),
+        "--out", str(out),
+    ]) == 0
+    return out
+
+
+def npz_members(path):
+    """Each array's .npy bytes in a .npz archive; the zip entries' times differ."""
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
 
 
 def evaluate_args(data_dir, sets):
@@ -150,6 +181,24 @@ class TestTrainers:
         weights = dict(zip(model.systems, model.weights))
         assert weights["mt1"] > weights["mt2"]
 
+    def test_defaults_are_the_library_defaults(self, data_dir, tmp_path):
+        bitext = load_bitext(data_dir / "bitext.tsv")
+        vocab = Vocabulary.from_bitext(bitext, cli_module.DEFAULT_VOCAB_SIZE)
+
+        searcher = tmp_path / "searcher.npz"
+        assert main([
+            "train-searcher", "--bitext", str(data_dir / "bitext.tsv"),
+            "--out", str(searcher),
+        ]) == 0
+        model, _ = train_searcher(bitext, vocab, SearcherConfig())
+        save_searcher(model, tmp_path / "library.npz")
+        assert npz_members(searcher) == npz_members(tmp_path / "library.npz")
+
+        mt = fit_ensemble(data_dir, tmp_path / "mt.json")
+        hyps = load_mt_hypotheses(data_dir / "mt_hyps.tsv")
+        save_mt_ensemble(fit_mt_ensemble(hyps, bitext, vocab)[0], tmp_path / "library.json")
+        assert mt.read_bytes() == (tmp_path / "library.json").read_bytes()
+
     def test_fit_mixture_identical_tables_stay_uniform(
         self, data_dir, tmp_path, capsys
     ):
@@ -257,6 +306,23 @@ class TestDumpEvidence:
             doc_id, index, word, prob = row.split("\t")
             assert int(index) >= 0 and word
             assert 0.0 < float(prob) < 1.0
+
+    def test_printed_count_is_the_files_cell_lines(self, data_dir, tmp_path, capsys):
+        mt = fit_ensemble(data_dir, tmp_path / "mt.json")
+        out = tmp_path / "evidence.tsv"
+        capsys.readouterr()
+        assert main([
+            "dump-evidence",
+            "--corpus", str(data_dir / "corpus.jsonl"),
+            "--queries", str(data_dir / "queries.tsv"),
+            "--mt-hyps", str(data_dir / "mt_hyps.tsv"),
+            "--mt-model", str(mt),
+            "--out", str(out),
+        ]) == 0
+        printed = capsys.readouterr().out
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert header == "#generator=mt"
+        assert f" cells={len(rows)} " in printed
 
     def test_two_generators_rejected(self, data_dir, tmp_path):
         code = main([
@@ -415,6 +481,47 @@ class TestErrorPaths:
         assert code == 0
         sets = (run / "sets.tsv").read_text()
         assert "qc\t" not in sets
+
+    @pytest.mark.parametrize("weights, bias, named", [
+        ([1.0, 0.5], math.nan, "ensemble bias is not finite"),
+        ([math.inf, 0.5], -2.0, "ensemble weight for 'mt1' is not finite"),
+    ])
+    def test_non_finite_mt_model_names_the_file(
+        self, data_dir, tmp_path, capsys, weights, bias, named
+    ):
+        model = tmp_path / "mt.json"
+        model.write_text(json.dumps(
+            {"systems": ["mt1", "mt2"], "weights": weights, "bias": bias}
+        ))
+        code = main(retrieve_args(data_dir, tmp_path / "run") + [
+            "--mt-hyps", str(data_dir / "mt_hyps.tsv"), "--mt-model", str(model),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{model}: {named}" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_searcher_array_names_the_file(
+        self, data_dir, tmp_path, capsys
+    ):
+        bitext = load_bitext(data_dir / "bitext.tsv")
+        model, _ = train_searcher(
+            bitext, Vocabulary.from_bitext(bitext, 50), SearcherConfig(dim=4, epochs=1)
+        )
+        good = tmp_path / "good.npz"
+        save_searcher(model, good)
+        with np.load(good) as archive:
+            arrays = dict(archive)
+        arrays["bias"] = np.full_like(arrays["bias"], math.nan)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        code = main(retrieve_args(data_dir, tmp_path / "run") + [
+            "--searcher-model", str(bad),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: searcher parameter 'bias' is not finite" in err
+        assert "Traceback" not in err
 
     def test_all_non_lexical_is_data_error(self, data_dir, tmp_path):
         queries = tmp_path / "queries.tsv"

@@ -30,6 +30,33 @@ def matrix(tag, cells, epsilon=1e-6):
     return m
 
 
+def over_one_corpus(cells_by_tag, epsilon=1e-6):
+    """One matrix per tag, all numbering their rows with one shared dict.
+
+    `cells_by_tag` maps a tag to its (doc, index, word, p) cells; the rows
+    are the segments any of them names, as the matrices built over one
+    corpus share its segment_positions.
+    """
+    rows = {}
+    for cells in cells_by_tag.values():
+        for doc, idx, _, _ in cells:
+            rows.setdefault((doc, idx), len(rows))
+    matrices = []
+    for tag, cells in cells_by_tag.items():
+        by_word = {}
+        for doc, idx, word, p in cells:
+            by_word.setdefault(word, {})[rows[doc, idx]] = p
+        columns = {
+            word: (
+                np.array(sorted(held), dtype=np.int64),
+                np.array([held[row] for row in sorted(held)], dtype=float),
+            )
+            for word, held in by_word.items()
+        }
+        matrices.append(EvidenceMatrix(tag, epsilon, (columns, None), rows))
+    return matrices
+
+
 def cell(m, doc_id, index, word):
     """One cell's stored value, or the floor when it was never stored."""
     stored = {c[:3]: c[3] for c in m.iter_cells()}
@@ -61,8 +88,10 @@ class TestMixtureWeights:
 
 class TestCombine:
     def test_hand_values(self):
-        m1 = matrix("g1", [("d", 0, "w", 0.9), ("d", 0, "v", 0.92)])
-        m2 = matrix("g2", [("d", 0, "w", 0.1)])
+        m1, m2 = over_one_corpus({
+            "g1": [("d", 0, "w", 0.9), ("d", 0, "v", 0.92)],
+            "g2": [("d", 0, "w", 0.1)],
+        })
         out = combine([m1, m2], MixtureWeights({"g1": 0.5, "g2": 0.5}))
         assert out.generator == "combined"
         assert cell(out, "d", 0, "w") == pytest.approx(0.5, abs=1e-15)
@@ -70,8 +99,10 @@ class TestCombine:
         assert cell(out, "d", 0, "v") == pytest.approx(0.46 + 0.5e-6, abs=1e-15)
 
     def test_degenerate_weights_reproduce_one_matrix(self):
-        m1 = matrix("g1", [("d", 0, "w", 0.7), ("d", 1, "w", 0.2)])
-        m2 = matrix("g2", [("d", 0, "w", 0.4), ("e", 0, "w", 0.3)])
+        m1, m2 = over_one_corpus({
+            "g1": [("d", 0, "w", 0.7), ("d", 1, "w", 0.2)],
+            "g2": [("d", 0, "w", 0.4), ("e", 0, "w", 0.3)],
+        })
         out = combine([m1, m2], MixtureWeights({"g1": 1.0, "g2": 0.0}))
         assert cell(out, "d", 0, "w") == 0.7
         assert cell(out, "d", 1, "w") == 0.2
@@ -84,7 +115,7 @@ class TestCombine:
         for i in range(30):
             cells1.append(("d", i, "w", rng.uniform(0.01, 0.99)))
             cells2.append(("d", i, "w", rng.uniform(0.01, 0.99)))
-        m1, m2 = matrix("g1", cells1), matrix("g2", cells2)
+        m1, m2 = over_one_corpus({"g1": cells1, "g2": cells2})
         out = combine([m1, m2], MixtureWeights({"g1": 0.3, "g2": 0.7}))
         for i in range(30):
             a, b = cell(m1, "d", i, "w"), cell(m2, "d", i, "w")
@@ -92,9 +123,11 @@ class TestCombine:
             assert min(a, b) - 1e-15 <= c <= max(a, b) + 1e-15
 
     def test_argument_order_ignored(self):
-        m1 = matrix("g1", [("d", 0, "w", 0.73), ("d", 2, "x", 0.11)])
-        m2 = matrix("g2", [("d", 0, "w", 0.21), ("e", 0, "w", 0.5)])
-        m3 = matrix("g3", [("d", 1, "y", 0.66)])
+        m1, m2, m3 = over_one_corpus({
+            "g1": [("d", 0, "w", 0.73), ("d", 2, "x", 0.11)],
+            "g2": [("d", 0, "w", 0.21), ("e", 0, "w", 0.5)],
+            "g3": [("d", 1, "y", 0.66)],
+        })
         w = MixtureWeights({"g1": 0.2, "g2": 0.5, "g3": 0.3})
         a = combine([m1, m2, m3], w)
         b = combine([m3, m1, m2], w)
@@ -110,14 +143,14 @@ class TestCombine:
         tags = data.draw(
             st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, unique=True)
         )
-        matrices = [
-            matrix(tag, [
+        matrices = over_one_corpus({
+            tag: [
                 (*key, p) for key, p in data.draw(
                     st.dictionaries(keys, st.floats(0.0, 1.0), max_size=12)
                 ).items()
-            ])
+            ]
             for tag in tags
-        ]
+        })
         raw = data.draw(
             st.lists(st.floats(0.01, 1.0), min_size=len(tags), max_size=len(tags))
         )
@@ -136,6 +169,12 @@ class TestCombine:
             ))
         got = combine(matrices, mixture)
         assert list(got.iter_cells()) == list(expected.iter_cells())
+
+    def test_matrices_over_different_numberings_rejected(self):
+        m1 = matrix("g1", [("d", 0, "w", 0.5)])
+        m2 = matrix("g2", [("d", 0, "w", 0.5)])
+        with pytest.raises(DataError, match="not built over one corpus"):
+            combine([m1, m2], MixtureWeights.uniform(["g1", "g2"]))
 
     def test_tag_mismatch_rejected(self):
         m1 = matrix("g1", [])

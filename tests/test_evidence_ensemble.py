@@ -91,17 +91,28 @@ class TestFit:
             "good": lambda i: (VOCAB.tokens[i % 4],),
             "meh": lambda i: (VOCAB.tokens[(i + 1) % 4],),
         })
-        _, loss_a = fit_mt_ensemble(hyps, bitext, VOCAB, m_neg=3, seed=0)
-        _, loss_b = fit_mt_ensemble(
-            hyps, bitext, VOCAB, m_neg=3, seed=0, init=([0.5, -0.5], 0.3)
-        )
-        assert loss_a == pytest.approx(loss_b, abs=1e-5)
+        instances = labeled_instances(bitext, VOCAB, 3, random.Random(0))
+        features, labels = ensemble_module._instance_features(hyps, VOCAB, instances)
 
-    def test_bad_init_shape_rejected(self):
-        bitext = toy_bitext()
-        hyps = hyp_set({"s1": lambda i: ("zzz",)})
-        with pytest.raises(DataError, match="init"):
-            fit_mt_ensemble(hyps, bitext, VOCAB, init=([0.1, 0.2], 0.0))
+        def objective(w, b):
+            return ensemble_objective(w, b, features, labels, ensemble_module.DEFAULT_L2)
+
+        def minimize_from(weights, bias):
+            return ensemble_module._minimize(
+                objective,
+                np.array(weights),
+                bias,
+                ensemble_module.DEFAULT_LEARNING_RATE,
+                ensemble_module.DEFAULT_TOLERANCE,
+                ensemble_module.DEFAULT_MAX_ITERATIONS,
+            )[2]
+
+        loss_a = minimize_from([0.0, 0.0], 0.0)
+        loss_b = minimize_from([0.5, -0.5], 0.3)
+        assert loss_a == pytest.approx(loss_b, abs=1e-5)
+        # the fit is the run from zeros
+        _, fitted = fit_mt_ensemble(hyps, bitext, VOCAB, m_neg=3, seed=0)
+        assert fitted == loss_a
 
 
 class TestObjective:

@@ -287,6 +287,22 @@ class TestPersistence:
         with pytest.raises(DataError, match="cannot read"):
             load_searcher(path)
 
+    @pytest.mark.parametrize(
+        "manifest", [None, "[1]", "[" * 100_000], ids=["no-zip", "list", "deep"]
+    )
+    def test_malformed_archive_names_the_file(self, tmp_path, manifest):
+        path = tmp_path / "model.npz"
+        if manifest is None:  # zip magic, then no zip
+            path.write_bytes(b"PK\x03\x04 not a zip")
+        else:
+            save_searcher(zero_model(), path)
+            archive = dict(np.load(path, allow_pickle=False))
+            archive["manifest"] = np.array(manifest)
+            np.savez(path, **archive)
+        with pytest.raises(DataError) as raised:
+            load_searcher(path)
+        assert str(path) in str(raised.value)
+
 
 # The training loop as it stood before steps touched only their own rows:
 # dense gradients from zeros, np.add.at scatters, setdiff1d/isin

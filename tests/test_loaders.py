@@ -13,7 +13,7 @@ from clirset.corpus import (
     load_translation_table,
 )
 from clirset.errors import DataError
-from clirset.evidence import load_mt_hypotheses
+from clirset.evidence import load_mt_ensemble, load_mt_hypotheses
 from clirset.thresholder import load_cutoffs, load_returned_sets
 
 LOADERS = [
@@ -23,6 +23,7 @@ LOADERS = [
     load_queries,
     load_judgments,
     load_mt_hypotheses,
+    load_mt_ensemble,
     load_weights,
     load_cutoffs,
     load_returned_sets,
@@ -36,6 +37,8 @@ FORMAT_TEXT = st.text(alphabet='\t\n #=,.+-0123456789eE_abdfqst"{}[]:é', max_si
 # for a float.
 DEEP_JSON = b"[" * 100_000
 HUGE_ARC_PROB = b'{"id":"d","kind":"speech","utterances":[[[["a",1%s]]]]}' % (b"0" * 400)
+# Well-formed JSON that no ensemble model may hold.
+MISMATCHED_MODEL = b'{"systems": ["a"], "weights": [], "bias": 0}'
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,7 @@ def scratch(tmp_path_factory):
 @example(data=b"q1\tvirus spread\n\xff\n")
 @example(data=DEEP_JSON)
 @example(data=HUGE_ARC_PROB)
+@example(data=MISMATCHED_MODEL)
 def test_loads_or_names_the_file(scratch, loader, data):
     path = scratch / f"{loader.__name__}.txt"
     path.write_bytes(data)
