@@ -82,7 +82,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_config(path: Path) -> dict[str, str]:
+def _load_config(path: Path, command: str, options) -> dict[str, str]:
+    """The `key = value` lines of `path`; every key must be one of `options`."""
     if not path.is_file():
         raise ConfigError(f"config file does not exist: {path}")
     config: dict[str, str] = {}
@@ -94,10 +95,15 @@ def _load_config(path: Path) -> dict[str, str]:
             raise ConfigError(
                 f"{path}:{lineno}: expected `key = value`, got {line!r}"
             )
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        raw_key, _, value = line.partition("=")
+        key = raw_key.strip().replace("-", "_")
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key not in options:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {raw_key.strip()!r}:"
+                f" {command} has no option --{key.replace('_', '-')}"
+            )
         config[key] = value.strip()
     return config
 
@@ -108,7 +114,11 @@ class Options:
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
         config_path = self._args.get("config")
-        self._config = _load_config(config_path) if config_path else {}
+        # argparse gives every option of the subcommand a value, None if unset
+        options = self._args.keys() - {"command", "handler"}
+        self._config = (
+            _load_config(config_path, args.command, options) if config_path else {}
+        )
 
     def get(self, key: str, default=None, cast=str, required: bool = False):
         value = self._args.get(key)
@@ -391,19 +401,22 @@ def cmd_retrieve(opt: Options) -> int:
     mixture = _resolve_weights(opt, generators)
     combined = combine(matrices, mixture)
 
-    results = []
-    for query in queries:
-        ranked = rank(combined, corpus, query)
-        results.append((ranked, decide(ranked, cfg)))
+    decisions = []
+    sets_by_query = {}
 
-    save_run([ranked for ranked, _ in results], outdir / RANKED_FILE)
-    save_cutoffs([decision for _, decision in results], outdir / CUTOFFS_FILE)
-    sets_by_query = {
-        ranked.query_id: returned_set(ranked, decision)
-        for ranked, decision in results
-    }
+    def ranked_lists():
+        """Each query's ranked list, once its decision and set are kept."""
+        for query in queries:
+            ranked = rank(combined, corpus, query)
+            decision = decide(ranked, cfg)
+            decisions.append(decision)
+            sets_by_query[ranked.query_id] = returned_set(ranked, decision)
+            yield ranked
+
+    save_run(ranked_lists(), outdir / RANKED_FILE)
+    save_cutoffs(decisions, outdir / CUTOFFS_FILE)
     save_returned_sets(sets_by_query, outdir / SETS_FILE)
-    mean_k = sum(d.k for _, d in results) / len(results)
+    mean_k = sum(d.k for d in decisions) / len(decisions)
     print(
         f"retrieve: {len(queries)} queries over {len(corpus)} documents,"
         f" mean cutoff {mean_k:.2f} -> {outdir}"

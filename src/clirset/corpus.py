@@ -4,7 +4,9 @@ Documents (text sentences or speech confusion networks), English queries,
 translation tables, parallel bitext, and relevance judgments, plus the
 tokenizer that every raw text field passes through. Loaded structures are
 immutable; loaders validate invariants and raise DataError with file and
-line context.
+line context. A speech utterance's ConfusionNetwork stores its arcs as
+columns (a token tuple, one float64 array, the slot ends), not as one
+Python object per arc.
 
 File formats:
   - corpus: JSONL, one document per line.
@@ -27,7 +29,7 @@ import string
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -72,39 +74,106 @@ def normalize_sentence(raw: str) -> Sentence:
     return tuple(normalize(raw))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ConfusionNetwork:
-    """Sausage lattice for one utterance: per-slot (token, prob) arcs.
+    """Sausage lattice for one utterance, stored as columns of arcs.
 
-    Every arc probability is > 0 and each slot's probabilities sum to at
-    most 1 (plus tolerance); the deficit is unmodeled mass.
+    Arc i has token tokens[i] and probability probs[i] (one read-only
+    float64 array per network); slot j holds the arcs from ends[j - 1]
+    (0 for the first slot) up to ends[j]. Every arc probability is > 0
+    and each slot's probabilities sum to at most 1 (plus tolerance); the
+    deficit is unmodeled mass.
     """
 
-    slots: tuple[tuple[tuple[Token, float], ...], ...]
+    tokens: tuple[Token, ...]
+    probs: np.ndarray
+    ends: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.slots:
+        probs = np.asarray(self.probs, dtype=np.float64)
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        tokens, ends = self.tokens, self.ends
+        if not ends:
             raise DataError("confusion network has no slots")
-        for i, slot in enumerate(self.slots):
-            if not slot:
+        if probs.shape != (len(tokens),) or ends[-1] != len(tokens):
+            raise DataError(
+                f"confusion network has {len(tokens)} tokens, {probs.size} probs"
+                f" and slots ending at arc {ends[-1]}"
+            )
+        # The arcs are checked as a whole first. min and max pass over a NaN
+        # that is not first, but it makes its slot's sum NaN. A slot is
+        # checked arc by arc only when the whole check or its sum fails, so
+        # the error names the first slot at fault and, in it, the first arc.
+        # Each slot sums from 0.0 in arc order, as numpy's pairwise sums
+        # would not.
+        values = probs.tolist()
+        arcs_ok = (
+            all(tokens)
+            and 0.0 < min(values, default=1.0)
+            and max(values, default=1.0) <= 1.0
+        )
+        start = 0
+        for i, end in enumerate(ends):
+            if end <= start:
                 raise DataError(f"confusion network slot {i} is empty")
             total = 0.0
-            for token, prob in slot:
-                if not token:
-                    raise DataError(f"confusion network slot {i} has an empty token")
-                if not 0.0 < prob <= 1.0:
-                    raise DataError(
-                        f"confusion network slot {i} arc prob {prob!r} outside (0, 1]"
-                    )
-                total += prob
+            if arcs_ok:
+                for prob in values[start:end]:
+                    total += prob
+            if not arcs_ok or total != total:
+                total = 0.0
+                for token, prob in zip(tokens[start:end], values[start:end]):
+                    if not token:
+                        raise DataError(
+                            f"confusion network slot {i} has an empty token"
+                        )
+                    if not 0.0 < prob <= 1.0:
+                        raise DataError(
+                            f"confusion network slot {i} arc prob {prob!r}"
+                            " outside (0, 1]"
+                        )
+                    total += prob
             if total > 1.0 + SLOT_SUM_TOLERANCE:
                 raise DataError(
                     f"confusion network slot {i} probs sum to {total!r} > 1"
                 )
+            start = end
+
+    @classmethod
+    def from_slots(cls, slots) -> "ConfusionNetwork":
+        """The network of `slots`, each a sequence of (token, prob) arcs."""
+        tokens, probs = tuple(zip(*chain.from_iterable(slots))) or ((), ())
+        return cls(
+            tokens, np.array(probs, dtype=np.float64), tuple(accumulate(map(len, slots)))
+        )
+
+    @property
+    def slots(self) -> tuple[tuple[tuple[Token, float], ...], ...]:
+        """The arcs of each slot as (token, prob) pairs, built on each call."""
+        probs = self.probs.tolist()
+        return tuple(
+            tuple(zip(self.tokens[start:end], probs[start:end]))
+            for start, end in zip((0, *self.ends), self.ends)
+        )
 
     def one_best(self) -> Sentence:
         """Highest-probability token per slot (first arc wins ties)."""
-        return tuple(max(slot, key=itemgetter(1))[0] for slot in self.slots)
+        probs = self.probs.tolist()
+        best = []
+        for start, end in zip((0, *self.ends), self.ends):
+            slot = probs[start:end]
+            best.append(self.tokens[start + slot.index(max(slot))])
+        return tuple(best)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConfusionNetwork):
+            return NotImplemented
+        return (
+            self.tokens == other.tokens
+            and self.ends == other.ends
+            and np.array_equal(self.probs, other.probs)
+        )
 
 
 @dataclass(frozen=True)
@@ -448,7 +517,8 @@ def load_corpus(path) -> Corpus:
 
     Each distinct raw arc token is normalized once per call: `arc_tokens`
     maps it to its one normalized token, so every arc with that raw token
-    shares one string.
+    shares one string. An utterance's arcs are appended to a token list
+    and a probability list, from which its ConfusionNetwork is built once.
 
     The cyclic garbage collector is paused while the file is parsed, and
     its earlier state is restored afterwards. JSON values and the documents
@@ -517,13 +587,14 @@ def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Do
         for u, raw_slots in enumerate(raw_utts):
             if not isinstance(raw_slots, list) or not raw_slots:
                 raise DataError(f"{ctx}: utterance {u} of {doc_id!r} has no slots")
-            slots = []
+            tokens: list[Token] = []
+            probs: list[float] = []
+            ends: list[int] = []
             for s, raw_arcs in enumerate(raw_slots):
                 if not isinstance(raw_arcs, list) or not raw_arcs:
                     raise DataError(
                         f"{ctx}: utterance {u} slot {s} of {doc_id!r} has no arcs"
                     )
-                arcs = []
                 for arc in raw_arcs:
                     if not isinstance(arc, list) or len(arc) != 2:
                         raise DataError(
@@ -538,13 +609,13 @@ def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Do
                         )
                     token = arc_tokens.get(raw_token)
                     if token is None:
-                        tokens = normalize(raw_token)
-                        if len(tokens) != 1:
+                        normalized = normalize(raw_token)
+                        if len(normalized) != 1:
                             raise DataError(
                                 f"{ctx}: arc token {raw_token!r} in {doc_id!r} does"
                                 " not normalize to exactly one token"
                             )
-                        token = arc_tokens[raw_token] = tokens[0]
+                        token = arc_tokens[raw_token] = normalized[0]
                     if type(prob) is not float:  # float(prob) is prob for a float
                         if not isinstance(prob, (int, float)):
                             raise DataError(
@@ -552,10 +623,13 @@ def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Do
                                 " is not a number"
                             )
                         prob = float(prob)
-                    arcs.append((token, prob))
-                slots.append(tuple(arcs))
+                    tokens.append(token)
+                    probs.append(prob)
+                ends.append(len(tokens))
             try:
-                utterances.append(ConfusionNetwork(tuple(slots)))
+                utterances.append(
+                    ConfusionNetwork(tuple(tokens), np.array(probs), tuple(ends))
+                )
             except DataError as exc:
                 raise DataError(f"{ctx}: utterance {u} of {doc_id!r}: {exc}") from exc
         return Document(id=doc_id, kind=SPEECH, utterances=tuple(utterances))
@@ -575,10 +649,8 @@ def save_corpus(corpus: Corpus, path) -> None:
                 obj = {
                     "id": doc.id,
                     "kind": SPEECH,
-                    "utterances": [
-                        [[[tok, prob] for tok, prob in slot] for slot in cn.slots]
-                        for cn in doc.utterances
-                    ],
+                    # json writes the (token, prob) tuples as [token, prob]
+                    "utterances": [cn.slots for cn in doc.utterances],
                 }
             out.write(json.dumps(obj, separators=(",", ":")) + "\n")
 

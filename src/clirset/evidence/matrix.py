@@ -133,7 +133,9 @@ class EvidenceMatrix:
         # (doc id, segment index) -> row; the rows count up in the dict's order
         self._rows = {} if rows is None else rows
         self._own_rows = rows is None  # else the corpus's, which put must not change
-        self._columns: dict[Token, tuple[np.ndarray, np.ndarray]] = {}
+        self._merged: dict[Token, tuple[np.ndarray, np.ndarray]] = {}
+        # word -> {row: floored value} for the cells put since the last read
+        self._puts: dict[Token, dict[int, float]] = {}
         cells, background = ({}, None) if columns is None else columns
         self.background = epsilon if background is None else float(
             # NaN here is the value of the first segment for the first word
@@ -146,7 +148,7 @@ class EvidenceMatrix:
             floored = self._floored(
                 values, lambda i: (*list(self._rows)[column_rows[i]], word)
             )
-            self._columns[word] = _read_only(column_rows, floored)
+            self._merged[word] = _read_only(column_rows, floored)
 
     def _floored(self, values: np.ndarray, cell) -> np.ndarray:
         """`values` floored into [epsilon, 1 - epsilon].
@@ -157,29 +159,46 @@ class EvidenceMatrix:
         floored = np.minimum(np.maximum(values, self.epsilon), 1.0 - self.epsilon)
         nan = np.isnan(floored)
         if nan.any():
-            doc_id, index, word = cell(int(np.argmax(nan)))
-            raise DataError(
-                f"generator {self.generator!r} gave NaN evidence for"
-                f" document {doc_id!r} segment {index} word {word!r}"
-            )
+            self._nan_error(*cell(int(np.argmax(nan))))
         return floored
 
+    def _nan_error(self, doc_id: str, index: int, word: Token):
+        raise DataError(
+            f"generator {self.generator!r} gave NaN evidence for"
+            f" document {doc_id!r} segment {index} word {word!r}"
+        )
+
     def put(self, doc_id: str, index: int, word: Token, prob: float) -> None:
-        """Store one cell, floored, replacing an earlier one; copies its column."""
-        value = self._floored(np.array([prob], dtype=float), lambda i: (doc_id, index, word))
+        """Store one cell, floored, replacing an earlier one.
+
+        The cell joins its word's column when the columns are next read,
+        so a series of puts takes time linear in its length.
+        """
+        # the scalar form of _floored: max and min keep NaN as numpy's do
+        value = min(max(float(prob), self.epsilon), 1.0 - self.epsilon)
+        if value != value:
+            self._nan_error(doc_id, index, word)
         key = (doc_id, index)
         row = self._rows.get(key)
         if row is None:
             if not self._own_rows:
                 self._rows, self._own_rows = dict(self._rows), True
             row = self._rows[key] = len(self._rows)
-        rows, values = self._columns.get(word, _NO_COLUMN)
-        at = int(np.searchsorted(rows, row))
-        end = at + int(at < len(rows) and rows[at] == row)  # a cell it replaces
-        self._columns[word] = _read_only(
-            np.concatenate((rows[:at], [row], rows[end:])),
-            np.concatenate((values[:at], value, values[end:])),
-        )
+        self._puts.setdefault(word, {})[row] = value
+
+    @property
+    def _columns(self) -> dict[Token, tuple[np.ndarray, np.ndarray]]:
+        """Each word's column, with the cells put since the last read merged in."""
+        for word, cells in self._puts.items():
+            rows, values = self._merged.get(word, _NO_COLUMN)
+            put_rows = np.fromiter(cells, np.int64, len(cells))
+            kept = ~np.isin(rows, put_rows)  # the cells a put replaces go
+            rows = np.concatenate((rows[kept], put_rows))
+            values = np.concatenate((values[kept], list(cells.values())))
+            order = np.argsort(rows, kind="stable")
+            self._merged[word] = _read_only(rows[order], values[order])
+        self._puts.clear()
+        return self._merged
 
     def cells_at(
         self, positions: Mapping[tuple[str, int], int], words: Iterable[Token]

@@ -360,7 +360,8 @@ class SearcherGenerator:
         for position, (start, end) in enumerate(zip([0, *ends], ends)):
             h, _ = _contextualize(model.params, foreign_emb[token_ids[start:end]])
             np.maximum.reduce(h @ english, axis=0, out=best[position])
-        probs = sigmoid(best + model.params["bias"][ids]).T
+        best += model.params["bias"][ids]
+        probs = sigmoid(best).T
         rows = np.arange(len(best))
         return {word: (rows, column) for word, column in zip(known, probs)}, None
 

@@ -17,7 +17,7 @@ into the words' columns; the other segments read as the floor.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +50,8 @@ class TranslationTableGenerator:
         segments = (segment for doc in corpus for segment in doc.segments)
         for position, segment in enumerate(segments):
             if isinstance(segment, ConfusionNetwork):
-                arcs = chain.from_iterable(segment.slots)
+                # Python floats, so prob * arc_prob rounds as in the text case
+                arcs = zip(segment.tokens, segment.probs.tolist())
             else:
                 arcs = zip(segment, repeat(1.0))
             best: dict[Token, float] = {}

@@ -36,6 +36,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import (
     SPEECH,
     TEXT,
@@ -292,23 +294,24 @@ def _wrap_documents(spec, doc_ids, doc_sentences, decoy_pool):
             continue
         utterances = []
         for sentence in sentences:
-            slots = []
+            tokens, probs, ends = [], [], []
             for token in sentence:
-                if spec.noise == 0.0 or spec.confusion_depth == 1:
-                    # With no decoy mass the slot is just the true token;
-                    # zero-probability arcs are not representable.
-                    arcs = [(token, 1.0 - spec.noise)]
-                else:
+                tokens.append(token)
+                probs.append(1.0 - spec.noise)
+                # With no decoy mass the slot is just the true token;
+                # zero-probability arcs are not representable.
+                if spec.noise != 0.0 and spec.confusion_depth != 1:
                     decoys = []
                     while len(decoys) < spec.confusion_depth - 1:
                         decoy = rng_speech.choice(decoy_pool)
                         if decoy != token and decoy not in decoys:
                             decoys.append(decoy)
-                    share = spec.noise / len(decoys)
-                    arcs = [(token, 1.0 - spec.noise)]
-                    arcs.extend((decoy, share) for decoy in decoys)
-                slots.append(tuple(arcs))
-            utterances.append(ConfusionNetwork(tuple(slots)))
+                    tokens.extend(decoys)
+                    probs.extend([spec.noise / len(decoys)] * len(decoys))
+                ends.append(len(tokens))
+            utterances.append(
+                ConfusionNetwork(tuple(tokens), np.array(probs), tuple(ends))
+            )
         docs.append(Document(id=doc_id, kind=SPEECH, utterances=tuple(utterances)))
     return Corpus.from_documents(docs)
 

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import weakref
 import zipfile
 
 import numpy as np
@@ -13,6 +14,7 @@ import clirset.combiner as combiner_module
 from clirset.cli import main
 from clirset.combiner import load_weights
 from clirset.corpus import load_bitext
+from clirset.relevance import rank
 from clirset.evidence import (
     SearcherConfig,
     Vocabulary,
@@ -121,6 +123,26 @@ class TestPipeline:
         assert main(retrieve_args(data_dir, run2)) == 0
         for name in ("ranked.run", "cutoffs.tsv", "sets.tsv"):
             assert (run1 / name).read_bytes() == (run2 / name).read_bytes()
+
+    def test_retrieve_holds_one_ranked_list_at_a_time(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        alive = []  # weak references to every ranked list made so far
+        most_alive = 0
+
+        def tracked_rank(*args):
+            nonlocal most_alive
+            most_alive = max(most_alive, sum(ref() is not None for ref in alive))
+            ranked = rank(*args)
+            alive.append(weakref.ref(ranked))
+            return ranked
+
+        monkeypatch.setattr(cli_module, "rank", tracked_rank)
+        assert main(retrieve_args(data_dir, tmp_path / "run")) == 0
+        assert len(alive) == 5
+        # at most the list before, whose lines may still be being written
+        assert most_alive <= 1
+        assert all(ref() is None for ref in alive)
 
     def test_missing_query_in_sets_scores_as_empty_set(
         self, data_dir, tmp_path, capsys
@@ -565,6 +587,20 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("docs = seven\n")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("docs = 7\n# queries\nqueriez = 2\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: unknown key 'queriez': synth has no option --queriez\n"
+        )
+
+    def test_config_key_of_another_command_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text("beta = 40\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"{cfg}:1: unknown key 'beta'" in capsys.readouterr().err
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert main([

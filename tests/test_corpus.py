@@ -3,7 +3,9 @@
 import gc
 import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from clirset.corpus import (
 )
 from clirset.errors import DataError
 from clirset.relevance import RankedList, save_run
+from clirset.synth import SynthSpec, generate
 from clirset.thresholder import CutoffDecision, save_cutoffs, save_returned_sets
 
 
@@ -156,7 +159,7 @@ class TestCorpusIO:
                 id="s",
                 kind="speech",
                 utterances=(
-                    ConfusionNetwork(((("a", 0.7), ("b", 0.25)), (("c", 1.0),))),
+                    ConfusionNetwork.from_slots(((("a", 0.7), ("b", 0.25)), (("c", 1.0),))),
                 ),
             ),
         ]
@@ -219,7 +222,7 @@ def per_arc_reference(objs):
                     (token,) = normalize(raw_token)
                     arcs.append((token, float(prob)))
                 slots.append(tuple(arcs))
-            utterances.append(ConfusionNetwork(tuple(slots)))
+            utterances.append(ConfusionNetwork.from_slots(tuple(slots)))
         docs.append(Document(id=obj["id"], kind="speech", utterances=tuple(utterances)))
     return Corpus.from_documents(docs)
 
@@ -288,6 +291,139 @@ class TestLoadCorpusPerDistinctToken:
         line = {"id": "d", "kind": "speech", "utterances": [[[[["a"], 1.0]]]]}
         with pytest.raises(DataError, match=r"corpus\.jsonl:1: .*non-string token"):
             load_corpus(write_corpus(tmp_path / "corpus.jsonl", [line]))
+
+
+SLOTS = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.sampled_from([0.1, 0.2, 0.25])),
+        min_size=1,
+        max_size=4,
+    ).map(tuple),
+    min_size=1,
+    max_size=5,
+).map(tuple)
+
+
+class TestConfusionNetworkColumns:
+    @given(SLOTS)
+    def test_from_slots_round_trips(self, slots):
+        cn = ConfusionNetwork.from_slots(slots)
+        assert cn.slots == slots
+        assert cn.tokens == tuple(token for slot in slots for token, _ in slot)
+        assert len(cn.ends) == len(slots)
+
+    @given(SLOTS)
+    def test_one_best_first_arc_wins_ties(self, slots):
+        expected = tuple(max(slot, key=lambda arc: arc[1])[0] for slot in slots)
+        assert ConfusionNetwork.from_slots(slots).one_best() == expected
+
+    def test_one_best_tie_picks_the_first_arc(self):
+        cn = ConfusionNetwork.from_slots(
+            ((("a", 0.4), ("b", 0.4)), (("c", 0.2), ("d", 0.4), ("e", 0.4)))
+        )
+        assert cn.one_best() == ("a", "d")
+
+    def test_probs_are_one_read_only_float64_array(self):
+        cn = ConfusionNetwork.from_slots(((("a", 1),), (("b", 0.5), ("c", 0.5))))
+        assert cn.probs.dtype == np.float64 and cn.probs.tolist() == [1.0, 0.5, 0.5]
+        with pytest.raises(ValueError):
+            cn.probs[0] = 0.5
+
+    def test_equality_compares_every_column(self):
+        cn = ConfusionNetwork.from_slots(((("a", 0.5), ("b", 0.5)),))
+        assert cn == ConfusionNetwork.from_slots(((("a", 0.5), ("b", 0.5)),))
+        assert cn != ConfusionNetwork.from_slots(((("a", 0.5), ("b", 0.25)),))
+        assert cn != ConfusionNetwork.from_slots(((("a", 0.5),), (("b", 0.5),)))
+        assert cn != ConfusionNetwork.from_slots(((("a", 0.5), ("c", 0.5)),))
+
+    @pytest.mark.parametrize(
+        "slots, message",
+        [
+            ((), "confusion network has no slots"),
+            (((),), "confusion network slot 0 is empty"),
+            (((("a", 0.5),), ()), "confusion network slot 1 is empty"),
+            (((("a", 0.5),), (("", 0.5),)), "confusion network slot 1 has an empty token"),
+            (((("a", 0.0),),), "confusion network slot 0 arc prob 0.0 outside (0, 1]"),
+            (((("a", float("nan")),),), "confusion network slot 0 arc prob nan outside (0, 1]"),
+            (((("a", 1.5),),), "confusion network slot 0 arc prob 1.5 outside (0, 1]"),
+            # a NaN after the first arc, which min and max over the network miss
+            (
+                ((("a", 0.5),), (("b", 0.2), ("c", float("nan")))),
+                "confusion network slot 1 arc prob nan outside (0, 1]",
+            ),
+            (((("a", 0.7), ("b", 0.5)),), "confusion network slot 0 probs sum to 1.2 > 1"),
+            # nine arcs: summed in arc order, not pairwise
+            (
+                (tuple(zip("abcdefghi", (0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3, 0.05, 0.0500001))),),
+                "confusion network slot 0 probs sum to 1.7000001000000002 > 1",
+            ),
+            # the first slot at fault is named, whatever is wrong in later slots
+            (
+                ((("a", 0.7), ("b", 0.5)), (("", 0.5),)),
+                "confusion network slot 0 probs sum to 1.2 > 1",
+            ),
+            (
+                ((("a", 0.5),), (("b", 0.6), ("c", 0.6)), (("d", 3.0),)),
+                "confusion network slot 1 probs sum to 1.2 > 1",
+            ),
+            # within a slot, arcs are checked in order, the token before the prob
+            (((("", 2.0),),), "confusion network slot 0 has an empty token"),
+            (((("a", 2.0), ("", 0.5)),), "confusion network slot 0 arc prob 2.0 outside (0, 1]"),
+        ],
+    )
+    def test_validation_messages(self, slots, message):
+        with pytest.raises(DataError) as info:
+            ConfusionNetwork.from_slots(slots)
+        assert str(info.value) == message
+
+    def test_columns_must_agree(self):
+        with pytest.raises(DataError, match="1 tokens, 2 probs and slots ending at arc 1"):
+            ConfusionNetwork(("a",), np.array([0.5, 0.5]), (1,))
+
+    def test_load_error_names_line_document_utterance_and_slot(self, tmp_path):
+        good = {"id": "g", "kind": "speech", "utterances": [[[["a", 1.0]]]]}
+        bad = {"id": "b", "kind": "speech",
+               "utterances": [[[["a", 1.0]]], [[["a", 0.5]], [["b", 0.75], ["c", 0.5]]]]}
+        with pytest.raises(DataError) as info:
+            load_corpus(write_corpus(tmp_path / "corpus.jsonl", [good, bad]))
+        assert str(info.value) == (
+            f"{tmp_path / 'corpus.jsonl'}:2: utterance 1 of 'b':"
+            " confusion network slot 1 probs sum to 1.25 > 1"
+        )
+
+    def test_save_then_load_is_byte_identical(self, tmp_path):
+        spec = SynthSpec(docs=20, queries=2, noise=0.3, speech_fraction=0.5,
+                         confusion_depth=4, bitext_pairs=20)
+        corpus = generate(spec).corpus
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_corpus(corpus, first)
+        loaded = load_corpus(first)
+        assert loaded == corpus
+        save_corpus(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_loaded_speech_keeps_few_bytes_per_arc(self, tmp_path):
+        """A token reference and a float64 per arc, plus a little per network.
+
+        Arcs held as (token, float) tuples inside slot tuples take about
+        100 bytes each.
+        """
+        spec = SynthSpec(docs=100, queries=2, noise=0.3, speech_fraction=1.0,
+                         confusion_depth=5, bitext_pairs=20)
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(generate(spec).corpus, path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = load_corpus(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arcs = sum(len(slot) for doc in corpus for cn in doc.utterances for slot in cn.slots)
+        assert arcs > 10_000
+        assert retained / arcs < 40
 
 
 class TestLoadCorpusPausesTheCollector:

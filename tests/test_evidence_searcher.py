@@ -242,7 +242,7 @@ class TestGenerator:
         model.params["foreign_emb"][0] = [5.0, 0.0]  # f0
         model.params["foreign_emb"][1] = [-5.0, 0.0]  # f1
         model.params["english_emb"][0] = [1.0, 0.0]
-        cn = ConfusionNetwork(((("f1", 0.6), ("f0", 0.4)),))
+        cn = ConfusionNetwork.from_slots(((("f1", 0.6), ("f0", 0.4)),))
         speech = Document(id="d", kind="speech", utterances=(cn,))
         gen = SearcherGenerator(model)
         scores = segment_scores(gen, speech, ["e0"])

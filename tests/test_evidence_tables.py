@@ -92,7 +92,7 @@ class TestTtEvidence:
 class TestCnEvidence:
     def test_arc_weighted_max(self):
         t = table({"f1": {"e1": 0.6}, "f2": {"e1": 0.5}})
-        cn = ConfusionNetwork(
+        cn = ConfusionNetwork.from_slots(
             (
                 (("f1", 0.5), ("f2", 0.5)),
                 (("f2", 0.4),),
@@ -103,7 +103,7 @@ class TestCnEvidence:
 
     def test_no_reachable_words(self):
         t = table({"f1": {"e1": 0.6}})
-        cn = ConfusionNetwork(((("zz", 1.0),),))
+        cn = ConfusionNetwork.from_slots(((("zz", 1.0),),))
         assert scores(t, cn) == {}
 
     @given(st.data())
@@ -122,7 +122,7 @@ class TestCnEvidence:
         sentence = tuple(
             data.draw(st.sampled_from(foreign), label=f"tok{i}") for i in range(3)
         )
-        cn = ConfusionNetwork(tuple(((tok, 1.0),) for tok in sentence))
+        cn = ConfusionNetwork.from_slots(tuple(((tok, 1.0),) for tok in sentence))
         t = table(entries)
         assert scores(t, cn) == scores(t, sentence)
 
@@ -149,7 +149,7 @@ class TestBuildEvidence:
     def test_speech_and_text_agree_on_certain_arcs(self):
         t = table({"f1": {"e1": 0.6}, "f2": {"e2": 0.3}})
         text_doc = Document(id="d", kind="text", sentences=(("f1", "f2"),))
-        cn = ConfusionNetwork(((("f1", 1.0),), (("f2", 1.0),)))
+        cn = ConfusionNetwork.from_slots(((("f1", 1.0),), (("f2", 1.0),)))
         speech_doc = Document(id="d", kind="speech", utterances=(cn,))
         queries = [parse_query("q\te1 e2")]
         gen = TranslationTableGenerator(t)
@@ -190,7 +190,7 @@ SENTENCES = st.lists(
     st.sampled_from(FOREIGN + ABSENT), min_size=1, max_size=5
 ).map(tuple)
 NETWORKS = st.lists(slots(), min_size=1, max_size=4).map(
-    lambda drawn: ConfusionNetwork(tuple(drawn))
+    lambda drawn: ConfusionNetwork.from_slots(tuple(drawn))
 )
 DOCUMENTS = st.one_of(
     st.lists(SENTENCES, min_size=1, max_size=3).map(

@@ -173,7 +173,7 @@ def networks(draw):
     for _ in range(draw(st.integers(1, 4))):
         tokens = draw(st.lists(TOKENS, min_size=1, max_size=3))
         slots.append(tuple((token, draw(SHARE) / len(tokens)) for token in tokens))
-    return ConfusionNetwork(tuple(slots))
+    return ConfusionNetwork.from_slots(tuple(slots))
 
 
 @st.composite
