@@ -163,19 +163,17 @@ def fit_mixture(
     vocab: Vocabulary,
     m_neg: int = DEFAULT_NEGATIVES_PER_POSITIVE,
     seed: int = 0,
-    tol: float = DEFAULT_EM_TOLERANCE,
-    max_iter: int = DEFAULT_EM_MAX_ITERATIONS,
     *,
     instances: Sequence[LabeledInstance] | None = None,
 ) -> MixtureWeights:
     """Fit weights on held-out bitext instances read out of the matrices.
 
     The matrices must be built over the bitext pseudo-corpus (see
-    corpus.bitext_corpus); entries the generators never stored read as
-    their background, mostly the floor: a near-certain vote for "not
-    relevant". `instances`, when given, must be `labeled_instances(bitext,
-    vocab, m_neg, random.Random(seed))`, which a caller that already drew
-    them passes instead of having them drawn again.
+    corpus.bitext_corpus); any other raises DataError. Entries the
+    generators never stored read as their background, mostly the floor: a
+    near-certain vote for "not relevant". `instances`, when given, must be
+    `labeled_instances(bitext, vocab, m_neg, random.Random(seed))`, which a
+    caller that already drew them passes instead of having them drawn again.
     """
     tags = [m.generator for m in matrices]
     if len(set(tags)) != len(tags):
@@ -199,7 +197,7 @@ def fit_mixture(
             by_pair[held] = values
             p[members[word]] = by_pair[pairs[members[word]]]
         q[:, col] = np.where(positive, p, 1.0 - p)
-    lam, history = em_fit(q, tol, max_iter)
+    lam, history = em_fit(q)
     log.info(
         "fit mixture over %d instances, %d iterations, loglik %.6f",
         len(instances),

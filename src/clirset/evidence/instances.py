@@ -29,13 +29,12 @@ class LabeledInstance:
 def labeled_instances(
     bitext: Bitext,
     vocab: Vocabulary,
-    m_neg: int = DEFAULT_NEGATIVES_PER_POSITIVE,
-    rng: random.Random | None = None,
+    m_neg: int,
+    rng: random.Random,
 ) -> list[LabeledInstance]:
     """Positives and sampled negatives for every bitext pair, in pair order."""
     if m_neg < 1:
         raise DataError(f"negative sampling rate {m_neg} must be >= 1")
-    rng = rng if rng is not None else random.Random(0)
     instances: list[LabeledInstance] = []
     for i, (_, english) in enumerate(bitext):
         reference = set(english)

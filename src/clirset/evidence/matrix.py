@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -105,21 +105,21 @@ class EvidenceGenerator(Protocol):
 class EvidenceMatrix:
     """p(rel | segment, word) for one generator, floored, stored by column.
 
-    A built matrix numbers its rows, the segments, as its corpus's
-    `segment_positions`; `put` numbers a new segment next. Each word has
-    one column: the ascending rows (int64) that hold a cell for it, and
-    their values (float64). Every other cell reads as `background`, the
-    floor unless the generator gave one. Such a background is a cell of
-    the words in `filled` at every segment: iter_cells lists those cells
-    too, n_cells counts the column cells only.
+    Its rows, the segments, are numbered as the `segment_positions` of
+    the corpus it is built over, and it is read only by that numbering.
+    Each word has one column: the ascending rows (int64) that hold a cell
+    for it, and their values (float64). Every other cell reads as
+    `background`, the floor unless the generator gave one. Such a
+    background is a cell of the words in `filled` at every segment:
+    iter_cells lists those cells too, n_cells counts the column cells only.
     """
 
     def __init__(
         self,
         generator: str,
-        epsilon: float = DEFAULT_EPSILON,
-        columns: Columns | None = None,
-        rows: dict[tuple[str, int], int] | None = None,
+        epsilon: float,
+        columns: Columns,
+        rows: dict[tuple[str, int], int],
         filled: Iterable[Token] = (),
     ) -> None:
         """A matrix of `columns`, floored, over the segments `rows` numbers."""
@@ -131,99 +131,53 @@ class EvidenceMatrix:
         self.epsilon = epsilon
         self.filled = frozenset(filled)
         # (doc id, segment index) -> row; the rows count up in the dict's order
-        self._rows = {} if rows is None else rows
-        self._own_rows = rows is None  # else the corpus's, which put must not change
-        self._merged: dict[Token, tuple[np.ndarray, np.ndarray]] = {}
-        # word -> {row: floored value} for the cells put since the last read
-        self._puts: dict[Token, dict[int, float]] = {}
-        cells, background = ({}, None) if columns is None else columns
-        self.background = epsilon if background is None else float(
-            # NaN here is the value of the first segment for the first word
-            self._floored(
-                np.array([background]),
-                lambda i: (*next(iter(self._rows)), min(self.filled, default=None)),
-            )[0]
+        self._rows = rows
+        cells, background = columns
+        if background is None:
+            background = epsilon
+        self.background = float(self._floored(background))
+        self._columns = {
+            word: _read_only(column_rows, self._floored(values))
+            for word, (column_rows, values) in cells.items()
+        }
+        # NaN passes the floor unchanged: name its first cell in corpus order
+        nan = min(
+            (
+                (int(column_rows[np.argmax(np.isnan(values))]), word)
+                for word, (column_rows, values) in self._columns.items()
+                if np.isnan(values).any()
+            ),
+            default=None,
         )
-        for word, (column_rows, values) in cells.items():
-            floored = self._floored(
-                values, lambda i: (*list(self._rows)[column_rows[i]], word)
+        if self.background != self.background:  # a NaN cell at every segment
+            nan = 0, min(self.filled, default=None)
+        if nan is not None:
+            row, word = nan
+            doc_id, index = list(rows)[row]
+            raise DataError(
+                f"generator {generator!r} gave NaN evidence for"
+                f" document {doc_id!r} segment {index} word {word!r}"
             )
-            self._merged[word] = _read_only(column_rows, floored)
 
-    def _floored(self, values: np.ndarray, cell) -> np.ndarray:
-        """`values` floored into [epsilon, 1 - epsilon].
-
-        NaN passes the floor unchanged, so it is an error naming cell(i),
-        the (doc id, index, word) of value i.
-        """
-        floored = np.minimum(np.maximum(values, self.epsilon), 1.0 - self.epsilon)
-        nan = np.isnan(floored)
-        if nan.any():
-            self._nan_error(*cell(int(np.argmax(nan))))
-        return floored
-
-    def _nan_error(self, doc_id: str, index: int, word: Token):
-        raise DataError(
-            f"generator {self.generator!r} gave NaN evidence for"
-            f" document {doc_id!r} segment {index} word {word!r}"
-        )
-
-    def put(self, doc_id: str, index: int, word: Token, prob: float) -> None:
-        """Store one cell, floored, replacing an earlier one.
-
-        The cell joins its word's column when the columns are next read,
-        so a series of puts takes time linear in its length.
-        """
-        # the scalar form of _floored: max and min keep NaN as numpy's do
-        value = min(max(float(prob), self.epsilon), 1.0 - self.epsilon)
-        if value != value:
-            self._nan_error(doc_id, index, word)
-        key = (doc_id, index)
-        row = self._rows.get(key)
-        if row is None:
-            if not self._own_rows:
-                self._rows, self._own_rows = dict(self._rows), True
-            row = self._rows[key] = len(self._rows)
-        self._puts.setdefault(word, {})[row] = value
-
-    @property
-    def _columns(self) -> dict[Token, tuple[np.ndarray, np.ndarray]]:
-        """Each word's column, with the cells put since the last read merged in."""
-        for word, cells in self._puts.items():
-            rows, values = self._merged.get(word, _NO_COLUMN)
-            put_rows = np.fromiter(cells, np.int64, len(cells))
-            kept = ~np.isin(rows, put_rows)  # the cells a put replaces go
-            rows = np.concatenate((rows[kept], put_rows))
-            values = np.concatenate((values[kept], list(cells.values())))
-            order = np.argsort(rows, kind="stable")
-            self._merged[word] = _read_only(rows[order], values[order])
-        self._puts.clear()
-        return self._merged
+    def _floored(self, values: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(values, self.epsilon), 1.0 - self.epsilon)
 
     def cells_at(
         self, positions: Mapping[tuple[str, int], int], words: Iterable[Token]
     ) -> dict[Token, tuple[np.ndarray, np.ndarray]]:
-        """Each word's stored cells at the segments `positions` numbers.
+        """Each word's stored cells: the rows that hold one, and their values.
 
-        `positions` maps (doc id, segment index) to a position. For each
-        word: the positions of the segments that hold a cell for it, and
-        those cells' values; every other position reads as the
-        background. A matrix whose rows are numbered as `positions` (one
-        built over the corpus they come from) gives its columns as they
-        are; any other looks up each of its segments.
+        `positions` must number the segments as the matrix's rows do: it is
+        the `segment_positions` of the corpus the matrix was built over, or
+        equal to it. Any other numbering is a DataError. Every row a word's
+        column does not hold reads as the background.
         """
-        columns = {word: self._columns.get(word, _NO_COLUMN) for word in words}
-        if positions is self._rows or positions == self._rows:
-            return columns
-        position = np.fromiter(
-            map(positions.get, self._rows, repeat(-1)), np.int64, len(self._rows)
-        )
-        out = {}
-        for word, (rows, values) in columns.items():
-            at = position[rows]
-            held = at >= 0
-            out[word] = at[held], values[held]
-        return out
+        if positions is not self._rows and positions != self._rows:
+            raise DataError(
+                f"evidence matrix {self.generator!r} is read over a corpus"
+                " it was not built over"
+            )
+        return {word: self._columns.get(word, _NO_COLUMN) for word in words}
 
     def n_cells(self) -> int:
         """The cells the columns hold; background cells are not counted."""

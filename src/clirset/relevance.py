@@ -1,4 +1,7 @@
-"""Relevance algebra: sentence evidence -> calibrated query/document scores.
+"""Relevance algebra: sentence evidence -> query/document probabilities.
+
+The cutoff rule downstream assumes these probabilities are calibrated;
+they are not yet (calibration on held-out bitext is ROADMAP item 2).
 
 Under the independence reading, a phrase is relevant to a sentence iff all
 its words are (product), relevant to a document iff at least one sentence
@@ -25,7 +28,7 @@ from operator import itemgetter, lt, ne
 
 import numpy as np
 
-from .corpus import LEXICAL, Corpus, Document, Query, atomic_output
+from .corpus import LEXICAL, Corpus, Query, atomic_output
 from .errors import DataError, UnsupportedQueryError
 from .evidence.matrix import EvidenceMatrix
 
@@ -128,11 +131,6 @@ def _query_doc_rels(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> n
         in_order[corpus.by_length] = log_miss
         phrase_logs.append(_per_value(_log_union, in_order))
     return _per_value(_prob, sum(phrase_logs))
-
-
-def query_doc_rel(evidence: EvidenceMatrix, doc: Document, query: Query) -> float:
-    """Product over the query's phrases of their document relevance."""
-    return float(_query_doc_rels(evidence, Corpus({doc.id: doc}), query)[0])
 
 
 def rank(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> RankedList:

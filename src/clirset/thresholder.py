@@ -1,13 +1,13 @@
 """Query-specific cutoff choice by maximizing the expected query value.
 
-Given a ranked list of calibrated probabilities p_1 >= ... >= p_N, two
-cumulative sums produce, for every prefix length k:
+Given a ranked list of probabilities p_1 >= ... >= p_N, two cumulative
+sums produce, for every prefix length k:
 
     E_miss(k) = sum_{i > k} p_i        (backward pass)
     E_fa(k)   = sum_{i <= k} (1 - p_i) (forward pass)
 
 The expected number of relevant documents E_rel = E_miss(0) is scaled by
-gamma (recall slightly more than the calibrated mass pays off under the
+gamma (recall slightly more than the probability mass pays off under the
 miss-heavy metric) and clamped away from 0 and N so both denominators
 stay positive. The chosen k is the smallest maximizer of
 
@@ -15,7 +15,9 @@ stay positive. The chosen k is the smallest maximizer of
 
 and the returned set is the top-k prefix, which by linearity of the
 objective in the per-document indicators is also the best of all 2^N
-subsets.
+subsets. The expectations are the true ones only if the probabilities
+are calibrated. The rule assumes they are; they are not yet
+(calibration on held-out bitext is ROADMAP item 2).
 
 Cutoffs persist as TSV `query-id <TAB> k <TAB> expected_qv`; returned
 sets as `query-id <TAB> doc-id` lines.

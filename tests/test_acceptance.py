@@ -26,19 +26,19 @@ import time
 
 import numpy as np
 import pytest
+from evidence_cells import matrix_over
 
 from clirset.cli import main
 from clirset.combiner import MixtureWeights, fit_mixture
 from clirset.corpus import Bitext, Corpus, Document, Judgments
 from clirset.errors import DataError
 from clirset.evidence import (
-    EvidenceMatrix,
     Vocabulary,
     ensemble_objective,
     searcher_objective,
 )
-from clirset.corpus import bitext_doc_id
-from clirset.relevance import RankedList, query_doc_rel, rank
+from clirset.corpus import bitext_corpus, bitext_doc_id
+from clirset.relevance import RankedList, rank
 from clirset.scorer import score_query, score_run
 from clirset.thresholder import ThresholdConfig, decide, expected_qv_curve
 from clirset.corpus import LEXICAL, Query
@@ -160,16 +160,23 @@ def test_acceptance_4_relevance_algebra_matches_brute_force():
             total *= math.fsum([1.0, -miss])
         return total
 
+    def relevance(cells, doc, query):
+        """The document's relevance: its rank over a corpus of it alone."""
+        corpus = Corpus({doc.id: doc})
+        matrix = matrix_over(corpus, cells, epsilon=EPS)
+        [(_, prob)] = rank(matrix, corpus, query).entries
+        return prob
+
     for case in range(1000):
         n_sent = rng.randint(1, 10)
         sentences = []
-        matrix = EvidenceMatrix("t", epsilon=EPS)
+        cells = []
         for i in range(n_sent):
             sent = {}
             for w in rng.sample(words, rng.randint(0, 4)):
                 p = rng.uniform(1e-4, 1 - 1e-4)
                 sent[w] = p
-                matrix.put("d", i, w, p)
+                cells.append(("d", i, w, p))
             sentences.append(sent)
         phrases = tuple(
             tuple(rng.sample(words, rng.randint(1, 3)))
@@ -179,38 +186,33 @@ def test_acceptance_4_relevance_algebra_matches_brute_force():
             id="d", kind="text", sentences=tuple(("x",) for _ in range(n_sent))
         )
         query = Query(id="q", kind=LEXICAL, phrases=phrases)
-        got = query_doc_rel(matrix, doc, query)
+        got = relevance(cells, doc, query)
         want = brute(sentences, phrases)
         assert abs(got - want) <= 1e-12, f"case {case}: {got} vs {want}"
 
     # monotonicity: raising any single evidence value never lowers the score
     for _ in range(100):
-        matrix = EvidenceMatrix("t", epsilon=EPS)
         cells = []
         for i in range(3):
             for w in rng.sample(words, 2):
                 p = rng.uniform(0.05, 0.7)
-                matrix.put("d", i, w, p)
-                cells.append((i, w, p))
+                cells.append(("d", i, w, p))
         doc = Document(id="d", kind="text", sentences=(("x",),) * 3)
         query = Query(id="q", kind=LEXICAL, phrases=((words[0], words[1]),))
-        base = query_doc_rel(matrix, doc, query)
-        i, w, p = cells[rng.randrange(len(cells))]
-        matrix.put("d", i, w, min(p + 0.2, 1.0))
-        assert query_doc_rel(matrix, doc, query) >= base - 1e-15
+        base = relevance(cells, doc, query)
+        _, i, w, p = cells[rng.randrange(len(cells))]
+        raised = cells + [("d", i, w, min(p + 0.2, 1.0))]  # replaces the cell
+        assert relevance(raised, doc, query) >= base - 1e-15
 
     # permutation invariance: sentence order is irrelevant
     for _ in range(100):
         probs = [rng.uniform(0.05, 0.9) for _ in range(4)]
         doc = Document(id="d", kind="text", sentences=(("x",),) * 4)
         query = Query(id="q", kind=LEXICAL, phrases=((words[0],),))
-        forward = EvidenceMatrix("t", epsilon=EPS)
-        backward = EvidenceMatrix("t", epsilon=EPS)
-        for i, p in enumerate(probs):
-            forward.put("d", i, words[0], p)
-            backward.put("d", i, words[0], probs[::-1][i])
-        a = query_doc_rel(forward, doc, query)
-        b = query_doc_rel(backward, doc, query)
+        forward = [("d", i, words[0], p) for i, p in enumerate(probs)]
+        backward = [("d", i, words[0], p) for i, p in enumerate(probs[::-1])]
+        a = relevance(forward, doc, query)
+        b = relevance(backward, doc, query)
         assert a == pytest.approx(b, rel=1e-14)
 
     print(
@@ -225,20 +227,22 @@ def test_acceptance_5_em_recovers_planted_mixture():
     n_pairs = 5_000  # 1 positive + 1 negative instance per pair
     vocab = Vocabulary(("wp", "wn"))
     bitext = Bitext(tuple(((f"f{i}",), ("wp",)) for i in range(n_pairs)))
+    pseudo = bitext_corpus(bitext)
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        expert_a = EvidenceMatrix("expert-a", epsilon=EPS)
-        expert_b = EvidenceMatrix("expert-b", epsilon=EPS)
+        cells_a, cells_b = [], []
         for i in range(n_pairs):
             doc = bitext_doc_id(i)
             # positive instance: q_k reads the stored prob directly
             x = rng.random() < (p_a if rng.random() < 0.7 else p_b)
-            expert_a.put(doc, 0, "wp", p_a if x else 1 - p_a)
-            expert_b.put(doc, 0, "wp", p_b if x else 1 - p_b)
+            cells_a.append((doc, 0, "wp", p_a if x else 1 - p_a))
+            cells_b.append((doc, 0, "wp", p_b if x else 1 - p_b))
             # negative instance: q_k reads one minus the stored prob
             x = rng.random() < (p_a if rng.random() < 0.7 else p_b)
-            expert_a.put(doc, 0, "wn", 1 - (p_a if x else 1 - p_a))
-            expert_b.put(doc, 0, "wn", 1 - (p_b if x else 1 - p_b))
+            cells_a.append((doc, 0, "wn", 1 - (p_a if x else 1 - p_a)))
+            cells_b.append((doc, 0, "wn", 1 - (p_b if x else 1 - p_b)))
+        expert_a = matrix_over(pseudo, cells_a, "expert-a", EPS)
+        expert_b = matrix_over(pseudo, cells_b, "expert-b", EPS)
         fitted = fit_mixture([expert_a, expert_b], bitext, vocab, m_neg=1, seed=seed)
         assert fitted.weights["expert-a"] == pytest.approx(0.7, abs=0.05), (
             f"seed {seed}: {fitted.weights}"

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,43 +19,15 @@ from clirset.combiner import (
     load_weights,
     save_weights,
 )
-from clirset.corpus import Bitext, bitext_doc_id
+from clirset.corpus import Bitext, Corpus, Document, bitext_corpus, bitext_doc_id
 from clirset.errors import DataError
-from clirset.evidence import EvidenceMatrix, Vocabulary, labeled_instances
+from clirset.evidence import Vocabulary, labeled_instances
 
 
-def matrix(tag, cells, epsilon=1e-6):
-    m = EvidenceMatrix(tag, epsilon=epsilon)
-    for doc, idx, word, p in cells:
-        m.put(doc, idx, word, p)
-    return m
-
-
-def over_one_corpus(cells_by_tag, epsilon=1e-6):
-    """One matrix per tag, all numbering their rows with one shared dict.
-
-    `cells_by_tag` maps a tag to its (doc, index, word, p) cells; the rows
-    are the segments any of them names, as the matrices built over one
-    corpus share its segment_positions.
-    """
-    rows = {}
-    for cells in cells_by_tag.values():
-        for doc, idx, _, _ in cells:
-            rows.setdefault((doc, idx), len(rows))
-    matrices = []
-    for tag, cells in cells_by_tag.items():
-        by_word = {}
-        for doc, idx, word, p in cells:
-            by_word.setdefault(word, {})[rows[doc, idx]] = p
-        columns = {
-            word: (
-                np.array(sorted(held), dtype=np.int64),
-                np.array([held[row] for row in sorted(held)], dtype=float),
-            )
-            for word, held in by_word.items()
-        }
-        matrices.append(EvidenceMatrix(tag, epsilon, (columns, None), rows))
-    return matrices
+# Every segment the combine tests name.
+CORPUS = Corpus.from_documents(
+    Document(id=doc_id, kind="text", sentences=(("x",),) * 30) for doc_id in "abcde"
+)
 
 
 def cell(m, doc_id, index, word):
@@ -88,10 +61,8 @@ class TestMixtureWeights:
 
 class TestCombine:
     def test_hand_values(self):
-        m1, m2 = over_one_corpus({
-            "g1": [("d", 0, "w", 0.9), ("d", 0, "v", 0.92)],
-            "g2": [("d", 0, "w", 0.1)],
-        })
+        m1 = matrix_over(CORPUS, [("d", 0, "w", 0.9), ("d", 0, "v", 0.92)], "g1")
+        m2 = matrix_over(CORPUS, [("d", 0, "w", 0.1)], "g2")
         out = combine([m1, m2], MixtureWeights({"g1": 0.5, "g2": 0.5}))
         assert out.generator == "combined"
         assert cell(out, "d", 0, "w") == pytest.approx(0.5, abs=1e-15)
@@ -99,10 +70,8 @@ class TestCombine:
         assert cell(out, "d", 0, "v") == pytest.approx(0.46 + 0.5e-6, abs=1e-15)
 
     def test_degenerate_weights_reproduce_one_matrix(self):
-        m1, m2 = over_one_corpus({
-            "g1": [("d", 0, "w", 0.7), ("d", 1, "w", 0.2)],
-            "g2": [("d", 0, "w", 0.4), ("e", 0, "w", 0.3)],
-        })
+        m1 = matrix_over(CORPUS, [("d", 0, "w", 0.7), ("d", 1, "w", 0.2)], "g1")
+        m2 = matrix_over(CORPUS, [("d", 0, "w", 0.4), ("e", 0, "w", 0.3)], "g2")
         out = combine([m1, m2], MixtureWeights({"g1": 1.0, "g2": 0.0}))
         assert cell(out, "d", 0, "w") == 0.7
         assert cell(out, "d", 1, "w") == 0.2
@@ -115,7 +84,8 @@ class TestCombine:
         for i in range(30):
             cells1.append(("d", i, "w", rng.uniform(0.01, 0.99)))
             cells2.append(("d", i, "w", rng.uniform(0.01, 0.99)))
-        m1, m2 = over_one_corpus({"g1": cells1, "g2": cells2})
+        m1 = matrix_over(CORPUS, cells1, "g1")
+        m2 = matrix_over(CORPUS, cells2, "g2")
         out = combine([m1, m2], MixtureWeights({"g1": 0.3, "g2": 0.7}))
         for i in range(30):
             a, b = cell(m1, "d", i, "w"), cell(m2, "d", i, "w")
@@ -123,11 +93,9 @@ class TestCombine:
             assert min(a, b) - 1e-15 <= c <= max(a, b) + 1e-15
 
     def test_argument_order_ignored(self):
-        m1, m2, m3 = over_one_corpus({
-            "g1": [("d", 0, "w", 0.73), ("d", 2, "x", 0.11)],
-            "g2": [("d", 0, "w", 0.21), ("e", 0, "w", 0.5)],
-            "g3": [("d", 1, "y", 0.66)],
-        })
+        m1 = matrix_over(CORPUS, [("d", 0, "w", 0.73), ("d", 2, "x", 0.11)], "g1")
+        m2 = matrix_over(CORPUS, [("d", 0, "w", 0.21), ("e", 0, "w", 0.5)], "g2")
+        m3 = matrix_over(CORPUS, [("d", 1, "y", 0.66)], "g3")
         w = MixtureWeights({"g1": 0.2, "g2": 0.5, "g3": 0.3})
         a = combine([m1, m2, m3], w)
         b = combine([m3, m1, m2], w)
@@ -143,14 +111,14 @@ class TestCombine:
         tags = data.draw(
             st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, unique=True)
         )
-        matrices = over_one_corpus({
-            tag: [
+        matrices = [
+            matrix_over(CORPUS, [
                 (*key, p) for key, p in data.draw(
                     st.dictionaries(keys, st.floats(0.0, 1.0), max_size=12)
                 ).items()
-            ]
+            ], tag)
             for tag in tags
-        })
+        ]
         raw = data.draw(
             st.lists(st.floats(0.01, 1.0), min_size=len(tags), max_size=len(tags))
         )
@@ -161,36 +129,40 @@ class TestCombine:
             (m.generator, {cell[:3]: cell[3] for cell in m.iter_cells()})
             for m in matrices
         ]
-        expected = EvidenceMatrix("combined")
-        for doc, idx, word in {key for _, cells in stored for key in cells}:
-            expected.put(doc, idx, word, sum(
-                mixture.weights[tag] * cells.get((doc, idx, word), expected.epsilon)
+        eps = matrices[0].epsilon
+        expected = matrix_over(CORPUS, [
+            (doc, idx, word, sum(
+                mixture.weights[tag] * cells.get((doc, idx, word), eps)
                 for tag, cells in sorted(stored)
             ))
+            for doc, idx, word in {key for _, cells in stored for key in cells}
+        ], "combined")
         got = combine(matrices, mixture)
         assert list(got.iter_cells()) == list(expected.iter_cells())
 
     def test_matrices_over_different_numberings_rejected(self):
-        m1 = matrix("g1", [("d", 0, "w", 0.5)])
-        m2 = matrix("g2", [("d", 0, "w", 0.5)])
+        m1 = matrix_over(CORPUS, [("d", 0, "w", 0.5)], "g1")
+        # a corpus of the same documents, which numbers its rows with its own dict
+        twin = Corpus(dict(CORPUS.documents))
+        m2 = matrix_over(twin, [("d", 0, "w", 0.5)], "g2")
         with pytest.raises(DataError, match="not built over one corpus"):
             combine([m1, m2], MixtureWeights.uniform(["g1", "g2"]))
 
     def test_tag_mismatch_rejected(self):
-        m1 = matrix("g1", [])
+        m1 = matrix_over(CORPUS, [], "g1")
         with pytest.raises(DataError, match="do not match"):
             combine([m1], MixtureWeights({"other": 1.0}))
 
     def test_duplicate_tags_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
             combine(
-                [matrix("g", []), matrix("g", [])],
+                [matrix_over(CORPUS, [], "g"), matrix_over(CORPUS, [], "g")],
                 MixtureWeights({"g": 1.0}),
             )
 
     def test_floor_disagreement_rejected(self):
-        m1 = matrix("g1", [], epsilon=1e-6)
-        m2 = matrix("g2", [], epsilon=1e-5)
+        m1 = matrix_over(CORPUS, [], "g1", epsilon=1e-6)
+        m2 = matrix_over(CORPUS, [], "g2", epsilon=1e-5)
         with pytest.raises(DataError, match="floor"):
             combine([m1, m2], MixtureWeights.uniform(["g1", "g2"]))
 
@@ -317,7 +289,27 @@ def sharp_and_flat(bitext, vocab):
         sharp_cells.append((doc, 0, reference[0], 0.95))
         for word in vocab.tokens:
             flat_cells.append((doc, 0, word, 0.5))
-    return matrix("sharp", sharp_cells), matrix("flat", flat_cells)
+    pseudo = bitext_corpus(bitext)
+    return (
+        matrix_over(pseudo, sharp_cells, "sharp"),
+        matrix_over(pseudo, flat_cells, "flat"),
+    )
+
+
+def instance_q(matrices, instances):
+    """The (instances x generators) matrix of q_k, read one cell at a time."""
+    return np.array(
+        [
+            [
+                p if inst.label == 1 else 1.0 - p
+                for p in (
+                    cell(m, bitext_doc_id(inst.pair_index), 0, inst.word)
+                    for m in matrices
+                )
+            ]
+            for inst in instances
+        ]
+    )
 
 
 def em_warnings(caplog):
@@ -340,17 +332,17 @@ class TestFitMixture:
 
     def test_cap_while_still_rising_logs_a_warning(self, caplog):
         bitext, vocab = toy_bitext_and_vocab()
-        matrices = list(sharp_and_flat(bitext, vocab))
+        instances = labeled_instances(bitext, vocab, 3, random.Random(0))
+        q = instance_q(list(sharp_and_flat(bitext, vocab)), instances)
         with caplog.at_level(logging.WARNING, logger="clirset.combiner"):
-            capped = fit_mixture(matrices, bitext, vocab, m_neg=3, seed=0, max_iter=5)
-        history = capped.loglik_history
+            _, history = em_fit(q, max_iter=5)
         assert len(history) == 5
         assert history[-1] - history[-2] >= 1e-8
         [message] = em_warnings(caplog)
         assert "cap of 5 iterations" in message
         # the capped fit is the first five steps of a longer one
-        longer = fit_mixture(matrices, bitext, vocab, m_neg=3, seed=0, max_iter=6)
-        assert longer.loglik_history[:5] == history
+        _, longer = em_fit(q, max_iter=6)
+        assert longer[:5] == history
 
     def test_converged_fit_logs_no_warning(self, caplog):
         bitext, vocab = toy_bitext_and_vocab()
@@ -368,17 +360,19 @@ class TestFitMixture:
         bitext, vocab = toy_bitext_and_vocab()
         matrices = list(sharp_and_flat(bitext, vocab))
         instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
-        derived = fit_mixture(
-            matrices, bitext, vocab, m_neg=m_neg, seed=seed, max_iter=max_iter
+        # EM stops after at most max_iter iterations; 500 is its default cap
+        monkeypatch.setattr(
+            combiner_module, "em_fit", lambda q: em_fit(q, max_iter=max_iter)
         )
+        derived = fit_mixture(matrices, bitext, vocab, m_neg=m_neg, seed=seed)
+        assert len(derived.loglik_history) <= max_iter
 
         def drawn_again(*args):
             raise AssertionError("instances drawn a second time")
 
         monkeypatch.setattr(combiner_module, "labeled_instances", drawn_again)
         passed = fit_mixture(
-            matrices, bitext, vocab, m_neg=m_neg, seed=seed, max_iter=max_iter,
-            instances=instances,
+            matrices, bitext, vocab, m_neg=m_neg, seed=seed, instances=instances
         )
         assert passed.weights == derived.weights
         assert passed.loglik_history == derived.loglik_history
@@ -386,19 +380,7 @@ class TestFitMixture:
 
     def test_weights_keyed_by_tag_not_position(self):
         bitext, vocab = toy_bitext_and_vocab()
-        sharp_cells = [
-            (bitext_doc_id(i), 0, ref[0], 0.95)
-            for i, (_, ref) in enumerate(bitext.pairs)
-        ]
-        sharp = matrix("sharp", sharp_cells)
-        flat = matrix(
-            "flat",
-            [
-                (bitext_doc_id(i), 0, w, 0.5)
-                for i in range(len(bitext.pairs))
-                for w in vocab.tokens
-            ],
-        )
+        sharp, flat = sharp_and_flat(bitext, vocab)
         a = fit_mixture([sharp, flat], bitext, vocab, m_neg=3, seed=0)
         b = fit_mixture([flat, sharp], bitext, vocab, m_neg=3, seed=0)
         assert a.weights["sharp"] == pytest.approx(b.weights["sharp"], abs=1e-9)
@@ -410,42 +392,42 @@ class TestFitMixture:
             for i in range(len(bitext.pairs))
             for w in vocab.tokens
         ]
+        pseudo = bitext_corpus(bitext)
         fitted = fit_mixture(
-            [matrix("a", cells), matrix("b", cells)], bitext, vocab, m_neg=2, seed=0
+            [matrix_over(pseudo, cells, "a"), matrix_over(pseudo, cells, "b")],
+            bitext, vocab, m_neg=2, seed=0,
         )
         assert fitted.weights["a"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_matrix_not_over_the_bitext_rejected(self):
+        bitext, vocab = toy_bitext_and_vocab()
+        sharp, _ = sharp_and_flat(bitext, vocab)
+        pseudo = list(bitext_corpus(bitext))
+        other = Document(id="other", kind="text", sentences=(("x",),))
+        for docs in (pseudo[:-1], pseudo + [other], pseudo[::-1], [*pseudo[:3], other]):
+            stray = matrix_over(Corpus.from_documents(docs), [], "stray")
+            with pytest.raises(DataError, match="'stray' is read over a corpus"):
+                fit_mixture([sharp, stray], bitext, vocab, m_neg=3, seed=0)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), k=st.integers(1, 3), m_neg=st.integers(1, 4))
     def test_reads_each_instance_cell_exactly(self, data, k, m_neg):
         bitext, vocab = toy_bitext_and_vocab()
-        # Cells on the bitext pairs, plus some the fit must not read: a
-        # second segment and a document outside the bitext.
-        docs = [bitext_doc_id(i) for i in range(len(bitext.pairs))] + ["other"]
         cell_st = st.tuples(
-            st.sampled_from(docs),
-            st.sampled_from([0, 0, 0, 1]),
+            st.sampled_from([bitext_doc_id(i) for i in range(len(bitext.pairs))]),
+            st.just(0),
             st.sampled_from(vocab.tokens),
             st.floats(0.0, 1.0),
         )
+        # each over a pseudo-corpus of its own, which numbers its rows alike
         matrices = [
-            matrix(f"g{j}", data.draw(st.lists(cell_st, max_size=60)))
+            matrix_over(
+                bitext_corpus(bitext), data.draw(st.lists(cell_st, max_size=60)), f"g{j}"
+            )
             for j in range(k)
         ]
         instances = labeled_instances(bitext, vocab, m_neg, random.Random(3))
-        q = np.array(
-            [
-                [
-                    p if inst.label == 1 else 1.0 - p
-                    for p in (
-                        cell(m, bitext_doc_id(inst.pair_index), 0, inst.word)
-                        for m in matrices
-                    )
-                ]
-                for inst in instances
-            ]
-        )
+        q = instance_q(matrices, instances)
         fitted = fit_mixture(matrices, bitext, vocab, m_neg=m_neg, seed=3)
         lam, history = em_fit(q)
         assert [fitted.weights[m.generator] for m in matrices] == lam.tolist()

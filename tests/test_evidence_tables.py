@@ -3,13 +3,13 @@
 import random
 
 import pytest
+from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clirset.corpus import ConfusionNetwork, Corpus, Document, TranslationTable
 from clirset.errors import DataError
 from clirset.evidence import (
-    EvidenceMatrix,
     TranslationTableGenerator,
     Vocabulary,
     build_evidence,
@@ -267,14 +267,24 @@ class TestTableEvidenceBitExact:
         assert matrix.n_cells() == 3 * n_docs
 
 
-class TestPut:
+def text_corpus(**n_sentences):
+    """Text documents of the given lengths, in the order given."""
+    return Corpus.from_documents(
+        Document(id=doc_id, kind="text", sentences=(("x",),) * n)
+        for doc_id, n in n_sentences.items()
+    )
+
+
+class TestConstructor:
     def test_nan_names_generator_document_segment_and_word(self):
-        matrix = EvidenceMatrix("gen1")
-        matrix.put("d1", 3, "v", 0.5)
+        # d2 comes first in the corpus, though d1 and word "a" sort first
+        corpus = text_corpus(d2=3, d1=4)
+        nan = float("nan")
+        cells = [("d1", 3, "v", 0.5), ("d1", 0, "a", nan), ("d2", 2, "w", nan)]
         with pytest.raises(
-            DataError, match="'gen1'.*document 'd1' segment 3 word 'w'"
+            DataError, match="'gen1'.*document 'd2' segment 2 word 'w'"
         ):
-            matrix.put("d1", 3, "w", float("nan"))
+            matrix_over(corpus, cells, "gen1")
 
     def test_build_without_evidence_stores_no_cell(self):
         t = table({"f1": {"e1": 0.6}})
@@ -289,10 +299,12 @@ class TestPut:
 
 class TestMatrixIO:
     def test_round_trip_and_header(self, tmp_path):
-        matrix = EvidenceMatrix("gen1")
-        matrix.put("d1", 0, "w", 0.123456789)
-        matrix.put("d1", 2, "v", 1.0)  # clamps
-        matrix.put("a0", 1, "w", 0.5)
+        cells = [
+            ("d1", 0, "w", 0.123456789),
+            ("d1", 2, "v", 1.0),  # clamps
+            ("a0", 1, "w", 0.5),
+        ]
+        matrix = matrix_over(text_corpus(d1=3, a0=2), cells, "gen1")
         path = tmp_path / "m.tsv"
         save_matrix(matrix, path)
         text = path.read_text()
@@ -300,59 +312,19 @@ class TestMatrixIO:
         assert read_matrix_tsv(path) == ("gen1", list(matrix.iter_cells()))
 
     def test_save_sorted_and_deterministic(self, tmp_path):
-        m1 = EvidenceMatrix("g")
-        m2 = EvidenceMatrix("g")
-        cells = [("d2", 1, "b", 0.2), ("d1", 0, "a", 0.4), ("d1", 0, "b", 0.3)]
-        for doc, idx, word, p in cells:
-            m1.put(doc, idx, word, p)
-        for doc, idx, word, p in reversed(cells):
-            m2.put(doc, idx, word, p)
+        # the corpus order is not the sorted one
+        corpus = text_corpus(d2=2, d1=1)
+        cells = [("d2", 1, "b", 0.2), ("d1", 0, "b", 0.3), ("d1", 0, "a", 0.4)]
         p1, p2 = tmp_path / "1.tsv", tmp_path / "2.tsv"
-        save_matrix(m1, p1)
-        save_matrix(m2, p2)
+        save_matrix(matrix_over(corpus, cells, "g"), p1)
+        save_matrix(matrix_over(corpus, cells[::-1], "g"), p2)
+        assert p1.read_text() == (
+            "#generator=g\n"
+            "d1\t0\ta\t0.4\n"
+            "d1\t0\tb\t0.3\n"
+            "d2\t1\tb\t0.2\n"
+        )
         assert p1.read_bytes() == p2.read_bytes()
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        writes=st.lists(
-            st.tuples(
-                st.sampled_from(["b", "a", "c"]),
-                st.integers(0, 4),
-                st.sampled_from(["y", "x", "z"]),
-                st.floats(0.0, 1.0),
-            ),
-            max_size=40,
-        ),
-        read_after=st.integers(0, 40),
-        rnd=st.randoms(use_true_random=False),
-    )
-    def test_put_order_and_overwrites_leave_no_trace(
-        self, tmp_path_factory, writes, read_after, rnd
-    ):
-        # In write order, reading part-way so later writes merge into
-        # columns that already exist; a rewritten cell keeps its last value.
-        written = EvidenceMatrix("g")
-        for number, (doc_id, index, word, p) in enumerate(writes):
-            if number == read_after:
-                written.n_cells()
-            written.put(doc_id, index, word, p)
-        final = {(doc_id, index, word): p for doc_id, index, word, p in writes}
-        # The final values only, shuffled.
-        shuffled = EvidenceMatrix("g")
-        for (doc_id, index, word), p in rnd.sample(sorted(final.items()), len(final)):
-            shuffled.put(doc_id, index, word, p)
-
-        eps = written.epsilon
-        want = [
-            (*key, min(max(p, eps), 1.0 - eps)) for key, p in sorted(final.items())
-        ]
-        assert list(written.iter_cells()) == want
-        assert list(shuffled.iter_cells()) == want
-        assert written.n_cells() == shuffled.n_cells() == len(final)
-        out = tmp_path_factory.mktemp("m")
-        save_matrix(written, out / "1.tsv")
-        save_matrix(shuffled, out / "2.tsv")
-        assert (out / "1.tsv").read_bytes() == (out / "2.tsv").read_bytes()
 
 
 class TestVocabulary:

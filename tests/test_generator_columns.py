@@ -11,6 +11,7 @@ hypothesis raises.
 from itertools import chain, repeat
 
 import numpy as np
+from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from clirset.corpus import (
 )
 from clirset.errors import DataError
 from clirset.evidence import (
-    EvidenceMatrix,
     MtEnsembleGenerator,
     MtEnsembleModel,
     MtHypothesisSet,
@@ -388,9 +388,9 @@ class TestCombineBackgrounds:
             want[key] = min(max(total, eps), 1.0 - eps)
         assert_same_evidence(combined, want, corpus, words)
 
-        dense = EvidenceMatrix("combined", eps)
-        for (doc_id, index, word), value in want.items():
-            dense.put(doc_id, index, word, value)
+        dense = matrix_over(
+            corpus, [(*key, value) for key, value in want.items()], "combined", eps
+        )
         query = Query("q", LEXICAL, (tuple(words[:2]), tuple(words[2:]) or (words[0],)))
         assert rank(combined, corpus, query) == rank(dense, corpus, query)
 

@@ -5,12 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from evidence_cells import matrix_over
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clirset.corpus import Bitext
+from clirset.corpus import Bitext, Corpus, Document
 from clirset.errors import DataError
-from clirset.evidence import EvidenceMatrix, Vocabulary, labeled_instances
+from clirset.evidence import Vocabulary, labeled_instances
 from clirset.numerics import DEFAULT_EPSILON, sigmoid, softplus
 
 
@@ -48,6 +49,11 @@ class TestLabeledInstances:
                 reference = set(self.BITEXT.pairs[inst.pair_index][1])
                 assert inst.word not in reference
 
+    def test_rng_required(self):
+        # no silent fixed seed when the caller passes none
+        with pytest.raises(TypeError, match="rng"):
+            labeled_instances(self.BITEXT, self.VOCAB, 1)
+
     def test_same_seed_same_sample(self):
         a = labeled_instances(self.BITEXT, self.VOCAB, m_neg=5, rng=random.Random(9))
         b = labeled_instances(self.BITEXT, self.VOCAB, m_neg=5, rng=random.Random(9))
@@ -56,7 +62,7 @@ class TestLabeledInstances:
     def test_no_positives_rejected(self):
         bitext = Bitext(((("f1",), ("zzz",)),))
         with pytest.raises(DataError, match="no positive"):
-            labeled_instances(bitext, self.VOCAB, rng=random.Random(0))
+            labeled_instances(bitext, self.VOCAB, m_neg=1, rng=random.Random(0))
 
     def test_no_negatives_rejected(self):
         bitext = Bitext(((("f1",), ("alpha", "beta", "gamma", "delta")),))
@@ -86,9 +92,9 @@ class TestNumerics:
 
     def test_clamp_prob(self):
         eps = DEFAULT_EPSILON
-        matrix = EvidenceMatrix("t")
-        for word, prob in {"a": 0.5, "b": 0.0, "c": 1.0, "d": -3.0}.items():
-            matrix.put("d", 0, word, prob)
+        corpus = Corpus.from_documents([Document(id="d", kind="text", sentences=(("x",),))])
+        cells = {"a": 0.5, "b": 0.0, "c": 1.0, "d": -3.0}.items()
+        matrix = matrix_over(corpus, [("d", 0, word, prob) for word, prob in cells])
         assert list(matrix.iter_cells()) == [
             ("d", 0, "a", 0.5),
             ("d", 0, "b", eps),

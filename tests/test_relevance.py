@@ -9,25 +9,13 @@ import math
 import random
 
 import pytest
+from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clirset.corpus import CONCEPTUAL, LEXICAL, Corpus, Document, Query
 from clirset.errors import DataError, UnsupportedQueryError
-from clirset.evidence import EvidenceMatrix
-from clirset.relevance import (
-    RankedList,
-    query_doc_rel,
-    rank,
-    save_run,
-)
-
-
-def matrix(cells, epsilon=1e-6):
-    m = EvidenceMatrix("t", epsilon=epsilon)
-    for doc, idx, word, p in cells:
-        m.put(doc, idx, word, p)
-    return m
+from clirset.relevance import RankedList, rank, save_run
 
 
 def doc(doc_id, n_sentences):
@@ -40,39 +28,50 @@ def lexical(*phrases, query_id="q"):
     return Query(id=query_id, kind=LEXICAL, phrases=tuple(tuple(p) for p in phrases))
 
 
-def phrase_rel(evidence, document, phrase):
+def doc_rel(cells, document, query, epsilon=1e-6):
+    """`document`'s relevance to `query`: its rank over a corpus of it alone.
+
+    `cells` are (doc id, segment index, word, p); those of other documents
+    are left out.
+    """
+    corpus = Corpus({document.id: document})
+    cells = [cell for cell in cells if cell[0] == document.id]
+    [(_, prob)] = rank(matrix_over(corpus, cells, epsilon=epsilon), corpus, query).entries
+    return prob
+
+
+def phrase_rel(cells, document, phrase):
     """Relevance of `document` to a query made of the one phrase."""
-    return query_doc_rel(evidence, document, lexical(phrase))
+    return doc_rel(cells, document, lexical(phrase))
 
 
 class TestHandValues:
     def test_phrase_sentence_product(self):
-        m = matrix([("d", 0, "a", 0.9), ("d", 0, "b", 0.8)])
-        assert phrase_rel(m, doc("d", 1), ("a", "b")) == pytest.approx(
+        cells = [("d", 0, "a", 0.9), ("d", 0, "b", 0.8)]
+        assert phrase_rel(cells, doc("d", 1), ("a", "b")) == pytest.approx(
             0.72, abs=1e-12
         )
 
     def test_phrase_doc_union(self):
         # sentence rels 0.2 and 0.37 via single-word phrase
-        m = matrix([("d", 0, "a", 0.2), ("d", 1, "a", 0.37)])
-        got = phrase_rel(m, doc("d", 2), ("a",))
+        cells = [("d", 0, "a", 0.2), ("d", 1, "a", 0.37)]
+        got = phrase_rel(cells, doc("d", 2), ("a",))
         assert got == pytest.approx(0.496, abs=1e-12)
 
     def test_query_doc_product_of_phrases(self):
-        m = matrix([
+        cells = [
             ("d", 0, "a", 0.9), ("d", 0, "b", 0.8),
             ("d", 1, "c", 0.5),
-        ])
+        ]
         q = lexical(("a", "b"), ("c",))
-        got = query_doc_rel(m, doc("d", 2), q)
+        got = doc_rel(cells, doc("d", 2), q)
         # phrase 1: union(0.72, eps-ish) ; phrase 2: union(eps-ish, 0.5)
         p1 = 1 - (1 - 0.72) * (1 - 1e-6 * 1e-6)
         p2 = 1 - (1 - 1e-6) * (1 - 0.5)
         assert got == pytest.approx(p1 * p2, rel=1e-9)
 
     def test_missing_cells_fall_back_to_floor(self):
-        m = matrix([])
-        assert phrase_rel(m, doc("d", 1), ("a",)) == pytest.approx(1e-6, rel=1e-12)
+        assert phrase_rel([], doc("d", 1), ("a",)) == pytest.approx(1e-6, rel=1e-12)
 
 
 class TestAgainstDirectOracle:
@@ -109,7 +108,7 @@ class TestAgainstDirectOracle:
                 for _ in range(rng.randint(1, 2))
             ]
             q = lexical(*phrases)
-            got = query_doc_rel(matrix(cells), d, q)
+            got = doc_rel(cells, d, q)
             want = self.direct(sentences, phrases)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -117,7 +116,7 @@ class TestAgainstDirectOracle:
         # all sentence rels near the floor: expm1 keeps the union exact
         n = 50
         cells = [("d", i, "a", 1e-6) for i in range(n)]
-        got = phrase_rel(matrix(cells), doc("d", n), ("a",))
+        got = phrase_rel(cells, doc("d", n), ("a",))
         want = -math.expm1(n * math.log1p(-1e-6))
         assert got == pytest.approx(want, rel=1e-12)
         assert got > 0.0
@@ -127,17 +126,17 @@ class TestAgainstDirectOracle:
         # exactly 1.0; the result must stay strictly inside (0, 1) so that
         # downstream odds p / (1 - p) remain finite
         cells = [("d", i, "a", 1.0) for i in range(3)]
-        got = phrase_rel(matrix(cells), doc("d", 3), ("a",))
+        got = phrase_rel(cells, doc("d", 3), ("a",))
         assert got < 1.0
         assert got == pytest.approx(1.0, rel=1e-12)
         q = lexical(("a",))
-        assert query_doc_rel(matrix(cells), doc("d", 3), q) < 1.0
+        assert doc_rel(cells, doc("d", 3), q) < 1.0
 
     def test_underflowing_phrase_stays_positive(self):
         # a long all-floor phrase underflows every sentence rel to 0.0;
         # the union must neither crash the log nor collapse to 0.0
         phrase = tuple(f"u{i}" for i in range(130))
-        got = phrase_rel(matrix([]), doc("d", 1), phrase)
+        got = phrase_rel([], doc("d", 1), phrase)
         assert 0.0 < got < 1e-300
 
 
@@ -147,23 +146,23 @@ class TestStructuralProperties:
         for _ in range(50):
             probs = [rng.uniform(0.01, 0.6) for _ in range(4)]
             cells = [("d", i, "a", p) for i, p in enumerate(probs)]
-            small = phrase_rel(matrix(cells[:2]), doc("d", 2), ("a",))
+            small = phrase_rel(cells[:2], doc("d", 2), ("a",))
             # extra sentences read floor evidence at worst
-            big = phrase_rel(matrix(cells), doc("d", 4), ("a",))
+            big = phrase_rel(cells, doc("d", 4), ("a",))
             assert big >= small - 1e-15
 
     def test_longer_phrase_never_helps(self):
-        m = matrix([("d", 0, "a", 0.9), ("d", 0, "b", 0.8)])
-        assert phrase_rel(m, doc("d", 1), ("a", "b")) <= phrase_rel(
-            m, doc("d", 1), ("a",)
+        cells = [("d", 0, "a", 0.9), ("d", 0, "b", 0.8)]
+        assert phrase_rel(cells, doc("d", 1), ("a", "b")) <= phrase_rel(
+            cells, doc("d", 1), ("a",)
         )
 
     def test_sentence_order_ignored(self):
         probs = [0.3, 0.7, 0.05]
         base = [("d", i, "a", p) for i, p in enumerate(probs)]
         shuffled = [("d", i, "a", p) for i, p in enumerate(reversed(probs))]
-        a = phrase_rel(matrix(base), doc("d", 3), ("a",))
-        b = phrase_rel(matrix(shuffled), doc("d", 3), ("a",))
+        a = phrase_rel(base, doc("d", 3), ("a",))
+        b = phrase_rel(shuffled, doc("d", 3), ("a",))
         assert a == pytest.approx(b, rel=1e-15)
 
 
@@ -203,7 +202,7 @@ class TestMatchesScalarAlgebra:
         density=st.sampled_from([0.0, 0.05, 0.4, 1.0]),
         n_values=st.sampled_from([0, 2, 12]),
     )
-    def test_rank_and_query_doc_rel_are_bit_identical(self, seed, density, n_values):
+    def test_rank_and_one_document_rank_are_bit_identical(self, seed, density, n_values):
         rng = random.Random(seed)
         epsilon = 1e-6
         # A small pool gives repeated values and ties; 0 draws every value.
@@ -218,8 +217,7 @@ class TestMatchesScalarAlgebra:
                     if not all_floor and rng.random() < density:
                         p = rng.choice(pool) if pool else rng.random()
                         writes.append((d.id, index, word, p))
-        rng.shuffle(writes)  # rows get numbered out of corpus order
-        m = matrix(writes, epsilon)
+        rng.shuffle(writes)  # the cells come in no particular order
         cells = {}
         for doc_id, index, word, p in writes:
             cells.setdefault(doc_id, {}).setdefault(index, {})[word] = min(
@@ -231,10 +229,11 @@ class TestMatchesScalarAlgebra:
         ]
         q = lexical(*phrases)
         want = scalar_ranking(cells, epsilon, docs, q)
-        assert rank(m, Corpus.from_documents(docs), q).entries == want
+        corpus = Corpus.from_documents(docs)
+        assert rank(matrix_over(corpus, writes, epsilon=epsilon), corpus, q).entries == want
         by_id = dict(want)
         for d in docs:
-            assert query_doc_rel(m, d, q) == by_id[d.id]
+            assert doc_rel(writes, d, q, epsilon) == by_id[d.id]
 
     def test_many_distinct_values(self):
         # numpy's log and exp round differently from the math module on a
@@ -253,7 +252,8 @@ class TestMatchesScalarAlgebra:
                         max(p, 1e-6), 1.0 - 1e-6
                     )
         q = lexical(("a",), ("a", "b"))
-        got = rank(matrix(writes), Corpus.from_documents(docs), q).entries
+        corpus = Corpus.from_documents(docs)
+        got = rank(matrix_over(corpus, writes), corpus, q).entries
         assert got == scalar_ranking(cells, 1e-6, docs, q)
 
 
@@ -262,7 +262,7 @@ class TestRank:
         docs = [doc("db", 1), doc("da", 1), doc("dc", 1)]
         corpus = Corpus.from_documents(docs)
         # da and db identical, dc lower
-        m = matrix([
+        m = matrix_over(corpus, [
             ("da", 0, "a", 0.5),
             ("db", 0, "a", 0.5),
             ("dc", 0, "a", 0.1),
@@ -273,13 +273,26 @@ class TestRank:
     def test_empty_corpus_rejected(self):
         corpus = Corpus.from_documents([])
         with pytest.raises(DataError, match="empty"):
-            rank(matrix([]), corpus, lexical(("a",)))
+            rank(matrix_over(corpus, []), corpus, lexical(("a",)))
 
     def test_non_lexical_rejected(self):
         corpus = Corpus.from_documents([doc("d", 1)])
         q = Query(id="q", kind=CONCEPTUAL, phrases=(("a",),))
         with pytest.raises(UnsupportedQueryError):
-            rank(matrix([]), corpus, q)
+            rank(matrix_over(corpus, []), corpus, q)
+
+    def test_matrix_over_another_corpus_rejected(self):
+        corpus = Corpus.from_documents([doc("d", 2), doc("e", 1)])
+        cells = [("d", 1, "a", 0.5)]
+        q = lexical(("a",))
+        # a corpus of the same segments numbers them alike
+        same = matrix_over(Corpus.from_documents([doc("d", 2), doc("e", 1)]), cells)
+        assert rank(same, corpus, q) == rank(matrix_over(corpus, cells), corpus, q)
+        others = [doc("e", 1), doc("d", 2)], [doc("d", 2)], [doc("d", 3), doc("e", 1)]
+        for docs in others:
+            m = matrix_over(Corpus.from_documents(docs), cells, tag="gen1")
+            with pytest.raises(DataError, match="'gen1' is read over a corpus"):
+                rank(m, corpus, q)
 
     def test_unsorted_ranked_list_rejected(self):
         with pytest.raises(DataError, match="ranked list for 'q7' is not sorted"):
@@ -308,11 +321,12 @@ class TestRank:
         # a cell: documents alike in both tie exactly.
         docs = [doc(doc_id, 1 + i % 3) for i, doc_id in enumerate(ids)]
         corpus = Corpus.from_documents(docs)
-        m = matrix([(doc_id, 0, "a", 0.5) for doc_id in ids[:n_held]])
+        cells = [(doc_id, 0, "a", 0.5) for doc_id in ids[:n_held]]
+        m = matrix_over(corpus, cells)
         q = lexical(("a",))
         ids_in_file_order = list(corpus.documents)
         assert [ids_in_file_order[i] for i in corpus.by_id] == sorted(ids)
-        want = sorted(ids, key=lambda doc_id: (-query_doc_rel(m, corpus[doc_id], q), doc_id))
+        want = sorted(ids, key=lambda doc_id: (-doc_rel(cells, corpus[doc_id], q), doc_id))
         assert rank(m, corpus, q).doc_ids() == want
 
 
