@@ -9,7 +9,7 @@ query/document probabilities; and a thresholder returns, per query, the
 document set maximizing the expected query value under the
 miss/false-alarm trade-off that also drives the final mAQWV score. That
 choice assumes the probabilities are calibrated, which they are not yet:
-calibration on held-out bitext is ROADMAP item 2.
+calibration on held-out bitext is ROADMAP item 4.
 """
 
 __version__ = "0.1.0"

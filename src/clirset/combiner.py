@@ -20,7 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Bitext, bitext_doc_id, data_lines, parse_prob, split_tsv
+from .corpus import (
+    Bitext,
+    atomic_output,
+    bitext_doc_id,
+    data_lines,
+    parse_prob,
+    split_tsv,
+)
 from .errors import DataError
 from .evidence.instances import (
     DEFAULT_NEGATIVES_PER_POSITIVE,
@@ -212,7 +219,7 @@ def fit_mixture(
 
 
 def save_weights(mixture: MixtureWeights, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for tag in sorted(mixture.weights):
             out.write(f"{tag}\t{mixture.weights[tag]!r}\n")
         if mixture.loglik is not None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -470,17 +470,18 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
 
 
 @contextmanager
-def atomic_output(path) -> Iterator[TextIO]:
-    """A text handle whose contents replace `path` only once the block ends.
+def atomic_output(path, binary: bool = False) -> Iterator[IO]:
+    """A handle whose contents replace `path` only once the block ends.
 
-    The text goes to a temporary file next to `path`, which os.replace
-    moves into place. If the block raises, the temporary file is removed
-    and whatever `path` held before stays.
+    The handle takes UTF-8 text, or bytes if `binary`. What is written
+    goes to a temporary file next to `path`, which os.replace moves into
+    place. If the block raises, the temporary file is removed and whatever
+    `path` held before stays.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as out:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as out:
             yield out
         os.replace(tmp, path)
     except BaseException:
@@ -637,7 +638,7 @@ def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Do
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for doc in corpus:
             if doc.kind == TEXT:
                 obj = {
@@ -690,7 +691,7 @@ def load_translation_table(path) -> TranslationTable:
 
 
 def save_translation_table(table: TranslationTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for foreign in sorted(table.entries):
             row = table.entries[foreign]
             for english in sorted(row):
@@ -712,7 +713,7 @@ def load_bitext(path) -> Bitext:
 
 
 def save_bitext(bitext: Bitext, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for src, tgt in bitext:
             out.write(f"{' '.join(src)}\t{' '.join(tgt)}\n")
 
@@ -748,7 +749,7 @@ def format_query(query: Query) -> str:
 
 
 def save_queries(queries: Iterable[Query], path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for query in queries:
             out.write(format_query(query) + "\n")
 
@@ -769,7 +770,7 @@ def load_judgments(path, corpus: Corpus | None = None) -> Judgments:
 
 
 def save_judgments(judgments: Judgments, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for qid in sorted(judgments.relevant):
             for doc_id in sorted(judgments.relevant[qid]):
                 out.write(f"{qid}\t{doc_id}\n")

@@ -29,6 +29,7 @@ from ..corpus import (
     Corpus,
     Sentence,
     Token,
+    atomic_output,
     bitext_doc_id,
     data_lines,
     normalize_sentence,
@@ -134,7 +135,7 @@ def load_mt_hypotheses(path) -> MtHypothesisSet:
 
 
 def save_mt_hypotheses(hyps: MtHypothesisSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         for system in hyps.systems:
             for doc_id, index in sorted(hyps.hypotheses[system]):
                 text = " ".join(hyps.hypotheses[system][(doc_id, index)])
@@ -299,7 +300,7 @@ def save_mt_ensemble(model: MtEnsembleModel, path) -> None:
         "weights": list(model.weights),
         "bias": model.bias,
     }
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
 

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from ..corpus import Bitext, Corpus, Query, Token
+from ..corpus import Bitext, Corpus, Query, Token, atomic_output
 from ..errors import DataError
 from ..numerics import DEFAULT_EPSILON
 
@@ -299,7 +299,7 @@ def build_evidence_for_words(
 def save_matrix(matrix: EvidenceMatrix, path) -> int:
     """Write `matrix` as TSV; returns the number of cell lines written."""
     lines = 0
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         out.write(f"{MATRIX_HEADER_PREFIX}{matrix.generator}\n")
         for doc_id, index, word, prob in matrix.iter_cells():
             out.write(f"{doc_id}\t{index}\t{word}\t{prob!r}\n")

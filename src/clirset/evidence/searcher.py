@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..corpus import Bitext, ConfusionNetwork, Corpus, Token
+from ..corpus import Bitext, ConfusionNetwork, Corpus, Token, atomic_output
 from ..errors import DataError
 from ..numerics import require_positive, sigmoid
 from .instances import DEFAULT_NEGATIVES_PER_POSITIVE
@@ -377,7 +377,8 @@ def save_searcher(model: SearcherModel, path) -> None:
     arrays["english_tokens"] = np.array(model.english_vocab.tokens)
     arrays["foreign_tokens"] = np.array(model.foreign_tokens)
     arrays["manifest"] = np.array(json.dumps(manifest, sort_keys=True))
-    np.savez(path, **arrays)
+    with atomic_output(path, binary=True) as out:
+        np.savez(out, **arrays)
 
 
 def load_searcher(path) -> SearcherModel:

@@ -1,7 +1,7 @@
 """Relevance algebra: sentence evidence -> query/document probabilities.
 
 The cutoff rule downstream assumes these probabilities are calibrated;
-they are not yet (calibration on held-out bitext is ROADMAP item 2).
+they are not yet (calibration on held-out bitext is ROADMAP item 4).
 
 Under the independence reading, a phrase is relevant to a sentence iff all
 its words are (product), relevant to a document iff at least one sentence

@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping
 
-from .corpus import Corpus, Judgments
+from .corpus import Corpus, Judgments, atomic_output
 from .errors import DataError
 from .numerics import require_positive
 from .thresholder import DEFAULT_BETA
@@ -110,7 +110,7 @@ def format_summary(run_score: RunScore) -> str:
 
 
 def save_report(run_score: RunScore, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_output(path) as out:
         out.write("query-id\tn_r\tn_t\tn_f\tp_miss\tp_fa\tqv\n")
         for s in run_score.scores:
             out.write(

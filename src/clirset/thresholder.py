@@ -17,7 +17,7 @@ and the returned set is the top-k prefix, which by linearity of the
 objective in the per-document indicators is also the best of all 2^N
 subsets. The expectations are the true ones only if the probabilities
 are calibrated. The rule assumes they are; they are not yet
-(calibration on held-out bitext is ROADMAP item 2).
+(calibration on held-out bitext is ROADMAP item 4).
 
 Cutoffs persist as TSV `query-id <TAB> k <TAB> expected_qv`; returned
 sets as `query-id <TAB> doc-id` lines.

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, driving main() in process."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -187,6 +188,65 @@ class TestTrainers:
         assert code == 0
         assert "final mean loss" in capsys.readouterr().out
         assert load_searcher(model_path).dim == 4
+
+    def test_searcher_model_is_written_where_out_says(self, data_dir, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        assert main([
+            "train-searcher", "--bitext", str(data_dir / "bitext.tsv"),
+            "--dim", "4", "--epochs", "1", "--out", str(model),
+        ]) == 0
+        assert capsys.readouterr().out.endswith(f"-> {model}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+        code = main(retrieve_args(data_dir, tmp_path / "run") + [
+            "--searcher-model", str(model),
+        ])
+        assert code == 0
+
+    @pytest.mark.parametrize("command, spec", [
+        ("synth", "SynthSpec"), ("train-searcher", "SearcherConfig"),
+    ])
+    def test_every_spec_field_has_a_flag(
+        self, data_dir, tmp_path, monkeypatch, command, spec
+    ):
+        built = []
+
+        # a field added to the library's dataclass needs no CLI edit
+        @dataclasses.dataclass(frozen=True)
+        class Extended(getattr(cli_module, spec)):
+            extra: tuple[int, int] = (1, 2)
+
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        monkeypatch.setattr(cli_module, spec, Extended)
+        chosen = {
+            "synth": dict(docs=5, queries=2, foreign_vocab=60, english_vocab=60,
+                          bitext_pairs=40),
+            "train-searcher": dict(dim=4, epochs=1),
+        }[command]
+        chosen["extra"] = (3, 4)
+        argv = [command, "--out", str(tmp_path / "out")]
+        if command == "train-searcher":
+            argv += ["--bitext", str(data_dir / "bitext.tsv")]
+        for field in dataclasses.fields(Extended):
+            value = chosen.get(field.name, field.default)
+            values = value if isinstance(value, tuple) else (value,)
+            argv += ["--" + field.name.replace("_", "-"), *map(str, values)]
+        assert main(argv) == 0
+        assert built[-1] == Extended(**chosen)
+
+    def test_depth_out_of_range_is_a_data_error_by_flag_or_config(
+        self, data_dir, tmp_path
+    ):
+        cfg = tmp_path / "depth.cfg"
+        cfg.write_text("depth = 2\n")
+        argv = [
+            "train-searcher", "--bitext", str(data_dir / "bitext.tsv"),
+            "--out", str(tmp_path / "searcher.npz"),
+        ]
+        assert main(argv + ["--depth", "2"]) == 2
+        assert main(argv + ["--config", str(cfg)]) == 2
 
     def test_fit_ensemble_smoke(self, data_dir, tmp_path):
         model_path = tmp_path / "mt.json"
@@ -422,6 +482,19 @@ class TestErrorPaths:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        ("evaluate", "--seed"),
+        ("dump-evidence", "--seed"),
+        ("retrieve", "--epsilon"),
+        ("fit-mixture", "--epsilon"),
+        ("dump-evidence", "--epsilon"),
+    ])
+    def test_removed_flags_are_usage_errors(self, capsys, command, flag):
+        assert main([command, flag, "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unrecognized arguments: {flag} 1\n"
+        )
+
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["synth", "--frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -607,3 +680,46 @@ class TestConfigFile:
             "synth", "--config", str(tmp_path / "none.cfg"),
             "--out", str(tmp_path),
         ]) == 1
+
+    @pytest.mark.parametrize("line", ["verbose = 1", "config = other.cfg"])
+    def test_config_cannot_set_config_or_verbose(self, tmp_path, capsys, line):
+        cfg = tmp_path / "meta.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:1: unknown key {key!r}: synth has no option --{key}\n"
+        )
+
+    @pytest.mark.parametrize("lines, lineno, message", [
+        ("docs = 7\ndocs = seven\n", 2, "argument --docs: invalid int value: 'seven'"),
+        ("sentence-len = 4\n", 1, "argument --sentence-len: expected 2 arguments"),
+        ("docs = 7 --queries 2\n", 1, "the value of 'docs' sets other options"),
+        ("docs = 7 -h\n", 1, "the value of 'docs' sets other options"),
+        ("docs = '7\n", 1, "No closing quotation"),
+    ])
+    def test_bad_config_value_names_file_and_line(
+        self, tmp_path, capsys, lines, lineno, message
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{lineno}: {message}\n"
+
+    def test_table_flag_beats_config_tables(self, data_dir, tmp_path, capsys):
+        tables = []
+        for name in ("a", "b", "c d"):
+            tables.append(tmp_path / f"{name}.tsv")
+            tables[-1].write_bytes((data_dir / "table.tsv").read_bytes())
+        cfg = tmp_path / "tables.cfg"
+        cfg.write_text(f"table = {tables[0]} {tables[1]} '{tables[2]}'\n")
+        argv = [
+            "fit-mixture", "--config", str(cfg),
+            "--bitext", str(data_dir / "bitext.tsv"),
+        ]
+        assert main(argv + ["--out", str(tmp_path / "w1.tsv")]) == 0
+        assert sorted(load_weights(tmp_path / "w1.tsv").weights) == ["a", "b", "c d"]
+        assert main(argv + [
+            "--table", str(tables[2]), "--out", str(tmp_path / "w2.tsv"),
+        ]) == 0
+        assert sorted(load_weights(tmp_path / "w2.tsv").weights) == ["c d"]

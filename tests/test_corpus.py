@@ -465,7 +465,10 @@ class TestAtomicOutput:
         yield from items
         raise RuntimeError("writer failed")
 
-    @pytest.mark.parametrize("writer", ["save_run", "save_cutoffs", "save_returned_sets"])
+    @pytest.mark.parametrize("writer", [
+        "save_run", "save_cutoffs", "save_returned_sets",
+        "save_corpus", "save_bitext", "save_queries",
+    ])
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, writer):
         path = tmp_path / "out.tsv"
         path.write_text("earlier\n", encoding="utf-8")
@@ -478,6 +481,11 @@ class TestAtomicOutput:
             "save_returned_sets": lambda: save_returned_sets(
                 {"q1": ["d1"], "q2": fail("d2")}, path
             ),
+            "save_corpus": lambda: save_corpus(
+                fail(Document("d1", "text", sentences=(("w",),))), path
+            ),
+            "save_bitext": lambda: save_bitext(fail((("f",), ("e",))), path),
+            "save_queries": lambda: save_queries(fail(parse_query("q1\tw")), path),
         }[writer]
         with pytest.raises(RuntimeError, match="writer failed"):
             write()

@@ -1,6 +1,7 @@
 """Embedding searcher: scoring, closed-form gradients, training, persistence."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -268,6 +269,13 @@ class TestPersistence:
         assert score(loaded, ("f1", "f2"), "e0") == score(
             model, ("f1", "f2"), "e0"
         )
+
+    def test_writes_to_the_path_it_is_given(self, tmp_path):
+        # numpy appends .npz to a bare path; the model must land at `path`
+        path = tmp_path / "model.bin"
+        save_searcher(zero_model(), path)
+        assert os.listdir(tmp_path) == ["model.bin"]
+        assert load_searcher(path).dim == 4
 
     def test_tampered_vocab_detected(self, tmp_path):
         model = zero_model()
