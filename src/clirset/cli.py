@@ -75,7 +75,14 @@ DEFAULT_VOCAB_SIZE = 2000
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ConfigError (exit 1)."""
+    """argparse that reports usage problems as ConfigError (exit 1).
+
+    A flag must be spelled out in full, as a config key must: no prefix of
+    a flag stands for it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -129,18 +136,22 @@ def _with_config(parser: _Parser, args: argparse.Namespace) -> argparse.Namespac
                 f"{path}:{lineno}: unknown key {raw_key!r}:"
                 f" {args.command} has no option {flag}"
             )
+        sets_other = ConfigError(
+            f"{path}:{lineno}: the value of {raw_key!r} sets other options"
+        )
         try:
-            given = vars(parser.parse_args([args.command, flag, *shlex.split(value)]))
-        except (ConfigError, ValueError) as exc:  # shlex: unbalanced quotes
+            words = shlex.split(value)
+        except ValueError as exc:  # unbalanced quotes
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        except SystemExit:  # -h or --help in the value printed the help
-            given = None
-        if given is None or any(
-            given[other] != unset[other] for other in unset.keys() - {key}
-        ):
-            raise ConfigError(
-                f"{path}:{lineno}: the value of {raw_key!r} sets other options"
-            )
+        # -h (-hh too) or --help would print the help and exit in parse_args
+        if any(word == "--help" or word.startswith("-h") for word in words):
+            raise sets_other
+        try:
+            given = vars(parser.parse_args([args.command, flag, *words]))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if any(given[other] != unset[other] for other in unset.keys() - {key}):
+            raise sets_other
         if getattr(args, key) is None:
             setattr(args, key, given[key])
     return args
@@ -271,7 +282,7 @@ def _fit_weights(
     # The instances are drawn once: the matrices only need to cover their
     # words, and the fitter reads them as they are.
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
-    words = {inst.word for inst in instances}
+    words = instances.words()
     pseudo = bitext_corpus(bitext)
     matrices = [build_evidence_for_words(gen, pseudo, words) for gen in generators]
     return fit_mixture(

@@ -31,7 +31,7 @@ from .corpus import (
 from .errors import DataError
 from .evidence.instances import (
     DEFAULT_NEGATIVES_PER_POSITIVE,
-    LabeledInstance,
+    LabeledInstances,
     labeled_instances,
 )
 from .evidence.matrix import EvidenceMatrix, Vocabulary, weighted_sum
@@ -171,7 +171,7 @@ def fit_mixture(
     m_neg: int = DEFAULT_NEGATIVES_PER_POSITIVE,
     seed: int = 0,
     *,
-    instances: Sequence[LabeledInstance] | None = None,
+    instances: LabeledInstances | None = None,
 ) -> MixtureWeights:
     """Fit weights on held-out bitext instances read out of the matrices.
 
@@ -189,20 +189,24 @@ def fit_mixture(
         raise DataError("cannot fit a mixture over no matrices")
     if instances is None:
         instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
-    positive = np.array([inst.label == 1 for inst in instances])
-    pairs = np.array([inst.pair_index for inst in instances], dtype=np.int64)
-    by_word: dict[str, list[int]] = {}
-    for i, inst in enumerate(instances):
-        by_word.setdefault(inst.word, []).append(i)
-    members = {word: np.array(ids) for word, ids in by_word.items()}
+    positive = instances.label == 1
+    pairs = instances.pair_index
+    # each word's instances, ascending: one run of the stably sorted order
+    order = np.argsort(instances.word_index, kind="stable")
+    word_ids, starts = np.unique(instances.word_index[order], return_index=True)
+    bounds = [*starts.tolist(), len(order)]
+    words = [vocab.tokens[j] for j in word_ids.tolist()]
     pair_positions = {(bitext_doc_id(i), 0): i for i in range(len(bitext))}
     q = np.empty((len(instances), len(matrices)))
     for col, matrix in enumerate(matrices):
         p = np.empty(len(instances))
-        for word, (held, values) in matrix.cells_at(pair_positions, members).items():
+        cells = matrix.cells_at(pair_positions, words)
+        for word, start, end in zip(words, bounds, bounds[1:]):
+            held, values = cells[word]
             by_pair = np.full(len(bitext), matrix.background)
             by_pair[held] = values
-            p[members[word]] = by_pair[pairs[members[word]]]
+            members = order[start:end]
+            p[members] = by_pair[pairs[members]]
         q[:, col] = np.where(positive, p, 1.0 - p)
     lam, history = em_fit(q)
     log.info(

@@ -15,6 +15,7 @@ from .ensemble import (
 from .instances import (
     DEFAULT_NEGATIVES_PER_POSITIVE,
     LabeledInstance,
+    LabeledInstances,
     labeled_instances,
 )
 from .matrix import (
@@ -43,6 +44,7 @@ __all__ = [
     "EvidenceGenerator",
     "EvidenceMatrix",
     "LabeledInstance",
+    "LabeledInstances",
     "MT_GENERATOR_TAG",
     "MtEnsembleGenerator",
     "MtEnsembleModel",

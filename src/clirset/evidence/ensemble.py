@@ -40,7 +40,7 @@ from ..errors import DataError
 from ..numerics import sigmoid, softplus
 from .instances import (
     DEFAULT_NEGATIVES_PER_POSITIVE,
-    LabeledInstance,
+    LabeledInstances,
     labeled_instances,
 )
 from .matrix import Columns, Vocabulary
@@ -203,7 +203,7 @@ def _minimize(objective, weights: np.ndarray, bias: float, lr: float,
 
 
 def _instance_features(
-    hyps: MtHypothesisSet, vocab: Vocabulary, instances: Sequence[LabeledInstance]
+    hyps: MtHypothesisSet, vocab: Vocabulary, instances: LabeledInstances
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (instances x systems) 0/1 features and the labels.
 
@@ -211,12 +211,9 @@ def _instance_features(
     holds the instance's word. A missing translation raises for the first
     pair that has instances, and within it the first of `hyps.systems`.
     """
-    labels = np.array([inst.label for inst in instances], dtype=float)
-    words = np.array([vocab.index_of(inst.word) for inst in instances], dtype=np.int64)
-    pairs, pair_slots = np.unique(
-        np.array([inst.pair_index for inst in instances], dtype=np.int64),
-        return_inverse=True,
-    )
+    labels = instances.label.astype(float)
+    words = instances.word_index
+    pairs, pair_slots = np.unique(instances.pair_index, return_inverse=True)
     keys = [(bitext_doc_id(pair), 0) for pair in pairs.tolist()]
     held = hyps.holders(hyps.systems, keys, vocab.tokens)
     cells = words * len(keys) + pair_slots

@@ -85,6 +85,9 @@ class Vocabulary:
 # A generator's scores before the floor: per word, the ascending corpus
 # positions (int64) of the segments holding a value, and the values
 # (float64); then every other segment's value, or None for the floor.
+# EvidenceMatrix takes ownership of the arrays: it floors a writeable
+# values array in place and makes every array read-only. Words may share
+# a rows array, and their values may be rows or slices of one array.
 Columns = tuple[dict[Token, tuple[np.ndarray, np.ndarray]], float | None]
 
 
@@ -159,8 +162,13 @@ class EvidenceMatrix:
                 f" document {doc_id!r} segment {index} word {word!r}"
             )
 
-    def _floored(self, values: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(values, self.epsilon), 1.0 - self.epsilon)
+    def _floored(self, values) -> np.ndarray:
+        """`values` clamped into [epsilon, 1 - epsilon]: in place unless read-only."""
+        values = np.asarray(values, dtype=float)
+        if not values.flags.writeable:
+            values = values.copy()
+        np.maximum(values, self.epsilon, out=values)
+        return np.minimum(values, 1.0 - self.epsilon, out=values)
 
     def cells_at(
         self, positions: Mapping[tuple[str, int], int], words: Iterable[Token]
@@ -247,6 +255,7 @@ def weighted_sum(
     if any(matrix._rows is not rows for matrix in matrices):
         raise DataError("evidence matrices to combine are not built over one corpus")
     n = len(rows)
+    every_row = np.arange(n)
     cells = {}
     for word in sorted({word for matrix in matrices for word in matrix._columns}):
         held = np.zeros(n, dtype=bool)
@@ -258,8 +267,11 @@ def weighted_sum(
                 values[column_rows] = column_values
                 held[column_rows] = True
             total = total + weight * values
-        at = np.flatnonzero(held)
-        cells[word] = at, total[at]
+        if held.all():  # a dense column stores the sum itself
+            cells[word] = every_row, total
+        else:
+            at = np.flatnonzero(held)
+            cells[word] = at, total[at]
     background = 0
     for weight, matrix in weighted:
         background = background + weight * matrix.background

@@ -52,6 +52,9 @@ INIT_SCALE = 0.1
 
 _ATTENTION_KEYS = ("wq", "wk", "wv")
 
+# Segments whose evidence SearcherGenerator.columns computes at a time.
+_BLOCK_SEGMENTS = 1024
+
 
 @dataclass(frozen=True)
 class SearcherConfig:
@@ -341,7 +344,9 @@ class SearcherGenerator:
 
     def columns(self, corpus: Corpus, words: Sequence[Token]) -> Columns:
         """One matmul per segment, since a batched one may sum in another
-        order; then bias and sigmoid, element by element, over all segments."""
+        order; then bias and sigmoid, element by element, over a block of
+        segments at a time. Each block's probabilities go into one
+        (words x segments) array, so that a word's column is a row of it."""
         model = self.model
         known = [w for w in words if w in model.english_vocab]
         if not known:
@@ -356,13 +361,21 @@ class SearcherGenerator:
         ]
         token_ids = model.foreign_ids(chain.from_iterable(sentences))
         ends = np.cumsum([len(sentence) for sentence in sentences]).tolist()
-        best = np.empty((len(sentences), len(known)))
-        for position, (start, end) in enumerate(zip([0, *ends], ends)):
-            h, _ = _contextualize(model.params, foreign_emb[token_ids[start:end]])
-            np.maximum.reduce(h @ english, axis=0, out=best[position])
-        best += model.params["bias"][ids]
-        probs = sigmoid(best).T
-        rows = np.arange(len(best))
+        starts = [0, *ends]
+        bias = model.params["bias"][ids]
+        n = len(sentences)
+        probs = np.empty((len(known), n))
+        block = np.empty((min(_BLOCK_SEGMENTS, n), len(known)))
+        for first in range(0, n, _BLOCK_SEGMENTS):
+            last = min(first + _BLOCK_SEGMENTS, n)
+            best = block[: last - first]
+            spans = zip(starts[first:last], ends[first:last])
+            for row, (start, end) in enumerate(spans):
+                h, _ = _contextualize(model.params, foreign_emb[token_ids[start:end]])
+                np.maximum.reduce(h @ english, axis=0, out=best[row])
+            best += bias
+            probs[:, first:last] = sigmoid(best).T
+        rows = np.arange(n)
         return {word: (rows, column) for word, column in zip(known, probs)}, None
 
 

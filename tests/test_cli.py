@@ -495,6 +495,16 @@ class TestErrorPaths:
             f"error: unrecognized arguments: {flag} 1\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["retrieve", "--bet", "40"],
+        ["retrieve", "--beta", "40", "--gam", "2"],
+    ])
+    def test_flag_prefix_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+        )
+
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["synth", "--frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -696,6 +706,7 @@ class TestConfigFile:
         ("sentence-len = 4\n", 1, "argument --sentence-len: expected 2 arguments"),
         ("docs = 7 --queries 2\n", 1, "the value of 'docs' sets other options"),
         ("docs = 7 -h\n", 1, "the value of 'docs' sets other options"),
+        ("docs = --help\n", 1, "the value of 'docs' sets other options"),
         ("docs = '7\n", 1, "No closing quotation"),
     ])
     def test_bad_config_value_names_file_and_line(
@@ -704,7 +715,9 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(lines)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"error: {cfg}:{lineno}: {message}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}:{lineno}: {message}\n"
+        assert captured.out == ""
 
     def test_table_flag_beats_config_tables(self, data_dir, tmp_path, capsys):
         tables = []

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from evidence_cells import matrix_over
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from clirset.corpus import ConfusionNetwork, Corpus, Document, TranslationTable
 from clirset.errors import DataError
 from clirset.evidence import (
+    EvidenceMatrix,
     TranslationTableGenerator,
     Vocabulary,
     build_evidence,
@@ -295,6 +297,28 @@ class TestConstructor:
         assert list(matrix.iter_cells()) == []
         assert matrix.n_cells() == 0
         assert matrix.background == matrix.epsilon
+
+
+    def test_floors_a_writeable_column_in_place(self):
+        corpus = text_corpus(d=3)
+        positions = corpus.segment_positions
+        values = np.array([0.0, 0.5, 1.0])
+        matrix = EvidenceMatrix("g", 0.1, ({"w": (np.arange(3), values)}, None), positions)
+        _, stored = matrix.cells_at(positions, ["w"])["w"]
+        assert stored is values
+        assert values.tolist() == [0.1, 0.5, 0.9]
+        assert not values.flags.writeable
+
+    def test_copies_a_read_only_column_and_leaves_it_unchanged(self):
+        corpus = text_corpus(d=3)
+        positions = corpus.segment_positions
+        wide = matrix_over(corpus, [("d", 0, "w", 0.05), ("d", 2, "w", 0.95)], epsilon=0.01)
+        rows, values = wide.cells_at(positions, ["w"])["w"]
+        narrow = EvidenceMatrix("g", 0.1, ({"w": (rows, values)}, None), positions)
+        _, stored = narrow.cells_at(positions, ["w"])["w"]
+        assert stored.tolist() == [0.1, 0.9]
+        assert values.tolist() == [0.05, 0.95]
+        assert list(wide.iter_cells()) == [("d", 0, "w", 0.05), ("d", 2, "w", 0.95)]
 
 
 class TestMatrixIO:

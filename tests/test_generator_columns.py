@@ -8,7 +8,9 @@ copied verbatim, and the row write that floored and stored their scores
 hypothesis raises.
 """
 
+import tracemalloc
 from itertools import chain, repeat
+from unittest.mock import patch
 
 import numpy as np
 from evidence_cells import matrix_over
@@ -35,6 +37,7 @@ from clirset.evidence import (
     Vocabulary,
     build_evidence_for_words,
 )
+from clirset.evidence import searcher as searcher_module
 from clirset.evidence.searcher import _contextualize
 from clirset.numerics import sigmoid
 from clirset.relevance import rank
@@ -337,14 +340,50 @@ class TestSearcherColumns:
         depth=st.sampled_from([0, 1]),
         dim=st.integers(1, 4),
         epsilon=EPSILONS,
+        block=st.sampled_from([1, 2, 5, searcher_module._BLOCK_SEGMENTS]),
     )
-    def test_equal_the_per_segment_scorer(self, corpus, words, seed, depth, dim, epsilon):
+    def test_equal_the_per_segment_scorer(
+        self, corpus, words, seed, depth, dim, epsilon, block
+    ):
         generator = searcher_generator(seed, depth, dim)
-        matrix = build_evidence_for_words(generator, corpus, words, epsilon)
+        with patch.object(searcher_module, "_BLOCK_SEGMENTS", block):
+            matrix = build_evidence_for_words(generator, corpus, words, epsilon)
         cells = put_row_cells(old_searcher_scorer(generator, sorted(words)), corpus, epsilon)
         assert_same_evidence(matrix, cells, corpus, sorted(words))
         assert matrix.n_cells() == len(cells)
         assert matrix.background == epsilon and not matrix.filled
+
+    def test_build_peaks_under_twice_its_values(self):
+        """The build holds its values, a block and little else at any time:
+        no (segments x words) array besides the values, and no floored copy."""
+        rng = np.random.default_rng(0)
+        n_english, n_foreign, dim = 200, 50, 8
+        english = tuple(f"e{j}" for j in range(n_english))
+        foreign = tuple(f"f{j}" for j in range(n_foreign))
+        params = {
+            "foreign_emb": rng.normal(size=(n_foreign + 1, dim)),
+            "english_emb": rng.normal(size=(n_english, dim)),
+            "bias": rng.normal(size=n_english),
+        }
+        generator = SearcherGenerator(SearcherModel(Vocabulary(english), foreign, params))
+        sentences = [
+            tuple(foreign[j] for j in rng.integers(0, n_foreign, size=8).tolist())
+            for _ in range(12_000)
+        ]
+        corpus = Corpus.from_documents(
+            Document(id=f"d{i:05d}", kind="text", sentences=tuple(sentences[i : i + 10]))
+            for i in range(0, len(sentences), 10)
+        )
+        tracemalloc.start()
+        try:
+            matrix = build_evidence_for_words(generator, corpus, english)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = matrix.cells_at(corpus.segment_positions, english).values()
+        values = sum(column.nbytes for _, column in columns)
+        assert values == len(sentences) * n_english * 8
+        assert peak <= 2 * values
 
 
 class TestCombineBackgrounds:
