@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import random
 import shlex
 import sys
 from dataclasses import fields
@@ -33,7 +32,6 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError
 from .evidence import (
-    DEFAULT_NEGATIVES_PER_POSITIVE,
     MtEnsembleGenerator,
     SearcherConfig,
     SearcherGenerator,
@@ -42,7 +40,6 @@ from .evidence import (
     build_evidence,
     build_evidence_for_words,
     fit_mt_ensemble,
-    labeled_instances,
     load_mt_ensemble,
     load_mt_hypotheses,
     load_searcher,
@@ -233,7 +230,7 @@ def cmd_fit_ensemble(args: argparse.Namespace) -> int:
     vocab = _vocabulary(args, bitext)
     out = _output(args)
     model, loss = fit_mt_ensemble(
-        hyps, bitext, vocab, **_given(args, "m_neg", "l2", "lr", "seed")
+        hyps, bitext, vocab, **_given(args, "m_neg", "seed")
     )
     save_mt_ensemble(model, out)
     print(
@@ -270,31 +267,19 @@ def _build_generators(args: argparse.Namespace) -> list:
     return generators
 
 
-def _fit_weights(
-    args: argparse.Namespace, generators, bitext_path: Path
-) -> MixtureWeights:
-    """EM-fit mixture weights for `generators` on held-out bitext."""
-    bitext = load_bitext(bitext_path)
-    vocab = _vocabulary(args, bitext)
-    m_neg = DEFAULT_NEGATIVES_PER_POSITIVE if args.m_neg is None else args.m_neg
-    seed = 0 if args.seed is None else args.seed
-
-    # The instances are drawn once: the matrices only need to cover their
-    # words, and the fitter reads them as they are.
-    instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
-    words = instances.words()
-    pseudo = bitext_corpus(bitext)
-    matrices = [build_evidence_for_words(gen, pseudo, words) for gen in generators]
-    return fit_mixture(
-        matrices, bitext, vocab, m_neg=m_neg, seed=seed, instances=instances
-    )
-
-
 def cmd_fit_mixture(args: argparse.Namespace) -> int:
     bitext_path = _required(args, "bitext")
     generators = _build_generators(args)
     out = _output(args)
-    mixture = _fit_weights(args, generators, bitext_path)
+    bitext = load_bitext(bitext_path)
+    vocab = _vocabulary(args, bitext)
+    # Every word of a vocabulary drawn from this bitext is a positive of
+    # some pair, so the matrices cover exactly the instances' words.
+    pseudo = bitext_corpus(bitext)
+    matrices = [
+        build_evidence_for_words(gen, pseudo, vocab.tokens) for gen in generators
+    ]
+    mixture = fit_mixture(matrices, bitext, vocab, **_given(args, "m_neg", "seed"))
     save_weights(mixture, out)
     parts = " ".join(
         f"{tag}={mixture.weights[tag]:.4f}" for tag in sorted(mixture.weights)
@@ -337,10 +322,6 @@ def cmd_dump_evidence(args: argparse.Namespace) -> int:
 def _resolve_weights(args: argparse.Namespace, generators) -> MixtureWeights:
     if args.weights is None or args.weights == "uniform":
         return MixtureWeights.uniform([gen.tag for gen in generators])
-    if args.weights == "fit":
-        if args.bitext is None:
-            raise ConfigError("--weights fit needs --bitext for held-out fitting")
-        return _fit_weights(args, generators, args.bitext)
     weights_path = Path(args.weights)
     if not weights_path.is_file():
         raise ConfigError(f"weights file does not exist: {weights_path}")
@@ -354,8 +335,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = ThresholdConfig(**_given(args, "beta", "gamma"))
     outdir = _output(args, directory=True)
 
-    matrices = [build_evidence(gen, corpus, queries) for gen in generators]
     mixture = _resolve_weights(args, generators)
+    matrices = [build_evidence(gen, corpus, queries) for gen in generators]
     combined = combine(matrices, mixture)
 
     decisions = []
@@ -383,7 +364,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = load_corpus(_required(args, "corpus"))
-    judgments = load_judgments(_required(args, "judgments"), corpus)
+    judgments = load_judgments(_required(args, "judgments"))
     returned_sets = load_returned_sets(_required(args, "sets"))
     if args.cutoffs is not None:
         retrieved = load_cutoffs(args.cutoffs)
@@ -430,8 +411,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mt-hyps", type=_input_file)
     p.add_argument("--vocab-size", type=int)
     p.add_argument("--m-neg", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=cmd_fit_ensemble)
@@ -443,16 +422,13 @@ def build_parser() -> _Parser:
         p.add_argument("--mt-model", type=_input_file)
         p.add_argument("--searcher-model", type=_input_file)
 
-    def add_fit_args(p):
-        p.add_argument("--bitext", type=_input_file)
-        p.add_argument("--vocab-size", type=int)
-        p.add_argument("--m-neg", type=int)
-        p.add_argument("--seed", type=int)
-
     p = sub.add_parser("fit-mixture", parents=[common],
                        help="EM-fit mixture weights on held-out bitext")
     add_generator_args(p)
-    add_fit_args(p)
+    p.add_argument("--bitext", type=_input_file)
+    p.add_argument("--vocab-size", type=int)
+    p.add_argument("--m-neg", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=cmd_fit_mixture)
 
@@ -469,9 +445,7 @@ def build_parser() -> _Parser:
     add_generator_args(p)
     p.add_argument("--corpus", type=_input_file)
     p.add_argument("--queries", type=_input_file)
-    p.add_argument("--weights",
-                   help="'uniform', 'fit', or a weights file path")
-    add_fit_args(p)
+    p.add_argument("--weights", help="'uniform' or a weights file path")
     p.add_argument("--beta", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--out", type=Path)

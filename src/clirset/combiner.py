@@ -29,11 +29,7 @@ from .corpus import (
     split_tsv,
 )
 from .errors import DataError
-from .evidence.instances import (
-    DEFAULT_NEGATIVES_PER_POSITIVE,
-    LabeledInstances,
-    labeled_instances,
-)
+from .evidence.instances import DEFAULT_NEGATIVES_PER_POSITIVE, labeled_instances
 from .evidence.matrix import EvidenceMatrix, Vocabulary, weighted_sum
 
 log = logging.getLogger(__name__)
@@ -170,25 +166,21 @@ def fit_mixture(
     vocab: Vocabulary,
     m_neg: int = DEFAULT_NEGATIVES_PER_POSITIVE,
     seed: int = 0,
-    *,
-    instances: LabeledInstances | None = None,
 ) -> MixtureWeights:
     """Fit weights on held-out bitext instances read out of the matrices.
 
-    The matrices must be built over the bitext pseudo-corpus (see
-    corpus.bitext_corpus); any other raises DataError. Entries the
-    generators never stored read as their background, mostly the floor: a
-    near-certain vote for "not relevant". `instances`, when given, must be
-    `labeled_instances(bitext, vocab, m_neg, random.Random(seed))`, which a
-    caller that already drew them passes instead of having them drawn again.
+    The instances are `labeled_instances(bitext, vocab, m_neg,
+    random.Random(seed))`. The matrices must be built over the bitext
+    pseudo-corpus (see corpus.bitext_corpus); any other raises DataError.
+    Entries the generators never stored read as their background, mostly
+    the floor: a near-certain vote for "not relevant".
     """
     tags = [m.generator for m in matrices]
     if len(set(tags)) != len(tags):
         raise DataError("duplicate generator tags among matrices")
     if not matrices:
         raise DataError("cannot fit a mixture over no matrices")
-    if instances is None:
-        instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
+    instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
     positive = instances.label == 1
     pairs = instances.pair_index
     # each word's instances, ascending: one run of the stably sorted order

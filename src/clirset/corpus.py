@@ -618,7 +618,7 @@ def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Do
                             )
                         token = arc_tokens[raw_token] = normalized[0]
                     if type(prob) is not float:  # float(prob) is prob for a float
-                        if not isinstance(prob, (int, float)):
+                        if type(prob) is not int:  # JSON true and false are bools
                             raise DataError(
                                 f"{ctx}: arc prob for {raw_token!r} in {doc_id!r}"
                                 " is not a number"
@@ -681,13 +681,10 @@ def load_translation_table(path) -> TranslationTable:
             )
         first_line[key] = lineno
         entries.setdefault(key[0], {})[key[1]] = prob
-    for foreign, row in entries.items():
-        total = sum(row.values())
-        if total > 1.0 + TABLE_SUM_TOLERANCE:
-            raise DataError(
-                f"{path}: translation probs for {foreign!r} sum to {total!r} > 1"
-            )
-    return TranslationTable(entries, Path(path).stem)
+    try:
+        return TranslationTable(entries, Path(path).stem)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_translation_table(table: TranslationTable, path) -> None:

@@ -226,8 +226,6 @@ def fit_mt_ensemble(
     bitext: Bitext,
     vocab: Vocabulary,
     m_neg: int = DEFAULT_NEGATIVES_PER_POSITIVE,
-    l2: float = DEFAULT_L2,
-    lr: float = DEFAULT_LEARNING_RATE,
     seed: int = 0,
 ) -> tuple[MtEnsembleModel, float]:
     """Fit per-system weights on held-out bitext; returns (model, final loss).
@@ -240,10 +238,10 @@ def fit_mt_ensemble(
     features, labels = _instance_features(hyps, vocab, instances)
 
     def objective(w, b):
-        return ensemble_objective(w, b, features, labels, l2)
+        return ensemble_objective(w, b, features, labels, DEFAULT_L2)
 
     weights, bias, loss = _minimize(
-        objective, np.zeros(len(hyps.systems)), 0.0, lr,
+        objective, np.zeros(len(hyps.systems)), 0.0, DEFAULT_LEARNING_RATE,
         DEFAULT_TOLERANCE, DEFAULT_MAX_ITERATIONS,
     )
     log.info(
@@ -302,6 +300,13 @@ def save_mt_ensemble(model: MtEnsembleModel, path) -> None:
         out.write("\n")
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; true, false, strings and null are not numbers."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def load_mt_ensemble(path) -> MtEnsembleModel:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -312,10 +317,11 @@ def load_mt_ensemble(path) -> MtEnsembleModel:
     try:
         return MtEnsembleModel(
             tuple(payload["systems"]),
-            tuple(float(w) for w in payload["weights"]),
-            float(payload["bias"]),
+            tuple(_json_number(w) for w in payload["weights"]),
+            _json_number(payload["bias"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed ensemble model: {exc}") from exc
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+

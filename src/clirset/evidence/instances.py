@@ -1,10 +1,10 @@
 """Labeled (sentence, English word) training instances from held-out bitext.
 
-Shared by the MT-ensemble fitter, the embedding scorer trainer, and the
-mixture-weight fitter so that all of them agree on what a positive and a
-negative example look like: positives are vocabulary words that occur in
-the reference translation, negatives are vocabulary words that do not,
-sampled uniformly with replacement at a fixed rate per positive.
+Shared by the MT-ensemble fitter and the mixture-weight fitter so that
+both agree on what a positive and a negative example look like: positives
+are vocabulary words that occur in the reference translation, negatives
+are vocabulary words that do not, sampled uniformly with replacement at a
+fixed rate per positive.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class LabeledInstances:
             self.pair_index.tolist(), self.word_index.tolist(), self.label.tolist()
         ):
             yield LabeledInstance(pair, tokens[word], label)
-
-    def words(self) -> tuple[Token, ...]:
-        """The distinct words of the instances, in vocabulary order."""
-        return tuple(self.vocab.tokens[j] for j in np.unique(self.word_index).tolist())
 
 
 def labeled_instances(

@@ -84,20 +84,26 @@ class SearcherModel:
     params: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        femb = self.params.get("foreign_emb")
-        eemb = self.params.get("english_emb")
-        bias = self.params.get("bias")
-        if femb is None or eemb is None or bias is None:
+        if not {"foreign_emb", "english_emb", "bias"} <= self.params.keys():
             raise DataError("searcher model missing parameter arrays")
-        if femb.shape[0] != len(self.foreign_tokens) + 1:
-            raise DataError("foreign embedding rows do not match token list")
-        if eemb.shape != (len(self.english_vocab), femb.shape[1]):
-            raise DataError("english embedding shape mismatch")
-        if bias.shape != (len(self.english_vocab),):
-            raise DataError("bias shape mismatch")
         present = [key for key in _ATTENTION_KEYS if key in self.params]
         if present and len(present) != len(_ATTENTION_KEYS):
             raise DataError("attention parameters must appear all together")
+        femb = self.params["foreign_emb"]
+        if femb.ndim != 2 or femb.shape[0] != len(self.foreign_tokens) + 1:
+            raise DataError(
+                f"searcher parameter 'foreign_emb' has shape {femb.shape},"
+                f" want ({len(self.foreign_tokens) + 1}, dim)"
+            )
+        dim, n_english = femb.shape[1], len(self.english_vocab)
+        wanted = {"english_emb": (n_english, dim), "bias": (n_english,)}
+        wanted.update((key, (dim, dim)) for key in present)
+        for key, shape in wanted.items():
+            if self.params[key].shape != shape:
+                raise DataError(
+                    f"searcher parameter {key!r} has shape"
+                    f" {self.params[key].shape}, want {shape}"
+                )
         self._foreign_index = {tok: i for i, tok in enumerate(self.foreign_tokens)}
 
     @property
@@ -422,7 +428,10 @@ def load_searcher(path) -> SearcherModel:
         raise DataError(f"{path}: english vocabulary hash mismatch")
     if manifest.get("foreign_vocab_sha256") != sha256_tokens(foreign):
         raise DataError(f"{path}: foreign vocabulary hash mismatch")
-    model = SearcherModel(vocab, foreign, params)
+    try:
+        model = SearcherModel(vocab, foreign, params)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if manifest.get("dim") != model.dim:
         raise DataError(f"{path}: manifest dim does not match arrays")
     return model

@@ -412,11 +412,17 @@ def test_acceptance_7_end_to_end_planted_retrieval(tmp_path):
         assert code == 0
         singles[name] = evaluate_run(run_dir)
 
+    weights = tmp_path / "weights.tsv"
+    code, _ = run_cli(
+        ["fit-mixture"] + table_args + mt_args + searcher_args + [
+            "--bitext", str(noisy / "bitext.tsv"), "--out", str(weights),
+        ]
+    )
+    assert code == 0
     combined_dir = tmp_path / "combined"
     code, _ = run_cli(
         base + table_args + mt_args + searcher_args + [
-            "--weights", "fit", "--bitext", str(noisy / "bitext.tsv"),
-            "--out", str(combined_dir),
+            "--weights", str(weights), "--out", str(combined_dir),
         ]
     )
     assert code == 0

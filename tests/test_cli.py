@@ -4,15 +4,18 @@ import dataclasses
 import json
 import logging
 import math
+import re
+import shlex
 import weakref
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clirset.cli as cli_module
 import clirset.combiner as combiner_module
-from clirset.cli import main
+from clirset.cli import build_parser, main
 from clirset.combiner import load_weights
 from clirset.corpus import load_bitext
 from clirset.relevance import rank
@@ -311,7 +314,6 @@ class TestTrainers:
             calls.append(args)
             return labeled_instances(*args)
 
-        monkeypatch.setattr(cli_module, "labeled_instances", counted)
         monkeypatch.setattr(combiner_module, "labeled_instances", counted)
         assert main([
             "fit-mixture",
@@ -333,41 +335,6 @@ class TestTrainers:
         code = main(retrieve_args(data_dir, run) + ["--weights", str(weights)])
         assert code == 0
         assert (run / "sets.tsv").is_file()
-
-
-    def test_inline_fit_matches_fit_mixture_then_weights_file(
-        self, data_dir, tmp_path
-    ):
-        mt_model = tmp_path / "mt.json"
-        assert main([
-            "fit-ensemble",
-            "--bitext", str(data_dir / "bitext.tsv"),
-            "--mt-hyps", str(data_dir / "mt_hyps.tsv"),
-            "--out", str(mt_model),
-        ]) == 0
-        mt_args = [
-            "--mt-hyps", str(data_dir / "mt_hyps.tsv"),
-            "--mt-model", str(mt_model),
-        ]
-        weights = tmp_path / "weights.tsv"
-        assert main([
-            "fit-mixture",
-            "--bitext", str(data_dir / "bitext.tsv"),
-            "--table", str(data_dir / "table.tsv"),
-            *mt_args,
-            "--out", str(weights),
-        ]) == 0
-        from_file, inline = tmp_path / "from_file", tmp_path / "inline"
-        assert main(
-            retrieve_args(data_dir, from_file) + mt_args
-            + ["--weights", str(weights)]
-        ) == 0
-        assert main(
-            retrieve_args(data_dir, inline) + mt_args
-            + ["--weights", "fit", "--bitext", str(data_dir / "bitext.tsv")]
-        ) == 0
-        for name in ("ranked.run", "cutoffs.tsv", "sets.tsv"):
-            assert (inline / name).read_bytes() == (from_file / name).read_bytes()
 
 
 class TestDumpEvidence:
@@ -488,6 +455,12 @@ class TestErrorPaths:
         ("retrieve", "--epsilon"),
         ("fit-mixture", "--epsilon"),
         ("dump-evidence", "--epsilon"),
+        ("retrieve", "--bitext"),
+        ("retrieve", "--vocab-size"),
+        ("retrieve", "--m-neg"),
+        ("retrieve", "--seed"),
+        ("fit-ensemble", "--l2"),
+        ("fit-ensemble", "--lr"),
     ])
     def test_removed_flags_are_usage_errors(self, capsys, command, flag):
         assert main([command, flag, "1"]) == 1
@@ -560,12 +533,47 @@ class TestErrorPaths:
         assert f"beta {float(beta)!r} must be finite and positive" in err
         assert "Traceback" not in err
 
-    def test_weights_fit_needs_bitext(self, data_dir, tmp_path, capsys):
+    def test_weights_fit_is_a_missing_file(self, data_dir, tmp_path, capsys):
         code = main(
             retrieve_args(data_dir, tmp_path / "run") + ["--weights", "fit"]
         )
         assert code == 1
-        assert "--bitext" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: weights file does not exist: fit\n"
+        )
+
+    def test_bad_weights_fail_before_the_evidence_build(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        def build_evidence(*args):
+            raise AssertionError("evidence built before the weights were read")
+
+        monkeypatch.setattr(cli_module, "build_evidence", build_evidence)
+        bad = tmp_path / "weights.tsv"
+        bad.write_text("table\tnot-a-number\n")
+        for weights, code in ((tmp_path / "missing.tsv", 1), (bad, 2)):
+            assert main(
+                retrieve_args(data_dir, tmp_path / "run")
+                + ["--weights", str(weights)]
+            ) == code
+        err = capsys.readouterr().err
+        assert f"weights file does not exist: {tmp_path / 'missing.tsv'}" in err
+        assert f"{bad}:1:" in err
+        assert "Traceback" not in err
+
+    def test_judgments_naming_an_unknown_document(
+        self, data_dir, tmp_path, capsys
+    ):
+        judgments = tmp_path / "judgments.tsv"
+        judgments.write_text("q1\tno-such-doc\n")
+        sets = tmp_path / "sets.tsv"
+        sets.write_text("")
+        argv = evaluate_args(data_dir, sets)
+        argv[argv.index("--judgments") + 1] = str(judgments)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: judgments for query 'q1' name unknown document 'no-such-doc'\n"
+        )
 
     def test_non_lexical_queries_skipped_with_warning(
         self, data_dir, tmp_path, capsys, caplog
@@ -590,6 +598,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("weights, bias, named", [
         ([1.0, 0.5], math.nan, "ensemble bias is not finite"),
         ([math.inf, 0.5], -2.0, "ensemble weight for 'mt1' is not finite"),
+        ([True, False], 0.5, "malformed ensemble model: True is not a number"),
+        ([1.0, 0.5], False, "malformed ensemble model: False is not a number"),
+        (["1.0", 0.5], 0.5, "malformed ensemble model: '1.0' is not a number"),
+        ([1.0, 0.5], None, "malformed ensemble model: None is not a number"),
     ])
     def test_non_finite_mt_model_names_the_file(
         self, data_dir, tmp_path, capsys, weights, bias, named
@@ -626,6 +638,35 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}: searcher parameter 'bias' is not finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, reshape, want", [
+        ("wq", lambda a: np.zeros((3, 3)), "(3, 3), want (4, 4)"),
+        ("foreign_emb", np.ravel, "want ("),
+        ("english_emb", lambda a: a[:-1], "want ("),
+    ], ids=["attention-not-dim-by-dim", "foreign-1d", "english-rows"])
+    def test_misshapen_searcher_array_names_the_file(
+        self, data_dir, tmp_path, capsys, key, reshape, want
+    ):
+        bitext = load_bitext(data_dir / "bitext.tsv")
+        model, _ = train_searcher(
+            bitext, Vocabulary.from_bitext(bitext, 50),
+            SearcherConfig(dim=4, depth=1, epochs=1),
+        )
+        good = tmp_path / "good.npz"
+        save_searcher(model, good)
+        with np.load(good) as archive:
+            arrays = dict(archive)
+        arrays[key] = reshape(arrays[key])
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        code = main(retrieve_args(data_dir, tmp_path / "run") + [
+            "--searcher-model", str(bad),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: searcher parameter {key!r} has shape" in err
+        assert want in err
         assert "Traceback" not in err
 
     def test_all_non_lexical_is_data_error(self, data_dir, tmp_path):
@@ -736,3 +777,37 @@ class TestConfigFile:
             "--table", str(tables[2]), "--out", str(tmp_path / "w2.tsv"),
         ]) == 0
         assert sorted(load_weights(tmp_path / "w2.tsv").weights) == ["c d"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def walkthrough_commands():
+    """Each `clirset` command of README's walkthrough, as argv after `clirset`."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command-line walkthrough", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [
+        shlex.split(line)[1:]
+        for line in joined.splitlines()
+        if line.startswith("clirset ")
+    ]
+
+
+class TestReadme:
+    def test_walkthrough_commands_parse(self, tmp_path, monkeypatch):
+        commands = walkthrough_commands()
+        assert [argv[0] for argv in commands] == [
+            "synth", "train-searcher", "fit-ensemble", "fit-mixture",
+            "retrieve", "evaluate",
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            # a value with a letter in it, but --out's, names an input file
+            for flag, value in zip(argv, argv[1:]):
+                if flag != "--out" and re.match(r"[^-].*[a-z]", value):
+                    Path(value).parent.mkdir(parents=True, exist_ok=True)
+                    Path(value).touch()
+            args = build_parser().parse_args(argv)
+            assert args.command == argv[0]

@@ -10,7 +10,6 @@ from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import clirset.combiner as combiner_module
 from clirset.combiner import (
     MixtureWeights,
     combine,
@@ -352,31 +351,6 @@ class TestFitMixture:
             )
         assert len(fitted.loglik_history) < 500
         assert em_warnings(caplog) == []
-
-    @pytest.mark.parametrize("m_neg, seed, max_iter", [(3, 0, 500), (1, 7, 500), (5, 3, 4)])
-    def test_passed_instances_equal_the_derived_ones(
-        self, monkeypatch, m_neg, seed, max_iter
-    ):
-        bitext, vocab = toy_bitext_and_vocab()
-        matrices = list(sharp_and_flat(bitext, vocab))
-        instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
-        # EM stops after at most max_iter iterations; 500 is its default cap
-        monkeypatch.setattr(
-            combiner_module, "em_fit", lambda q: em_fit(q, max_iter=max_iter)
-        )
-        derived = fit_mixture(matrices, bitext, vocab, m_neg=m_neg, seed=seed)
-        assert len(derived.loglik_history) <= max_iter
-
-        def drawn_again(*args):
-            raise AssertionError("instances drawn a second time")
-
-        monkeypatch.setattr(combiner_module, "labeled_instances", drawn_again)
-        passed = fit_mixture(
-            matrices, bitext, vocab, m_neg=m_neg, seed=seed, instances=instances
-        )
-        assert passed.weights == derived.weights
-        assert passed.loglik_history == derived.loglik_history
-        assert passed.loglik == derived.loglik
 
     def test_weights_keyed_by_tag_not_position(self):
         bitext, vocab = toy_bitext_and_vocab()

@@ -145,6 +145,18 @@ class TestCorpusIO:
         with pytest.raises(DataError, match="sum"):
             load_corpus(self._write(tmp_path, [line]))
 
+    @pytest.mark.parametrize("prob", [True, False, "0.5", None])
+    def test_arc_prob_that_is_not_a_number_rejected(self, tmp_path, prob):
+        line = json.dumps(
+            {"id": "d1", "kind": "speech", "utterances": [[[["fa", prob]]]]}
+        )
+        path = self._write(tmp_path, [line])
+        with pytest.raises(DataError) as raised:
+            load_corpus(path)
+        assert str(raised.value) == (
+            f"{path}:1: arc prob for 'fa' in 'd1' is not a number"
+        )
+
     def test_zero_prob_arc_rejected(self, tmp_path):
         line = json.dumps(
             {"id": "d1", "kind": "speech", "utterances": [[[["a", 0.0]]]]}
@@ -517,8 +529,11 @@ class TestTranslationTableIO:
     def test_row_sum_above_one_rejected(self, tmp_path):
         path = tmp_path / "tt.tsv"
         path.write_text("f\te1\t0.8\nf\te2\t0.3\n")
-        with pytest.raises(DataError, match="sum"):
+        with pytest.raises(DataError) as raised:
             load_translation_table(path)
+        assert str(raised.value) == (
+            f"{path}: translation probs for 'f' sum to {0.8 + 0.3!r} > 1"
+        )
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "tt.tsv"

@@ -120,11 +120,25 @@ class TestLabeledInstances:
         b = labeled_instances(self.BITEXT, self.VOCAB, m_neg=5, rng=random.Random(9))
         assert columns_of(a) == columns_of(b)
 
-    def test_words_are_the_distinct_instance_words_in_vocab_order(self):
-        insts = labeled_instances(self.BITEXT, self.VOCAB, m_neg=10, rng=random.Random(1))
-        assert insts.words() == tuple(
-            word for word in self.VOCAB if word in {inst.word for inst in insts}
-        )
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6), min_size=1, max_size=12),
+        st.integers(1, 10),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cover_every_word_of_a_vocabulary_from_the_same_bitext(self, english, size, m_neg, seed):
+        # so matrices built over vocab.tokens hold every word fit_mixture reads
+        bitext = Bitext(tuple((("f",), tuple(e)) for e in english))
+        vocab = Vocabulary.from_bitext(bitext, size)
+        try:
+            insts = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
+        except DataError as exc:  # every pair holds every vocabulary word
+            assert str(exc) == "bitext yields no negative training instances"
+            return
+        every_word = list(range(len(vocab)))
+        assert np.unique(insts.word_index[insts.label == 1]).tolist() == every_word
+        assert np.unique(insts.word_index).tolist() == every_word
 
     def test_no_positives_rejected(self):
         bitext = Bitext(((("f1",), ("zzz",)),))
