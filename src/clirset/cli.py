@@ -66,7 +66,6 @@ log = logging.getLogger(__name__)
 RANKED_FILE = "ranked.run"
 CUTOFFS_FILE = "cutoffs.tsv"
 SETS_FILE = "sets.tsv"
-REPORT_FILE = "report.tsv"
 
 DEFAULT_VOCAB_SIZE = 2000
 
@@ -178,16 +177,6 @@ def _required(args: argparse.Namespace, name: str):
     return value
 
 
-def _output(args: argparse.Namespace, directory: bool = False) -> Path:
-    """The required --out path, with the directory it needs created."""
-    path = _required(args, "out")
-    try:
-        (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create directory for {path}: {exc}") from exc
-    return path
-
-
 def _vocabulary(args: argparse.Namespace, bitext) -> Vocabulary:
     size = DEFAULT_VOCAB_SIZE if args.vocab_size is None else args.vocab_size
     return Vocabulary.from_bitext(bitext, size)
@@ -200,7 +189,7 @@ def _vocabulary(args: argparse.Namespace, bitext) -> Vocabulary:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = SynthSpec(**_given(args, *_field_names(SynthSpec)))
-    outdir = _output(args, directory=True)
+    outdir = _required(args, "out")
     dataset = generate(spec)
     write_dataset(dataset, outdir)
     print(
@@ -214,7 +203,7 @@ def cmd_train_searcher(args: argparse.Namespace) -> int:
     bitext = load_bitext(_required(args, "bitext"))
     vocab = _vocabulary(args, bitext)
     config = SearcherConfig(**_given(args, *_field_names(SearcherConfig)))
-    out = _output(args)
+    out = _required(args, "out")
     model, losses = train_searcher(bitext, vocab, config)
     save_searcher(model, out)
     print(
@@ -228,10 +217,8 @@ def cmd_fit_ensemble(args: argparse.Namespace) -> int:
     bitext = load_bitext(_required(args, "bitext"))
     hyps = load_mt_hypotheses(_required(args, "mt_hyps"))
     vocab = _vocabulary(args, bitext)
-    out = _output(args)
-    model, loss = fit_mt_ensemble(
-        hyps, bitext, vocab, **_given(args, "m_neg", "seed")
-    )
+    out = _required(args, "out")
+    model, loss = fit_mt_ensemble(hyps, bitext, vocab)
     save_mt_ensemble(model, out)
     print(
         f"fit-ensemble: {len(model.systems)} systems, final loss"
@@ -270,7 +257,7 @@ def _build_generators(args: argparse.Namespace) -> list:
 def cmd_fit_mixture(args: argparse.Namespace) -> int:
     bitext_path = _required(args, "bitext")
     generators = _build_generators(args)
-    out = _output(args)
+    out = _required(args, "out")
     bitext = load_bitext(bitext_path)
     vocab = _vocabulary(args, bitext)
     # Every word of a vocabulary drawn from this bitext is a positive of
@@ -279,7 +266,7 @@ def cmd_fit_mixture(args: argparse.Namespace) -> int:
     matrices = [
         build_evidence_for_words(gen, pseudo, vocab.tokens) for gen in generators
     ]
-    mixture = fit_mixture(matrices, bitext, vocab, **_given(args, "m_neg", "seed"))
+    mixture = fit_mixture(matrices, bitext, vocab)
     save_weights(mixture, out)
     parts = " ".join(
         f"{tag}={mixture.weights[tag]:.4f}" for tag in sorted(mixture.weights)
@@ -312,7 +299,7 @@ def cmd_dump_evidence(args: argparse.Namespace) -> int:
         raise ConfigError(
             "dump-evidence writes one matrix; configure exactly one generator"
         )
-    out = _output(args)
+    out = _required(args, "out")
     matrix = build_evidence(generators[0], corpus, _lexical_queries(queries))
     cells = save_matrix(matrix, out)
     print(f"dump-evidence: generator={matrix.generator} cells={cells} -> {out}")
@@ -333,7 +320,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     queries = _lexical_queries(load_queries(_required(args, "queries")))
     generators = _build_generators(args)
     cfg = ThresholdConfig(**_given(args, "beta", "gamma"))
-    outdir = _output(args, directory=True)
+    outdir = _required(args, "out")
 
     mixture = _resolve_weights(args, generators)
     matrices = [build_evidence(gen, corpus, queries) for gen in generators]
@@ -373,7 +360,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 log.warning("query %s not retrieved; scored as an empty set", qid)
     run_score = score_run(returned_sets, judgments, corpus, **_given(args, "beta"))
     if args.out is not None:
-        save_report(run_score, _output(args))
+        save_report(run_score, args.out)
     print(f"evaluate: {format_summary(run_score)}")
     return 0
 
@@ -410,8 +397,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bitext", type=_input_file)
     p.add_argument("--mt-hyps", type=_input_file)
     p.add_argument("--vocab-size", type=int)
-    p.add_argument("--m-neg", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=cmd_fit_ensemble)
 
@@ -427,8 +412,6 @@ def build_parser() -> _Parser:
     add_generator_args(p)
     p.add_argument("--bitext", type=_input_file)
     p.add_argument("--vocab-size", type=int)
-    p.add_argument("--m-neg", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=cmd_fit_mixture)
 

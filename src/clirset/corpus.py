@@ -29,13 +29,12 @@ import string
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 Token = str
 Sentence = tuple[Token, ...]
@@ -139,14 +138,6 @@ class ConfusionNetwork:
                     f"confusion network slot {i} probs sum to {total!r} > 1"
                 )
             start = end
-
-    @classmethod
-    def from_slots(cls, slots) -> "ConfusionNetwork":
-        """The network of `slots`, each a sequence of (token, prob) arcs."""
-        tokens, probs = tuple(zip(*chain.from_iterable(slots))) or ((), ())
-        return cls(
-            tokens, np.array(probs, dtype=np.float64), tuple(accumulate(map(len, slots)))
-        )
 
     @property
     def slots(self) -> tuple[tuple[tuple[Token, float], ...], ...]:
@@ -299,14 +290,6 @@ class Query:
             raise DataError(f"query {self.id!r} has unknown kind {self.kind!r}")
         if not self.phrases or any(not p for p in self.phrases):
             raise DataError(f"query {self.id!r} has an empty phrase")
-
-    def words(self) -> list[Token]:
-        """All phrase words, deduplicated, in first-seen order."""
-        seen: dict[Token, None] = {}
-        for phrase in self.phrases:
-            for word in phrase:
-                seen.setdefault(word)
-        return list(seen)
 
 
 def parse_query(line: str) -> Query:
@@ -475,15 +458,28 @@ def atomic_output(path, binary: bool = False) -> Iterator[IO]:
 
     The handle takes UTF-8 text, or bytes if `binary`. What is written
     goes to a temporary file next to `path`, which os.replace moves into
-    place. If the block raises, the temporary file is removed and whatever
-    `path` held before stays.
+    place; the directory is created first if it is missing. If the block
+    raises, the temporary file is removed and whatever `path` held before
+    stays. A path whose directory cannot be created, or that cannot be
+    written or replaced, is a ConfigError naming it.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as out:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory for {path}: {exc}") from exc
+    try:
+        out = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    try:
+        with out:
             yield out
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot replace {path}: {exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

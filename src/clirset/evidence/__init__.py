@@ -1,7 +1,6 @@
 """Evidence generators: p(rel | sentence, English word) from each source."""
 
 from .ensemble import (
-    MT_GENERATOR_TAG,
     MtEnsembleGenerator,
     MtEnsembleModel,
     MtHypothesisSet,
@@ -12,23 +11,15 @@ from .ensemble import (
     save_mt_ensemble,
     save_mt_hypotheses,
 )
-from .instances import (
-    DEFAULT_NEGATIVES_PER_POSITIVE,
-    LabeledInstance,
-    LabeledInstances,
-    labeled_instances,
-)
+from .instances import LabeledInstance, labeled_instances
 from .matrix import (
-    EvidenceGenerator,
     EvidenceMatrix,
     Vocabulary,
     build_evidence,
     build_evidence_for_words,
-    query_words,
     save_matrix,
 )
 from .searcher import (
-    SEARCHER_GENERATOR_TAG,
     SearcherConfig,
     SearcherGenerator,
     SearcherModel,
@@ -40,16 +31,11 @@ from .searcher import (
 from .tables import TranslationTableGenerator
 
 __all__ = [
-    "DEFAULT_NEGATIVES_PER_POSITIVE",
-    "EvidenceGenerator",
     "EvidenceMatrix",
     "LabeledInstance",
-    "LabeledInstances",
-    "MT_GENERATOR_TAG",
     "MtEnsembleGenerator",
     "MtEnsembleModel",
     "MtHypothesisSet",
-    "SEARCHER_GENERATOR_TAG",
     "SearcherConfig",
     "SearcherGenerator",
     "SearcherModel",
@@ -63,7 +49,6 @@ __all__ = [
     "load_mt_ensemble",
     "load_mt_hypotheses",
     "load_searcher",
-    "query_words",
     "save_matrix",
     "save_mt_ensemble",
     "save_mt_hypotheses",

@@ -153,6 +153,13 @@ class MtEnsembleModel:
             raise DataError("ensemble weights do not match systems")
         if not self.systems:
             raise DataError("ensemble model with no systems")
+        for system in self.systems:
+            if not isinstance(system, str) or not system:
+                raise DataError(f"ensemble system {system!r} is not a non-empty string")
+        if len(set(self.systems)) != len(self.systems):
+            raise DataError(
+                f"duplicate system ids in ensemble model: {list(self.systems)}"
+            )
         for system, weight in zip(self.systems, self.weights):
             if not math.isfinite(weight):
                 raise DataError(f"ensemble weight for {system!r} is not finite")
@@ -315,8 +322,11 @@ def load_mt_ensemble(path) -> MtEnsembleModel:
     except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read ensemble model {path}: {exc}") from exc
     try:
+        systems = payload["systems"]
+        if not isinstance(systems, list):
+            raise DataError(f"ensemble systems must be a JSON list, got {systems!r}")
         return MtEnsembleModel(
-            tuple(payload["systems"]),
+            tuple(systems),
             tuple(_json_number(w) for w in payload["weights"]),
             _json_number(payload["bias"]),
         )

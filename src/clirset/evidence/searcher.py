@@ -58,6 +58,15 @@ _BLOCK_SEGMENTS = 1024
 
 @dataclass(frozen=True)
 class SearcherConfig:
+    """How the searcher trains.
+
+    `m_neg` negatives per positive are sampled only when the vocabulary
+    holds more than FULL_VOCAB_MAX (2000) words; a smaller vocabulary scores
+    every word that is not in the reference. So `train-searcher --m-neg`
+    matters only with `--vocab-size` above 2000 on a bitext with that many
+    English types.
+    """
+
     dim: int = 16
     depth: int = 0  # number of self-attention layers, 0 or 1
     epochs: int = 20

@@ -73,6 +73,18 @@ QUERIES_FILE = "queries.tsv"
 JUDGMENTS_FILE = "judgments.tsv"
 
 
+# Fixed shape of every synthetic world: words per sentence, phrases per
+# query and words per phrase (inclusive ranges), and each MT system's
+# error rate, one system per rate.
+SENTENCE_LEN = (4, 12)
+PHRASES_PER_QUERY = (1, 2)
+PHRASE_LEN = (1, 2)
+MT_ERROR_RATES = (0.1, 0.3)
+# Sparse: a beta of 40 prices false alarms for collections where relevant
+# documents are rare, so the planted world matches.
+RELEVANCE_RATE = 0.02
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Knobs for one synthetic dataset; every field has a sane default."""
@@ -83,44 +95,27 @@ class SynthSpec:
     noise: float = 0.0
     docs: int = 200
     sentences_per_doc: tuple[int, int] = (3, 8)
-    sentence_len: tuple[int, int] = (4, 12)
     queries: int = 20
-    phrases_per_query: tuple[int, int] = (1, 2)
-    phrase_len: tuple[int, int] = (1, 2)
     speech_fraction: float = 0.0
     confusion_depth: int = 1
-    # Sparse by default: a beta of 40 prices false alarms for collections
-    # where relevant documents are rare, so the planted world matches.
-    relevance_rate: float = 0.02
     bitext_pairs: int = 300
-    mt_error_rates: tuple[float, float] = (0.1, 0.3)
 
     def __post_init__(self) -> None:
         for name in ("foreign_vocab", "english_vocab", "docs", "queries",
                      "bitext_pairs"):
             if getattr(self, name) < 1:
                 raise DataError(f"synth {name} must be positive")
-        for name in ("sentences_per_doc", "sentence_len", "phrases_per_query",
-                     "phrase_len"):
-            lo, hi = getattr(self, name)
-            if lo < 1 or hi < lo:
-                raise DataError(f"synth {name} range ({lo}, {hi}) is invalid")
-        if self.phrase_len[1] > self.sentence_len[1]:
-            raise DataError(
-                "synth phrase_len exceeds sentence_len; planted sentences"
-                " could not hold a whole phrase"
-            )
-        for name in ("noise", "speech_fraction", "relevance_rate"):
+        lo, hi = self.sentences_per_doc
+        if lo < 1 or hi < lo:
+            raise DataError(f"synth sentences_per_doc range ({lo}, {hi}) is invalid")
+        for name in ("noise", "speech_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise DataError(f"synth {name} {value!r} outside [0, 1]")
-        if self.noise >= 1.0 and self.noise != 0.0:
+        if self.noise >= 1.0:
             raise DataError("synth noise must be < 1")
         if self.confusion_depth < 1:
             raise DataError("synth confusion_depth must be >= 1")
-        for rate in self.mt_error_rates:
-            if not 0.0 <= rate < 1.0:
-                raise DataError(f"synth MT error rate {rate!r} outside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
         n_sent = rng_text.randint(*spec.sentences_per_doc)
         sentences = []
         for _ in range(n_sent):
-            length = rng_text.randint(*spec.sentence_len)
+            length = rng_text.randint(*SENTENCE_LEN)
             sentences.append(rng_text.choices(pool, pool_weights, k=length))
         doc_sentences.append(sentences)
     doc_ids = [f"d{i:04d}" for i in range(spec.docs)]
@@ -219,8 +214,8 @@ def _make_queries(spec, foreign, dictionary, n_dict):
     total_words = 0
     for _ in range(spec.queries):
         lens = [
-            rng.randint(*spec.phrase_len)
-            for _ in range(rng.randint(*spec.phrases_per_query))
+            rng.randint(*PHRASE_LEN)
+            for _ in range(rng.randint(*PHRASES_PER_QUERY))
         ]
         shapes.append(lens)
         total_words += sum(lens)
@@ -254,7 +249,7 @@ def _plant_relevance(spec, queries, doc_sentences, reverse):
     rng = _stream(spec.seed, "plant")
     judgments: dict[int, set[int]] = {}
     for q, query in enumerate(queries):
-        relevant = {d for d in range(spec.docs) if rng.random() < spec.relevance_rate}
+        relevant = {d for d in range(spec.docs) if rng.random() < RELEVANCE_RATE}
         if not relevant:
             relevant = {rng.randrange(spec.docs)}
         judgments[q] = relevant
@@ -331,7 +326,7 @@ def _make_bitext(spec, foreign, dictionary, n_dict, reserved, reverse, pool,
     all_weights = _zipf_weights(n_dict)
     pairs = []
     for _ in range(spec.bitext_pairs):
-        length = rng.randint(*spec.sentence_len)
+        length = rng.randint(*SENTENCE_LEN)
         src = rng.choices(all_foreign, all_weights, k=length)
         pairs.append((tuple(src), tuple(dictionary[f] for f in src)))
     # Guarantee every reserved query word shows up in running training text.
@@ -382,10 +377,10 @@ def _make_hypotheses(spec, english, dictionary, reserved, doc_ids,
                      doc_sentences, bitext):
     """Word-for-word MT output, independently corrupted per system."""
     rng = _stream(spec.seed, "mt")
-    systems = tuple(f"mt{k + 1}" for k in range(len(spec.mt_error_rates)))
+    systems = tuple(f"mt{k + 1}" for k in range(len(MT_ERROR_RATES)))
     error_pool = [e for e in english if e not in reserved]
     hypotheses: dict[str, dict[tuple[str, int], Sentence]] = {}
-    for system, rate in zip(systems, spec.mt_error_rates):
+    for system, rate in zip(systems, MT_ERROR_RATES):
         per_system: dict[tuple[str, int], Sentence] = {}
 
         def translate(sentence):
@@ -409,7 +404,6 @@ def _make_hypotheses(spec, english, dictionary, reserved, doc_ids,
 def write_dataset(dataset: SynthDataset, outdir) -> dict[str, Path]:
     """Write every artifact under `outdir`; returns the path map."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     paths = {
         "corpus": outdir / CORPUS_FILE,
         "bitext": outdir / BITEXT_FILE,

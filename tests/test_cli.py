@@ -1,5 +1,6 @@
 """End-to-end command-line tests, driving main() in process."""
 
+import argparse
 import dataclasses
 import json
 import logging
@@ -437,6 +438,44 @@ class TestOutputPaths:
         assert len(err.splitlines()) == 1
         assert afile.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command, code", [("synth", 2), ("retrieve", 1)])
+    def test_failing_command_leaves_no_directory(
+        self, data_dir, tmp_path, capsys, command, code
+    ):
+        out = tmp_path / "new"
+        argv = {
+            "synth": ["synth", "--queries", "400", "--out", str(out)],
+            "retrieve": retrieve_args(data_dir, out)
+            + ["--weights", str(tmp_path / "missing.tsv")],
+        }[command]
+        assert main(argv) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit-ensemble", "retrieve"])
+    def test_out_that_is_a_directory_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, command
+    ):
+        if command == "fit-ensemble":
+            out = tmp_path / "mt.json"
+            out.mkdir()
+            argv = [
+                command,
+                "--bitext", str(data_dir / "bitext.tsv"),
+                "--mt-hyps", str(data_dir / "mt_hyps.tsv"),
+                "--out", str(out),
+            ]
+        else:
+            out = tmp_path / "run" / "ranked.run"
+            out.mkdir(parents=True)
+            argv = retrieve_args(data_dir, out.parent)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot replace {out}: ")
+        assert len(err.splitlines()) == 1
+        assert list(out.iterdir()) == []
+        assert sorted(p.name for p in out.parent.iterdir()) == [out.name]
+
 
 class TestErrorPaths:
     def test_missing_input_file_is_config_error(self, tmp_path):
@@ -461,6 +500,15 @@ class TestErrorPaths:
         ("retrieve", "--seed"),
         ("fit-ensemble", "--l2"),
         ("fit-ensemble", "--lr"),
+        ("synth", "--sentence-len"),
+        ("synth", "--phrases-per-query"),
+        ("synth", "--phrase-len"),
+        ("synth", "--relevance-rate"),
+        ("synth", "--mt-error-rates"),
+        ("fit-ensemble", "--m-neg"),
+        ("fit-ensemble", "--seed"),
+        ("fit-mixture", "--m-neg"),
+        ("fit-mixture", "--seed"),
     ])
     def test_removed_flags_are_usage_errors(self, capsys, command, flag):
         assert main([command, flag, "1"]) == 1
@@ -618,6 +666,28 @@ class TestErrorPaths:
         assert f"{model}: {named}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("systems, named", [
+        ("ab", "ensemble systems must be a JSON list, got 'ab'"),
+        ({"a": 1, "b": 2}, "ensemble systems must be a JSON list, got {"),
+        ([1, 2], "ensemble system 1 is not a non-empty string"),
+        (["mt1", ""], "ensemble system '' is not a non-empty string"),
+        (["mt1", "mt1"], "duplicate system ids in ensemble model: ['mt1', 'mt1']"),
+    ], ids=["string", "object", "numbers", "empty-name", "duplicate"])
+    def test_malformed_mt_systems_name_the_file(
+        self, data_dir, tmp_path, capsys, systems, named
+    ):
+        model = tmp_path / "mt.json"
+        model.write_text(json.dumps(
+            {"systems": systems, "weights": [1.0, 0.5], "bias": 0.5}
+        ))
+        code = main(retrieve_args(data_dir, tmp_path / "run") + [
+            "--mt-hyps", str(data_dir / "mt_hyps.tsv"), "--mt-model", str(model),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: {named}")
+        assert "Traceback" not in err
+
     def test_non_finite_searcher_array_names_the_file(
         self, data_dir, tmp_path, capsys
     ):
@@ -682,6 +752,55 @@ class TestErrorPaths:
         assert code == 2
 
 
+class TestSurface:
+    def test_options_per_subcommand(self):
+        """Every option each subcommand takes; a new one is a reviewed edit here."""
+        common = ["--config", "--verbose"]
+        generators = ["--table", "--mt-hyps", "--mt-model", "--searcher-model"]
+        parser = build_parser()
+        (sub,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        options = {
+            name: [
+                option
+                for action in p._actions
+                for option in action.option_strings
+                if option not in ("-h", "--help")
+            ]
+            for name, p in sub.choices.items()
+        }
+        assert options == {
+            "synth": [
+                *common, "--seed", "--foreign-vocab", "--english-vocab", "--noise",
+                "--docs", "--sentences-per-doc", "--queries", "--speech-fraction",
+                "--confusion-depth", "--bitext-pairs", "--out",
+            ],
+            "train-searcher": [
+                *common, "--bitext", "--vocab-size", "--dim", "--depth", "--epochs",
+                "--lr", "--m-neg", "--seed", "--out",
+            ],
+            "fit-ensemble": [
+                *common, "--bitext", "--mt-hyps", "--vocab-size", "--out",
+            ],
+            "fit-mixture": [
+                *common, *generators, "--bitext", "--vocab-size", "--out",
+            ],
+            "dump-evidence": [
+                *common, *generators, "--corpus", "--queries", "--out",
+            ],
+            "retrieve": [
+                *common, *generators, "--corpus", "--queries", "--weights",
+                "--beta", "--gamma", "--out",
+            ],
+            "evaluate": [
+                *common, "--corpus", "--judgments", "--sets", "--cutoffs", "--beta",
+                "--out",
+            ],
+        }
+
+
 class TestConfigFile:
     def test_flags_beat_config_beats_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "clirset.cfg"
@@ -744,7 +863,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("lines, lineno, message", [
         ("docs = 7\ndocs = seven\n", 2, "argument --docs: invalid int value: 'seven'"),
-        ("sentence-len = 4\n", 1, "argument --sentence-len: expected 2 arguments"),
+        ("sentences-per-doc = 4\n", 1,
+         "argument --sentences-per-doc: expected 2 arguments"),
         ("docs = 7 --queries 2\n", 1, "the value of 'docs' sets other options"),
         ("docs = 7 -h\n", 1, "the value of 'docs' sets other options"),
         ("docs = --help\n", 1, "the value of 'docs' sets other options"),

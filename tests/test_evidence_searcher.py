@@ -5,11 +5,12 @@ import os
 
 import numpy as np
 import pytest
+from corpus_helpers import from_slots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clirset.evidence.searcher as searcher_module
-from clirset.corpus import Bitext, ConfusionNetwork, Corpus, Document, parse_query
+from clirset.corpus import Bitext, Corpus, Document, parse_query
 from clirset.errors import DataError
 from clirset.evidence import (
     SearcherConfig,
@@ -243,7 +244,7 @@ class TestGenerator:
         model.params["foreign_emb"][0] = [5.0, 0.0]  # f0
         model.params["foreign_emb"][1] = [-5.0, 0.0]  # f1
         model.params["english_emb"][0] = [1.0, 0.0]
-        cn = ConfusionNetwork.from_slots(((("f1", 0.6), ("f0", 0.4)),))
+        cn = from_slots(((("f1", 0.6), ("f0", 0.4)),))
         speech = Document(id="d", kind="speech", utterances=(cn,))
         gen = SearcherGenerator(model)
         scores = segment_scores(gen, speech, ["e0"])

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from corpus_helpers import from_slots
 from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,7 +95,7 @@ class TestTtEvidence:
 class TestCnEvidence:
     def test_arc_weighted_max(self):
         t = table({"f1": {"e1": 0.6}, "f2": {"e1": 0.5}})
-        cn = ConfusionNetwork.from_slots(
+        cn = from_slots(
             (
                 (("f1", 0.5), ("f2", 0.5)),
                 (("f2", 0.4),),
@@ -105,7 +106,7 @@ class TestCnEvidence:
 
     def test_no_reachable_words(self):
         t = table({"f1": {"e1": 0.6}})
-        cn = ConfusionNetwork.from_slots(((("zz", 1.0),),))
+        cn = from_slots(((("zz", 1.0),),))
         assert scores(t, cn) == {}
 
     @given(st.data())
@@ -124,7 +125,7 @@ class TestCnEvidence:
         sentence = tuple(
             data.draw(st.sampled_from(foreign), label=f"tok{i}") for i in range(3)
         )
-        cn = ConfusionNetwork.from_slots(tuple(((tok, 1.0),) for tok in sentence))
+        cn = from_slots(tuple(((tok, 1.0),) for tok in sentence))
         t = table(entries)
         assert scores(t, cn) == scores(t, sentence)
 
@@ -151,7 +152,7 @@ class TestBuildEvidence:
     def test_speech_and_text_agree_on_certain_arcs(self):
         t = table({"f1": {"e1": 0.6}, "f2": {"e2": 0.3}})
         text_doc = Document(id="d", kind="text", sentences=(("f1", "f2"),))
-        cn = ConfusionNetwork.from_slots(((("f1", 1.0),), (("f2", 1.0),)))
+        cn = from_slots(((("f1", 1.0),), (("f2", 1.0),)))
         speech_doc = Document(id="d", kind="speech", utterances=(cn,))
         queries = [parse_query("q\te1 e2")]
         gen = TranslationTableGenerator(t)
@@ -192,7 +193,7 @@ SENTENCES = st.lists(
     st.sampled_from(FOREIGN + ABSENT), min_size=1, max_size=5
 ).map(tuple)
 NETWORKS = st.lists(slots(), min_size=1, max_size=4).map(
-    lambda drawn: ConfusionNetwork.from_slots(tuple(drawn))
+    lambda drawn: from_slots(tuple(drawn))
 )
 DOCUMENTS = st.one_of(
     st.lists(SENTENCES, min_size=1, max_size=3).map(

@@ -13,6 +13,7 @@ from itertools import chain, repeat
 from unittest.mock import patch
 
 import numpy as np
+from corpus_helpers import from_slots
 from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,7 +177,7 @@ def networks(draw):
     for _ in range(draw(st.integers(1, 4))):
         tokens = draw(st.lists(TOKENS, min_size=1, max_size=3))
         slots.append(tuple((token, draw(SHARE) / len(tokens)) for token in tokens))
-    return ConfusionNetwork.from_slots(tuple(slots))
+    return from_slots(tuple(slots))
 
 
 @st.composite

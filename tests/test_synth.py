@@ -1,6 +1,7 @@
 """Synthetic dataset generator: determinism, planted structure, validity."""
 
 import pytest
+from corpus_helpers import query_words
 
 from clirset.corpus import (
     LEXICAL,
@@ -76,7 +77,7 @@ class TestPlantedStructure:
         data = generate(SMALL)
         back = {eng: fr for fr, eng in data.dictionary.items()}
         for query in data.queries:
-            needed = {back[w] for w in query.words()}
+            needed = {back[w] for w in query_words(query)}
             for doc_id in data.judgments.for_query(query.id):
                 doc = data.corpus.documents[doc_id]
                 assert any(
@@ -86,10 +87,10 @@ class TestPlantedStructure:
     def test_reserved_words_never_leak_into_noise_docs(self):
         data = generate(SMALL)
         back = {eng: fr for fr, eng in data.dictionary.items()}
-        reserved = {back[w] for q in data.queries for w in q.words()}
+        reserved = {back[w] for q in data.queries for w in query_words(q)}
         for query in data.queries:
             relevant = data.judgments.for_query(query.id)
-            needed = {back[w] for w in query.words()}
+            needed = {back[w] for w in query_words(query)}
             for doc_id, doc in data.corpus.documents.items():
                 if doc_id in relevant:
                     continue
@@ -121,7 +122,7 @@ class TestPlantedStructure:
         data = generate(SMALL)
         seen = {w for _, tgt in data.bitext for w in tgt}
         for query in data.queries:
-            for word in query.words():
+            for word in query_words(query):
                 assert word in seen
 
 
@@ -155,7 +156,7 @@ class TestArtifactValidity:
     def test_noisy_table_attenuates_truth_and_junk_avoids_query_words(self):
         spec = SynthSpec(**{**SMALL.__dict__, "noise": 0.3})
         data = generate(spec)
-        reserved = {w for q in data.queries for w in q.words()}
+        reserved = {w for q in data.queries for w in query_words(q)}
         for foreign, row in data.table.entries.items():
             assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
             true_e = data.dictionary[foreign]
@@ -171,7 +172,7 @@ class TestArtifactValidity:
                             "speech_fraction": 1.0, "confusion_depth": 3})
         data = generate(spec)
         back = {e: f for f, e in data.dictionary.items()}
-        reserved = {back[w] for q in data.queries for w in q.words()}
+        reserved = {back[w] for q in data.queries for w in query_words(q)}
         seen_reserved = 0
         for doc in data.corpus.documents.values():
             for network in doc.utterances:
@@ -186,7 +187,7 @@ class TestArtifactValidity:
     def test_mt_errors_avoid_query_vocabulary(self):
         spec = SynthSpec(**{**SMALL.__dict__, "noise": 0.3})
         data = generate(spec)
-        reserved = {w for q in data.queries for w in q.words()}
+        reserved = {w for q in data.queries for w in query_words(q)}
         planted = {d for q in data.queries for d in data.judgments.for_query(q.id)}
         leaked = [
             (doc_id, index)
@@ -204,9 +205,8 @@ class TestSpecValidation:
         {"noise": 1.5},
         {"noise": -0.1},
         {"confusion_depth": 0},
-        {"sentence_len": (5, 3)},
-        {"phrase_len": (1, 20)},
-        {"mt_error_rates": (0.1, 1.0)},
+        {"sentences_per_doc": (5, 3)},
+        {"sentences_per_doc": (0, 3)},
         {"speech_fraction": 2.0},
     ])
     def test_bad_specs_rejected(self, kwargs):
