@@ -208,6 +208,7 @@ class TestSpecValidation:
         {"sentences_per_doc": (5, 3)},
         {"sentences_per_doc": (0, 3)},
         {"speech_fraction": 2.0},
+        {"noise": 1.0},
     ])
     def test_bad_specs_rejected(self, kwargs):
         with pytest.raises(DataError):
