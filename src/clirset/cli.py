@@ -177,6 +177,22 @@ def _required(args: argparse.Namespace, name: str):
     return value
 
 
+def _output_file(path: Path) -> Path:
+    """`path`, checked before any work.
+
+    An existing directory cannot be replaced, and no directory can be made
+    under a file; the directories themselves are made only at the write.
+    """
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    nearest = next(parent for parent in path.parents if parent.exists())
+    if not nearest.is_dir():
+        raise ConfigError(
+            f"cannot create directory for {path}: {nearest} is not a directory"
+        )
+    return path
+
+
 def _vocabulary(args: argparse.Namespace, bitext) -> Vocabulary:
     size = DEFAULT_VOCAB_SIZE if args.vocab_size is None else args.vocab_size
     return Vocabulary.from_bitext(bitext, size)
@@ -200,10 +216,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train_searcher(args: argparse.Namespace) -> int:
-    bitext = load_bitext(_required(args, "bitext"))
+    bitext_path = _required(args, "bitext")
+    out = _output_file(_required(args, "out"))
+    bitext = load_bitext(bitext_path)
     vocab = _vocabulary(args, bitext)
     config = SearcherConfig(**_given(args, *_field_names(SearcherConfig)))
-    out = _required(args, "out")
     model, losses = train_searcher(bitext, vocab, config)
     save_searcher(model, out)
     print(
@@ -214,10 +231,12 @@ def cmd_train_searcher(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_ensemble(args: argparse.Namespace) -> int:
-    bitext = load_bitext(_required(args, "bitext"))
-    hyps = load_mt_hypotheses(_required(args, "mt_hyps"))
+    bitext_path = _required(args, "bitext")
+    hyps_path = _required(args, "mt_hyps")
+    out = _output_file(_required(args, "out"))
+    bitext = load_bitext(bitext_path)
+    hyps = load_mt_hypotheses(hyps_path)
     vocab = _vocabulary(args, bitext)
-    out = _required(args, "out")
     model, loss = fit_mt_ensemble(hyps, bitext, vocab)
     save_mt_ensemble(model, out)
     print(
@@ -254,18 +273,30 @@ def _build_generators(args: argparse.Namespace) -> list:
     return generators
 
 
+def _build_each(generators: list, build) -> list:
+    """`build(gen)` for each generator in order, emptying `generators`.
+
+    A generator, and the model and hypotheses it holds, is released as
+    soon as its matrix is built.
+    """
+    matrices = []
+    while generators:
+        matrices.append(build(generators.pop(0)))
+    return matrices
+
+
 def cmd_fit_mixture(args: argparse.Namespace) -> int:
     bitext_path = _required(args, "bitext")
+    out = _output_file(_required(args, "out"))
     generators = _build_generators(args)
-    out = _required(args, "out")
     bitext = load_bitext(bitext_path)
     vocab = _vocabulary(args, bitext)
     # Every word of a vocabulary drawn from this bitext is a positive of
     # some pair, so the matrices cover exactly the instances' words.
     pseudo = bitext_corpus(bitext)
-    matrices = [
-        build_evidence_for_words(gen, pseudo, vocab.tokens) for gen in generators
-    ]
+    matrices = _build_each(
+        generators, lambda gen: build_evidence_for_words(gen, pseudo, vocab.tokens)
+    )
     mixture = fit_mixture(matrices, bitext, vocab)
     save_weights(mixture, out)
     parts = " ".join(
@@ -292,14 +323,16 @@ def _lexical_queries(queries):
 
 
 def cmd_dump_evidence(args: argparse.Namespace) -> int:
-    corpus = load_corpus(_required(args, "corpus"))
-    queries = load_queries(_required(args, "queries"))
+    corpus_path = _required(args, "corpus")
+    queries_path = _required(args, "queries")
+    out = _output_file(_required(args, "out"))
+    corpus = load_corpus(corpus_path)
+    queries = load_queries(queries_path)
     generators = _build_generators(args)
     if len(generators) != 1:
         raise ConfigError(
             "dump-evidence writes one matrix; configure exactly one generator"
         )
-    out = _required(args, "out")
     matrix = build_evidence(generators[0], corpus, _lexical_queries(queries))
     cells = save_matrix(matrix, out)
     print(f"dump-evidence: generator={matrix.generator} cells={cells} -> {out}")
@@ -316,14 +349,20 @@ def _resolve_weights(args: argparse.Namespace, generators) -> MixtureWeights:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    corpus = load_corpus(_required(args, "corpus"))
-    queries = _lexical_queries(load_queries(_required(args, "queries")))
+    corpus_path = _required(args, "corpus")
+    queries_path = _required(args, "queries")
+    outdir = _required(args, "out")
+    for name in (RANKED_FILE, CUTOFFS_FILE, SETS_FILE):
+        _output_file(outdir / name)
+    corpus = load_corpus(corpus_path)
+    queries = _lexical_queries(load_queries(queries_path))
     generators = _build_generators(args)
     cfg = ThresholdConfig(**_given(args, "beta", "gamma"))
-    outdir = _required(args, "out")
 
     mixture = _resolve_weights(args, generators)
-    matrices = [build_evidence(gen, corpus, queries) for gen in generators]
+    matrices = _build_each(
+        generators, lambda gen: build_evidence(gen, corpus, queries)
+    )
     combined = combine(matrices, mixture)
 
     decisions = []

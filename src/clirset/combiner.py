@@ -112,6 +112,12 @@ def em_fit(
     `tol` or after `max_iter` iterations, and logs a warning when it stops
     at the cap while still improving. Returns the weights and the
     per-iteration log-likelihood trace (evaluated after each update).
+
+    Every per-instance value lives in buffers allocated once. The
+    responsibilities of two generators go into one complex128 row, one in
+    the real parts and one in the imaginary. Complex addition adds the
+    parts independently, so one np.add.accumulate over the row sums both
+    front to back, as numpy's mean(axis=0) over the (n, k) matrix does.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
@@ -120,16 +126,26 @@ def em_fit(
         raise DataError("EM instance likelihoods must be positive")
     n, k = q.shape
     columns = np.ascontiguousarray(q.T)  # one contiguous row per generator
+    resp = np.empty((k, n))
+    total = np.empty(n)
+    pair = np.empty(n, dtype=np.complex128)
     lam = np.full(k, 1.0 / k)
     history: list[float] = []
-    prev = float(np.sum(np.log(q @ lam)))
+    prev = _loglik(q, lam, total)
     for _ in range(max_iter):
-        resp = [column * weight for column, weight in zip(columns, lam)]
-        total = _row_sums(resp)
-        # The mean over instances, summed front to back as numpy's
-        # mean(axis=0) over the (n, k) matrix does.
-        lam = np.array([np.add.accumulate(r / total)[-1] for r in resp]) / n
-        loglik = float(np.sum(np.log(q @ lam)))
+        np.multiply(columns, lam[:, None], out=resp)
+        _row_sums(resp, total)
+        sums = []
+        for a in range(0, k - 1, 2):
+            np.divide(resp[a], total, out=pair.real)
+            np.divide(resp[a + 1], total, out=pair.imag)
+            np.add.accumulate(pair, out=pair)
+            sums += [pair[-1].real, pair[-1].imag]
+        if k % 2:
+            last = np.divide(resp[-1], total, out=resp[-1])
+            sums.append(np.add.accumulate(last, out=last)[-1])
+        lam = np.array(sums) / n
+        loglik = _loglik(q, lam, total)
         history.append(loglik)
         gain = loglik - prev
         if gain < tol:
@@ -146,18 +162,60 @@ def em_fit(
     return lam, history
 
 
-def _row_sums(resp: list[np.ndarray]) -> np.ndarray:
-    """The per-instance sum over generators, in the order numpy's sum(axis=1) adds.
+def _loglik(q: np.ndarray, lam: np.ndarray, out: np.ndarray) -> float:
+    """sum(log(q @ lam)), computed in `out`."""
+    np.matmul(q, lam, out=out)
+    return float(np.sum(np.log(out, out=out)))
 
-    numpy adds a row of fewer than 8 values left to right; longer rows go
-    through its own blocked summation.
+
+def _row_sums(resp: np.ndarray, out: np.ndarray) -> None:
+    """Write each instance's sum over generators (the columns of `resp`) to `out`.
+
+    The sums are added in the order numpy's sum(axis=1) adds over the
+    (n, k) matrix: left to right for fewer than 8 generators, through
+    numpy's own blocked summation for more.
     """
     if len(resp) >= 8:
-        return np.stack(resp, axis=1).sum(axis=1)
-    total = resp[0]
+        np.ascontiguousarray(resp.T).sum(axis=1, out=out)
+        return
+    np.copyto(out, resp[0])
     for r in resp[1:]:
-        total = total + r
-    return total
+        np.add(out, r, out=out)
+
+
+def _instance_q(
+    matrices: Sequence[EvidenceMatrix],
+    bitext: Bitext,
+    vocab: Vocabulary,
+    m_neg: int,
+    seed: int,
+) -> np.ndarray:
+    """The (instances x matrices) q_k of fit_mixture's instances.
+
+    Only q outlives the call; the instances and their indexes are freed
+    before the EM allocates its buffers.
+    """
+    instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
+    positive = instances.label == 1
+    pairs = instances.pair_index
+    # each word's instances, ascending: one run of the stably sorted order
+    order = np.argsort(instances.word_index, kind="stable")
+    word_ids, starts = np.unique(instances.word_index[order], return_index=True)
+    bounds = [*starts.tolist(), len(order)]
+    words = [vocab.tokens[j] for j in word_ids.tolist()]
+    pair_positions = {(bitext_doc_id(i), 0): i for i in range(len(bitext))}
+    q = np.empty((len(instances), len(matrices)))
+    for col, matrix in enumerate(matrices):
+        p = np.empty(len(instances))
+        cells = matrix.cells_at(pair_positions, words)
+        for word, start, end in zip(words, bounds, bounds[1:]):
+            held, values = cells[word]
+            by_pair = np.full(len(bitext), matrix.background)
+            by_pair[held] = values
+            members = order[start:end]
+            p[members] = by_pair[pairs[members]]
+        q[:, col] = np.where(positive, p, 1.0 - p)
+    return q
 
 
 def fit_mixture(
@@ -180,30 +238,11 @@ def fit_mixture(
         raise DataError("duplicate generator tags among matrices")
     if not matrices:
         raise DataError("cannot fit a mixture over no matrices")
-    instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
-    positive = instances.label == 1
-    pairs = instances.pair_index
-    # each word's instances, ascending: one run of the stably sorted order
-    order = np.argsort(instances.word_index, kind="stable")
-    word_ids, starts = np.unique(instances.word_index[order], return_index=True)
-    bounds = [*starts.tolist(), len(order)]
-    words = [vocab.tokens[j] for j in word_ids.tolist()]
-    pair_positions = {(bitext_doc_id(i), 0): i for i in range(len(bitext))}
-    q = np.empty((len(instances), len(matrices)))
-    for col, matrix in enumerate(matrices):
-        p = np.empty(len(instances))
-        cells = matrix.cells_at(pair_positions, words)
-        for word, start, end in zip(words, bounds, bounds[1:]):
-            held, values = cells[word]
-            by_pair = np.full(len(bitext), matrix.background)
-            by_pair[held] = values
-            members = order[start:end]
-            p[members] = by_pair[pairs[members]]
-        q[:, col] = np.where(positive, p, 1.0 - p)
+    q = _instance_q(matrices, bitext, vocab, m_neg, seed)
     lam, history = em_fit(q)
     log.info(
         "fit mixture over %d instances, %d iterations, loglik %.6f",
-        len(instances),
+        len(q),
         len(history),
         history[-1] if history else float("nan"),
     )

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -71,6 +71,31 @@ def normalize(raw: str) -> list[Token]:
 
 def normalize_sentence(raw: str) -> Sentence:
     return tuple(normalize(raw))
+
+
+def sentence_normalizer() -> Callable[[str], Sentence]:
+    """A normalize_sentence that shares its strings, for one load.
+
+    Each distinct lowercased piece is stripped once, and every occurrence
+    of a token is the same str object: a file of many lines holds one
+    string per distinct token, not one per occurrence.
+    """
+    # piece -> its token, or "" for pure punctuation. A token is itself a
+    # piece that strips to itself, so its entry makes it the shared object.
+    tokens: dict[str, Token] = {}
+
+    def normalize_shared(raw: str) -> Sentence:
+        sentence = []
+        for piece in raw.lower().split():
+            token = tokens.get(piece)
+            if token is None:
+                token = piece.strip(string.punctuation)
+                token = tokens[piece] = tokens.setdefault(token, token)
+            if token:
+                sentence.append(token)
+        return tuple(sentence)
+
+    return normalize_shared
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -514,8 +539,10 @@ def load_corpus(path) -> Corpus:
 
     Each distinct raw arc token is normalized once per call: `arc_tokens`
     maps it to its one normalized token, so every arc with that raw token
-    shares one string. An utterance's arcs are appended to a token list
-    and a probability list, from which its ConfusionNetwork is built once.
+    shares one string. Text sentences go through one sentence_normalizer,
+    so their tokens share strings too. An utterance's arcs are appended to
+    a token list and a probability list, from which its ConfusionNetwork
+    is built once.
 
     The cyclic garbage collector is paused while the file is parsed, and
     its earlier state is restored afterwards. JSON values and the documents
@@ -524,6 +551,7 @@ def load_corpus(path) -> Corpus:
     """
     docs: dict[str, Document] = {}
     arc_tokens: dict[str, Token] = {}
+    normalize_text = sentence_normalizer()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -536,7 +564,7 @@ def load_corpus(path) -> Corpus:
             if not isinstance(obj, dict):
                 raise DataError(f"{ctx}: document line is not a JSON object")
             try:
-                doc = _document_from_json(obj, ctx, arc_tokens)
+                doc = _document_from_json(obj, ctx, arc_tokens, normalize_text)
             except DataError:
                 raise
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -550,12 +578,17 @@ def load_corpus(path) -> Corpus:
     return Corpus(docs)
 
 
-def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Document:
+def _document_from_json(
+    obj: dict,
+    ctx: str,
+    arc_tokens: dict[str, Token],
+    normalize_text: Callable[[str], Sentence],
+) -> Document:
     """Build one document; `arc_tokens` holds the arc tokens seen so far.
 
     A raw arc token enters `arc_tokens` only once it has passed the
     exactly-one-token check, so every arc is checked, on its token's first
-    sight or by the lookup.
+    sight or by the lookup. Text sentences go through `normalize_text`.
     """
     doc_id = obj.get("id")
     kind = obj.get("kind")
@@ -569,7 +602,7 @@ def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Do
         for j, raw in enumerate(raw_sentences):
             if not isinstance(raw, str):
                 raise DataError(f"{ctx}: sentence {j} of {doc_id!r} is not a string")
-            tokens = normalize_sentence(raw)
+            tokens = normalize_text(raw)
             if not tokens:
                 raise DataError(
                     f"{ctx}: sentence {j} of {doc_id!r} normalizes to no tokens"
@@ -693,10 +726,11 @@ def save_translation_table(table: TranslationTable, path) -> None:
 
 def load_bitext(path) -> Bitext:
     pairs = []
+    normalize_shared = sentence_normalizer()
     for lineno, line in data_lines(path):
         src_raw, tgt_raw = split_tsv(path, lineno, line, 2)
-        src = normalize_sentence(src_raw)
-        tgt = normalize_sentence(tgt_raw)
+        src = normalize_shared(src_raw)
+        tgt = normalize_shared(tgt_raw)
         if not src or not tgt:
             raise DataError(f"{path}:{lineno}: bitext side normalizes to no tokens")
         pairs.append((src, tgt))

@@ -149,6 +149,40 @@ class TestPipeline:
         assert most_alive <= 1
         assert all(ref() is None for ref in alive)
 
+    @pytest.mark.parametrize(
+        "command, consumer", [("retrieve", "combine"), ("fit-mixture", "fit_mixture")]
+    )
+    def test_no_generator_outlives_its_build(
+        self, data_dir, tmp_path, monkeypatch, command, consumer
+    ):
+        loaded = []  # a weak reference to each hypothesis set loaded
+        entered = []  # whether the sets were dead when the consumer was entered
+
+        def tracked_load(*args):
+            hyps = load_mt_hypotheses(*args)
+            loaded.append(weakref.ref(hyps))
+            return hyps
+
+        def spy(*args, real=getattr(cli_module, consumer)):
+            entered.append(all(ref() is None for ref in loaded))
+            return real(*args)
+
+        mt = fit_ensemble(data_dir, tmp_path / "mt.json")
+        monkeypatch.setattr(cli_module, "load_mt_hypotheses", tracked_load)
+        monkeypatch.setattr(cli_module, consumer, spy)
+        mt_args = ["--mt-hyps", str(data_dir / "mt_hyps.tsv"), "--mt-model", str(mt)]
+        argv = {
+            "retrieve": retrieve_args(data_dir, tmp_path / "run"),
+            "fit-mixture": [
+                command, "--bitext", str(data_dir / "bitext.tsv"),
+                "--table", str(data_dir / "table.tsv"),
+                "--out", str(tmp_path / "weights.tsv"),
+            ],
+        }[command]
+        assert main(argv + mt_args) == 0
+        assert len(loaded) == 1
+        assert entered == [True]
+
     def test_missing_query_in_sets_scores_as_empty_set(
         self, data_dir, tmp_path, capsys
     ):
@@ -424,8 +458,10 @@ class TestOutputPaths:
 
     @pytest.mark.parametrize("command", ["retrieve", "synth"])
     def test_out_naming_a_file_is_a_one_line_error(
-        self, data_dir, tmp_path, capsys, command
+        self, data_dir, tmp_path, capsys, monkeypatch, command
     ):
+        loaded = []  # retrieve refuses the path before it loads the corpus
+        monkeypatch.setattr(cli_module, "load_corpus", loaded.append)
         afile = tmp_path / "afile"
         afile.write_text("not a directory\n")
         argv = {
@@ -437,6 +473,7 @@ class TestOutputPaths:
         assert err.startswith(f"error: cannot create directory for {afile}")
         assert len(err.splitlines()) == 1
         assert afile.read_text() == "not a directory\n"
+        assert loaded == []
 
     @pytest.mark.parametrize("command, code", [("synth", 2), ("retrieve", 1)])
     def test_failing_command_leaves_no_directory(
@@ -452,27 +489,54 @@ class TestOutputPaths:
         assert "Traceback" not in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["fit-ensemble", "retrieve"])
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            pytest.param("fit-ensemble", "mt.json", id="fit-ensemble"),
+            pytest.param("train-searcher", "searcher.npz", id="train-searcher"),
+            pytest.param("fit-mixture", "weights.tsv", id="fit-mixture"),
+            pytest.param("dump-evidence", "evidence.tsv", id="dump-evidence"),
+            pytest.param("retrieve", "ranked.run", id="retrieve"),
+            pytest.param("retrieve", "cutoffs.tsv", id="retrieve-cutoffs"),
+            pytest.param("retrieve", "sets.tsv", id="retrieve-sets"),
+        ],
+    )
     def test_out_that_is_a_directory_is_a_one_line_error(
-        self, data_dir, tmp_path, capsys, command
+        self, data_dir, tmp_path, capsys, monkeypatch, command, name
     ):
-        if command == "fit-ensemble":
-            out = tmp_path / "mt.json"
-            out.mkdir()
-            argv = [
-                command,
-                "--bitext", str(data_dir / "bitext.tsv"),
-                "--mt-hyps", str(data_dir / "mt_hyps.tsv"),
-                "--out", str(out),
-            ]
-        else:
-            out = tmp_path / "run" / "ranked.run"
+        ran = []
+        for work in (
+            "load_bitext", "load_corpus", "load_mt_hypotheses", "train_searcher",
+            "fit_mt_ensemble", "fit_mixture", "build_evidence",
+            "build_evidence_for_words",
+        ):
+            monkeypatch.setattr(
+                cli_module, work, lambda *args, work=work, **kwargs: ran.append(work)
+            )
+        bitext = ["--bitext", str(data_dir / "bitext.tsv")]
+        hyps = ["--mt-hyps", str(data_dir / "mt_hyps.tsv")]
+        table = ["--table", str(data_dir / "table.tsv")]
+        corpus = [
+            "--corpus", str(data_dir / "corpus.jsonl"),
+            "--queries", str(data_dir / "queries.tsv"),
+        ]
+        if command == "retrieve":
+            out = tmp_path / "run" / name
             out.mkdir(parents=True)
             argv = retrieve_args(data_dir, out.parent)
+        else:
+            out = tmp_path / name
+            out.mkdir()
+            argv = {
+                "fit-ensemble": [command, *bitext, *hyps],
+                "train-searcher": [command, *bitext],
+                "fit-mixture": [command, *bitext, *table],
+                "dump-evidence": [command, *corpus, *table],
+            }[command] + ["--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot replace {out}: ")
-        assert len(err.splitlines()) == 1
+        assert err == f"error: cannot write {out}: it is a directory\n"
+        assert ran == []
         assert list(out.iterdir()) == []
         assert sorted(p.name for p in out.parent.iterdir()) == [out.name]
 

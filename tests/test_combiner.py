@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,28 @@ class TestEmFitBitExact:
         want_lam, want_history = em_fit_on_the_matrix(q, 1e-12, 30)
         assert lam.tolist() == want_lam.tolist()
         assert history == want_history
+
+
+class TestEmFitMemory:
+    def test_peak_is_its_buffers_at_any_iteration_count(self):
+        """em_fit allocates its per-instance buffers once: a contiguous copy
+        of q's columns, the responsibilities (each as large as q), the row
+        sums and one complex row (together as large as q again). Nothing of
+        that size is allocated per iteration."""
+        q = planted_q(100_000, 3, 0, 0)
+        peaks = []
+        for max_iter in (5, 50):
+            tracemalloc.start()
+            try:
+                _, history = em_fit(q, -math.inf, max_iter)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(history) == max_iter
+            peaks.append(peak)
+        assert max(peaks) <= 3.1 * q.nbytes
+        # equal up to the growing history list: far below one 800 kB row
+        assert abs(peaks[1] - peaks[0]) < 4096
 
 
 def toy_bitext_and_vocab():

@@ -292,8 +292,11 @@ class TestLoadCorpusPerDistinctToken:
         ]
         corpus = load_corpus(write_corpus(tmp_path / "corpus.jsonl", objs))
         assert corpus == per_arc_reference(objs)
-        # three sentences, three distinct raw arc tokens: Foo, bar, and foo
-        assert sorted(calls) == sorted(["Foo bar", "foo", "Foo bar", "Foo", "bar,", "foo"])
+        # three distinct raw arc tokens: Foo, bar, and foo; the sentences go
+        # through a sentence_normalizer, whose tokens share strings too
+        assert sorted(calls) == sorted(["Foo", "bar,", "foo"])
+        sentences = corpus["t"].sentences
+        assert sentences[0][0] is sentences[1][0] is sentences[2][0]
         # every arc with one raw token holds the same string object
         s1, s2 = corpus["s1"].utterances, corpus["s2"].utterances
         from_foo_upper = [s1[0].slots[0][0][0], s1[0].slots[1][0][0], s2[1].slots[0][0][0]]

@@ -10,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clirset.evidence.ensemble as ensemble_module
-from clirset.corpus import Bitext, Corpus, Document, bitext_doc_id, parse_query
+from clirset.corpus import (
+    Bitext,
+    Corpus,
+    Document,
+    bitext_doc_id,
+    data_lines,
+    normalize_sentence,
+    parse_index,
+    parse_query,
+    split_tsv,
+)
 from clirset.errors import DataError
 from clirset.evidence import (
     MtEnsembleGenerator,
@@ -281,6 +291,88 @@ class TestIO:
     def test_mismatched_systems_validated(self):
         with pytest.raises(DataError, match="no hypotheses"):
             MtHypothesisSet(("s1",), {})
+
+
+def per_line_load_mt_hypotheses(path) -> MtHypothesisSet:
+    """load_mt_hypotheses as it was before it shared strings, verbatim."""
+    hypotheses = {}
+    for lineno, line in data_lines(path):
+        system, doc_id, index_raw, text = split_tsv(path, lineno, line, 4)
+        index = parse_index(path, lineno, index_raw)
+        sentence = normalize_sentence(text)
+        if not sentence:
+            raise DataError(
+                f"{path}:{lineno}: hypothesis normalizes to no tokens"
+            )
+        key = (doc_id, index)
+        per_system = hypotheses.setdefault(system, {})
+        if key in per_system:
+            raise DataError(
+                f"{path}:{lineno}: duplicate hypothesis for system"
+                f" {system!r} sentence {doc_id!r}:{index}"
+            )
+        per_system[key] = sentence
+    if not hypotheses:
+        raise DataError(f"{path}: empty hypothesis file")
+    return MtHypothesisSet(tuple(sorted(hypotheses)), hypotheses)
+
+
+# Mixed case, edge and interior punctuation, pure punctuation, non-ASCII
+# letters whose lowercase differs (the dotted I lowercases to two code points).
+HYPOTHESIS_PIECES = st.sampled_from([
+    "foo", "Foo", "FOO", "foo,", "(foo)", "bar", "Bar.", "a/b", "...", "!?", "-",
+    "Éclair", "éclair", "STRASSE", "straße", "İstanbul", "ǅemal", "日本", "Ωmega",
+])
+HYPOTHESIS_TEXT = st.lists(HYPOTHESIS_PIECES, min_size=1, max_size=6).flatmap(
+    lambda pieces: st.sampled_from([" ", "  "]).map(lambda sep: sep.join(pieces))
+)
+HYPOTHESIS_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(["s1", "s2", "S1"]),
+        st.sampled_from(["d0", "d1", "bt000002"]),
+        st.sampled_from(["0", "1", "2", "02"]),  # "02" is sentence 2 too
+        HYPOTHESIS_TEXT,
+    ).map("\t".join),
+    max_size=12,
+)
+
+
+@pytest.fixture(scope="module")
+def hyps_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hyps")
+
+
+class TestLoadMtHypothesesSharesStrings:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=HYPOTHESIS_LINES, repeats=st.lists(st.integers(0, 11), max_size=4))
+    def test_matches_the_per_line_loader(self, hyps_dir, lines, repeats):
+        # duplicate lines, each a duplicate hypothesis unless an earlier error wins
+        lines = lines + [lines[i % len(lines)] for i in repeats if lines]
+        path = hyps_dir / "hyps.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            want = per_line_load_mt_hypotheses(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                load_mt_hypotheses(path)
+            assert str(info.value) == str(exc)
+            return
+        got = load_mt_hypotheses(path)
+        assert got == want
+        shared_tokens = {}
+        shared_keys = {}
+        for system in got.systems:
+            for key, sentence in got.hypotheses[system].items():
+                assert shared_keys.setdefault(key, key) is key
+                for token in sentence:
+                    assert shared_tokens.setdefault(token, token) is token
+
+    def test_the_empty_after_normalise_line_is_named(self, tmp_path):
+        path = tmp_path / "hyps.tsv"
+        path.write_text("s1\td0\t0\tFoo\ns1\td0\t1\t... !?\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_mt_hypotheses(path)
+        assert str(info.value) == f"{path}:2: hypothesis normalizes to no tokens"
 
 
 def per_instance_features(hyps, bitext, instances):
