@@ -182,11 +182,18 @@ def _output_file(path: Path) -> Path:
 
     An existing directory cannot be replaced, and no directory can be made
     under a file; the directories themselves are made only at the write.
+    A path the checks cannot look at, such as one under a directory that
+    cannot be searched, is refused with the system's reason.
     """
-    if path.is_dir():
+    try:
+        is_dir = path.is_dir()
+        nearest = next(parent for parent in path.parents if parent.exists())
+        nearest_is_dir = nearest.is_dir()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    if is_dir:
         raise ConfigError(f"cannot write {path}: it is a directory")
-    nearest = next(parent for parent in path.parents if parent.exists())
-    if not nearest.is_dir():
+    if not nearest_is_dir:
         raise ConfigError(
             f"cannot create directory for {path}: {nearest} is not a directory"
         )

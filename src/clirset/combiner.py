@@ -113,11 +113,9 @@ def em_fit(
     at the cap while still improving. Returns the weights and the
     per-iteration log-likelihood trace (evaluated after each update).
 
-    Every per-instance value lives in buffers allocated once. The
-    responsibilities of two generators go into one complex128 row, one in
-    the real parts and one in the imaginary. Complex addition adds the
-    parts independently, so one np.add.accumulate over the row sums both
-    front to back, as numpy's mean(axis=0) over the (n, k) matrix does.
+    Every per-instance value lives in buffers allocated once. Each
+    generator's responsibilities are divided and summed in place, front to
+    back, as numpy's mean(axis=0) over the (n, k) matrix sums them.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
@@ -128,23 +126,14 @@ def em_fit(
     columns = np.ascontiguousarray(q.T)  # one contiguous row per generator
     resp = np.empty((k, n))
     total = np.empty(n)
-    pair = np.empty(n, dtype=np.complex128)
     lam = np.full(k, 1.0 / k)
     history: list[float] = []
     prev = _loglik(q, lam, total)
     for _ in range(max_iter):
         np.multiply(columns, lam[:, None], out=resp)
         _row_sums(resp, total)
-        sums = []
-        for a in range(0, k - 1, 2):
-            np.divide(resp[a], total, out=pair.real)
-            np.divide(resp[a + 1], total, out=pair.imag)
-            np.add.accumulate(pair, out=pair)
-            sums += [pair[-1].real, pair[-1].imag]
-        if k % 2:
-            last = np.divide(resp[-1], total, out=resp[-1])
-            sums.append(np.add.accumulate(last, out=last)[-1])
-        lam = np.array(sums) / n
+        np.divide(resp, total, out=resp)
+        lam = np.array([np.add.accumulate(r, out=r)[-1] for r in resp]) / n
         loglik = _loglik(q, lam, total)
         history.append(loglik)
         gain = loglik - prev

@@ -76,26 +76,11 @@ def normalize_sentence(raw: str) -> Sentence:
 def sentence_normalizer() -> Callable[[str], Sentence]:
     """A normalize_sentence that shares its strings, for one load.
 
-    Each distinct lowercased piece is stripped once, and every occurrence
-    of a token is the same str object: a file of many lines holds one
-    string per distinct token, not one per occurrence.
+    Every occurrence of a token is the same str object: a file of many
+    lines holds one string per distinct token, not one per occurrence.
     """
-    # piece -> its token, or "" for pure punctuation. A token is itself a
-    # piece that strips to itself, so its entry makes it the shared object.
     tokens: dict[str, Token] = {}
-
-    def normalize_shared(raw: str) -> Sentence:
-        sentence = []
-        for piece in raw.lower().split():
-            token = tokens.get(piece)
-            if token is None:
-                token = piece.strip(string.punctuation)
-                token = tokens[piece] = tokens.setdefault(token, token)
-            if token:
-                sentence.append(token)
-        return tuple(sentence)
-
-    return normalize_shared
+    return lambda raw: tuple([tokens.setdefault(t, t) for t in normalize(raw)])
 
 
 @dataclass(frozen=True, eq=False, slots=True)

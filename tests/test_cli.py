@@ -540,6 +540,40 @@ class TestOutputPaths:
         assert list(out.iterdir()) == []
         assert sorted(p.name for p in out.parent.iterdir()) == [out.name]
 
+    @pytest.mark.parametrize("command", ["fit-mixture", "retrieve"])
+    def test_unsearchable_out_directory_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, monkeypatch, command
+    ):
+        # A chmod-ed directory would not stop a root user, so the stat
+        # failure is simulated: anything under `locked` cannot be searched.
+        ran = []
+        monkeypatch.setattr(cli_module, "load_bitext", ran.append)
+        monkeypatch.setattr(cli_module, "load_corpus", ran.append)
+        locked = tmp_path / "locked"
+        is_dir = Path.is_dir
+
+        def denied_is_dir(path):
+            if locked in path.parents:
+                raise PermissionError(13, "Permission denied", str(path))
+            return is_dir(path)
+
+        monkeypatch.setattr(Path, "is_dir", denied_is_dir)
+        argv = {
+            "fit-mixture": [
+                command,
+                "--bitext", str(data_dir / "bitext.tsv"),
+                "--table", str(data_dir / "table.tsv"),
+                "--out", str(locked / "weights.tsv"),
+            ],
+            "retrieve": retrieve_args(data_dir, locked / "run"),
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {locked}/")
+        assert "Permission denied" in err
+        assert len(err.splitlines()) == 1
+        assert ran == []
+
 
 class TestErrorPaths:
     def test_missing_input_file_is_config_error(self, tmp_path):

@@ -292,9 +292,9 @@ class TestLoadCorpusPerDistinctToken:
         ]
         corpus = load_corpus(write_corpus(tmp_path / "corpus.jsonl", objs))
         assert corpus == per_arc_reference(objs)
-        # three distinct raw arc tokens: Foo, bar, and foo; the sentences go
-        # through a sentence_normalizer, whose tokens share strings too
-        assert sorted(calls) == sorted(["Foo", "bar,", "foo"])
+        # three sentences, three distinct raw arc tokens: Foo, bar, and foo
+        assert sorted(calls) == sorted(["Foo bar", "foo", "Foo bar", "Foo", "bar,", "foo"])
+        # the sentences go through a sentence_normalizer: their tokens share strings
         sentences = corpus["t"].sentences
         assert sentences[0][0] is sentences[1][0] is sentences[2][0]
         # every arc with one raw token holds the same string object
