@@ -50,7 +50,7 @@ from .evidence import (
 )
 from .relevance import rank, save_run
 from .scorer import format_summary, save_report, score_run
-from .synth import SynthSpec, generate, write_dataset
+from .synth import DATASET_FILES, SynthSpec, generate, write_dataset
 from .thresholder import (
     ThresholdConfig,
     decide,
@@ -213,6 +213,8 @@ def _vocabulary(args: argparse.Namespace, bitext) -> Vocabulary:
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = SynthSpec(**_given(args, *_field_names(SynthSpec)))
     outdir = _required(args, "out")
+    for name in DATASET_FILES.values():
+        _output_file(outdir / name)
     dataset = generate(spec)
     write_dataset(dataset, outdir)
     print(

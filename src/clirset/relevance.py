@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
 from operator import itemgetter, lt, ne
 
 import numpy as np
@@ -42,27 +41,44 @@ def _open_unit(p: float) -> float:
     return min(max(p, _ABOVE_ZERO), _BELOW_ONE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RankedList:
-    """All corpus documents ordered by relevance to one query."""
+    """All corpus documents ordered by relevance to one query.
+
+    Two columns in rank order: `doc_ids` and their `probs`. Built from
+    (doc id, prob) pairs, or by `from_columns` from the columns themselves.
+    """
 
     query_id: str
-    entries: tuple[tuple[str, float], ...]
+    doc_ids: list[str]
+    probs: list[float]
 
-    def __post_init__(self) -> None:
-        probs = self.probs()
+    def __init__(self, query_id: str, entries) -> None:
+        self._fill(
+            query_id, list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries))
+        )
+
+    @classmethod
+    def from_columns(cls, query_id: str, doc_ids: list[str], probs: list[float]) -> RankedList:
+        ranked = cls.__new__(cls)
+        ranked._fill(query_id, doc_ids, probs)
+        return ranked
+
+    def _fill(self, query_id: str, doc_ids: list[str], probs: list[float]) -> None:
         # unsorted: some adjacent pair (a, b) has b > a; comparisons with NaN are false
         if any(map(lt, probs, probs[1:])):
-            raise DataError(f"ranked list for {self.query_id!r} is not sorted")
+            raise DataError(f"ranked list for {query_id!r} is not sorted")
+        object.__setattr__(self, "query_id", query_id)
+        object.__setattr__(self, "doc_ids", doc_ids)
+        object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.probs)
 
-    def probs(self) -> list[float]:
-        return list(map(itemgetter(1), self.entries))
-
-    def doc_ids(self) -> list[str]:
-        return list(map(itemgetter(0), self.entries))
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        """The (doc id, prob) pairs in rank order."""
+        return tuple(zip(self.doc_ids, self.probs))
 
 
 def _per_value(f, x: np.ndarray) -> np.ndarray:
@@ -141,14 +157,14 @@ def rank(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> RankedList:
     ids = list(corpus.documents)
     by_id = corpus.by_id
     order = by_id[np.argsort(-probs[by_id], kind="stable")]
-    return RankedList(
-        query.id, tuple(zip(map(ids.__getitem__, order.tolist()), probs[order].tolist()))
+    return RankedList.from_columns(
+        query.id, list(map(ids.__getitem__, order.tolist())), probs[order].tolist()
     )
 
 
-def _run_text(ranked: RankedList) -> str:
-    """The run-file lines of one ranked list; a pooled list formats each distinct probability once."""
-    probs = ranked.probs()
+def _run_text(ranked: RankedList, positions: list[str]) -> str:
+    """The run-file lines of one non-empty ranked list; a pooled list formats each distinct probability once."""
+    probs = ranked.probs
     changes = sum(map(ne, probs, probs[1:]))  # the list is sorted
     if 2 * changes >= len(probs):
         formatted = map(repr, probs)
@@ -156,15 +172,15 @@ def _run_text(ranked: RankedList) -> str:
         text = {prob: repr(prob) for prob in set(probs)}
         # 0.0 == -0.0 would share one entry, yet the two print differently
         formatted = map(repr, probs) if 0.0 in text else map(text.__getitem__, probs)
-    return "".join(
-        [
-            f"{ranked.query_id} {doc_id} {position} {prob} clirset\n"
-            for position, doc_id, prob in zip(count(1), ranked.doc_ids(), formatted)
-        ]
-    )
+    head = ranked.query_id + " "
+    lines = map(" ".join, zip(ranked.doc_ids, positions, formatted))
+    return head + (" clirset\n" + head).join(lines) + " clirset\n"
 
 
 def save_run(ranked_lists, path) -> None:
+    positions = []  # "1", "2", ...: one string per rank, shared by every list
     with atomic_output(path) as out:
         for ranked in ranked_lists:
-            out.write(_run_text(ranked))
+            positions.extend(map(str, range(len(positions) + 1, len(ranked) + 1)))
+            if len(ranked):
+                out.write(_run_text(ranked, positions))

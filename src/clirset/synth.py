@@ -71,6 +71,15 @@ TABLE_FILE = "table.tsv"
 MT_HYPS_FILE = "mt_hyps.tsv"
 QUERIES_FILE = "queries.tsv"
 JUDGMENTS_FILE = "judgments.tsv"
+# write_dataset's path map: artifact -> file name under the output directory
+DATASET_FILES = {
+    "corpus": CORPUS_FILE,
+    "bitext": BITEXT_FILE,
+    "table": TABLE_FILE,
+    "mt_hyps": MT_HYPS_FILE,
+    "queries": QUERIES_FILE,
+    "judgments": JUDGMENTS_FILE,
+}
 
 
 # Fixed shape of every synthetic world: words per sentence, phrases per
@@ -404,14 +413,7 @@ def _make_hypotheses(spec, english, dictionary, reserved, doc_ids,
 def write_dataset(dataset: SynthDataset, outdir) -> dict[str, Path]:
     """Write every artifact under `outdir`; returns the path map."""
     outdir = Path(outdir)
-    paths = {
-        "corpus": outdir / CORPUS_FILE,
-        "bitext": outdir / BITEXT_FILE,
-        "table": outdir / TABLE_FILE,
-        "mt_hyps": outdir / MT_HYPS_FILE,
-        "queries": outdir / QUERIES_FILE,
-        "judgments": outdir / JUDGMENTS_FILE,
-    }
+    paths = {key: outdir / name for key, name in DATASET_FILES.items()}
     save_corpus(dataset.corpus, paths["corpus"])
     save_bitext(dataset.bitext, paths["bitext"])
     save_translation_table(dataset.table, paths["table"])

@@ -7,9 +7,11 @@ sums produce, for every prefix length k:
     E_fa(k)   = sum_{i <= k} (1 - p_i) (forward pass)
 
 The expected number of relevant documents E_rel = E_miss(0) is scaled by
-gamma (recall slightly more than the probability mass pays off under the
-miss-heavy metric) and clamped away from 0 and N so both denominators
-stay positive. The chosen k is the smallest maximizer of
+gamma and clamped away from 0 and N so both denominators stay positive.
+A document is worth returning when its odds p / (1 - p) exceed
+beta * E_rel' / (N - E_rel'), so gamma > 1 raises that bar and fewer
+documents are returned; gamma < 1 lowers it. The chosen k is the
+smallest maximizer of
 
     E_QV(k) = 1 - (E_miss(k) / E_rel' + beta * E_fa(k) / (N - E_rel'))
 
@@ -63,14 +65,14 @@ class CutoffDecision:
 
 def _curve(ranked: RankedList, cfg: ThresholdConfig) -> tuple[np.ndarray, float]:
     """(E_QV(k) for k = 0..N, E_rel), both passes summed in list order."""
-    probs = ranked.probs()
-    n = len(probs)
+    n = len(ranked)
     if n == 0:
         raise DataError("cannot threshold an empty ranked list")
-    for p in probs:
-        if not 0.0 < p < 1.0:
-            raise DataError(f"ranked probability {p!r} outside (0, 1)")
-    probs = np.array(probs)
+    probs = np.array(ranked.probs)
+    inside = (0.0 < probs) & (probs < 1.0)  # False at NaN
+    if not inside.all():
+        bad = ranked.probs[int(np.argmin(inside))]  # the first, in rank order
+        raise DataError(f"ranked probability {bad!r} outside (0, 1)")
     miss = np.append(np.cumsum(probs[::-1])[::-1], 0.0)  # E_miss(k)
     false_alarm = np.append(0.0, np.cumsum(1.0 - probs))  # E_fa(k)
     e_rel = float(miss[0])
@@ -104,7 +106,7 @@ def returned_set(ranked: RankedList, decision: CutoffDecision) -> list[str]:
             f"decision for {decision.query_id!r} applied to ranked list"
             f" {ranked.query_id!r}"
         )
-    return ranked.doc_ids()[: decision.k]
+    return ranked.doc_ids[: decision.k]
 
 
 def save_cutoffs(decisions, path) -> None:

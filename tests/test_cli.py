@@ -460,8 +460,9 @@ class TestOutputPaths:
     def test_out_naming_a_file_is_a_one_line_error(
         self, data_dir, tmp_path, capsys, monkeypatch, command
     ):
-        loaded = []  # retrieve refuses the path before it loads the corpus
-        monkeypatch.setattr(cli_module, "load_corpus", loaded.append)
+        ran = []  # retrieve refuses the path before it loads the corpus, synth before it generates
+        monkeypatch.setattr(cli_module, "load_corpus", ran.append)
+        monkeypatch.setattr(cli_module, "generate", ran.append)
         afile = tmp_path / "afile"
         afile.write_text("not a directory\n")
         argv = {
@@ -473,7 +474,7 @@ class TestOutputPaths:
         assert err.startswith(f"error: cannot create directory for {afile}")
         assert len(err.splitlines()) == 1
         assert afile.read_text() == "not a directory\n"
-        assert loaded == []
+        assert ran == []
 
     @pytest.mark.parametrize("command, code", [("synth", 2), ("retrieve", 1)])
     def test_failing_command_leaves_no_directory(

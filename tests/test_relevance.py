@@ -268,7 +268,7 @@ class TestRank:
             ("dc", 0, "a", 0.1),
         ])
         ranked = rank(m, corpus, lexical(("a",)))
-        assert ranked.doc_ids() == ["da", "db", "dc"]
+        assert ranked.doc_ids == ["da", "db", "dc"]
 
     def test_empty_corpus_rejected(self):
         corpus = Corpus.from_documents([])
@@ -301,7 +301,7 @@ class TestRank:
     def test_nan_accepted_as_by_the_pairwise_rule(self):
         # No adjacent pair has b > a, since every comparison with NaN is false.
         ranked = RankedList("q", (("d1", 0.2), ("d2", math.nan), ("d3", 0.9)))
-        assert ranked.doc_ids() == ["d1", "d2", "d3"]
+        assert ranked.doc_ids == ["d1", "d2", "d3"]
         with pytest.raises(DataError, match="'q'"):
             RankedList("q", (("d1", math.nan), ("d2", 0.2), ("d3", 0.9)))
 
@@ -327,7 +327,7 @@ class TestRank:
         ids_in_file_order = list(corpus.documents)
         assert [ids_in_file_order[i] for i in corpus.by_id] == sorted(ids)
         want = sorted(ids, key=lambda doc_id: (-doc_rel(cells, corpus[doc_id], q), doc_id))
-        assert rank(m, corpus, q).doc_ids() == want
+        assert rank(m, corpus, q).doc_ids == want
 
 
 POOLED_PROBS = st.sampled_from(
@@ -360,6 +360,25 @@ class TestRunIO:
     @given(ranked_lists())
     def test_bytes_match_per_line_repr(self, tmp_path_factory, lists):
         path = tmp_path_factory.mktemp("run") / "ranked.run"
+        save_run(lists, path)
+        want = "".join(
+            f"{ranked.query_id} {d} {i} {p!r} clirset\n"
+            for ranked in lists
+            for i, (d, p) in enumerate(ranked.entries, 1)
+        )
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_lists_of_every_length_in_one_call(self, tmp_path):
+        # The position strings of one call are shared by every list in it.
+        lists = [
+            RankedList("q0", ()),
+            RankedList("q1", (("da", 0.875), ("db", 0.125))),
+            RankedList("q2", tuple((f"d{i}", 0.5 ** (i // 10 + 1)) for i in range(30))),
+            RankedList("q3", tuple((f"d{i}", 1.0 / (i + 2)) for i in range(12))),
+            RankedList("q4", (("dz", 0.25),)),
+            RankedList("q5", ()),
+        ]
+        path = tmp_path / "ranked.run"
         save_run(lists, path)
         want = "".join(
             f"{ranked.query_id} {d} {i} {p!r} clirset\n"

@@ -115,7 +115,7 @@ class TestPlantedStructure:
                 continue
             gold = data.judgments.for_query(query.id)
             ranked = rank(matrix, data.corpus, query)
-            top = set(ranked.doc_ids()[: len(gold)])
+            top = set(ranked.doc_ids[: len(gold)])
             assert top == set(gold)
 
     def test_bitext_covers_query_vocabulary(self):

@@ -12,6 +12,7 @@ so the argmax is k=1.
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -179,6 +180,24 @@ class TestDecisionRules:
     def test_empty_ranked_list_rejected(self):
         with pytest.raises(DataError, match="empty"):
             decide(RankedList(query_id="q", entries=()), ThresholdConfig())
+
+    @pytest.mark.parametrize(
+        "probs, bad",
+        [
+            ((1.0, 0.5, 0.0), "1.0"),
+            ((0.5, 0.2, 0.0), "0.0"),
+            ((0.5, -0.0), "-0.0"),
+            # NaN passes RankedList's pairwise sorted rule; only decide catches it
+            ((0.9, math.nan, 0.2, 0.0), "nan"),
+            ((0.9, 0.2, 0.0, math.nan), "0.0"),
+        ],
+    )
+    def test_probability_outside_open_unit_interval_rejected(self, probs, bad):
+        entries = tuple((f"d{i}", p) for i, p in enumerate(probs))
+        want = rf"^ranked probability {re.escape(bad)} outside \(0, 1\)$"
+        for run in (decide, expected_qv_curve):
+            with pytest.raises(DataError, match=want):
+                run(RankedList("q", entries), ThresholdConfig())
 
 
 class TestConfigValidation:
