@@ -651,7 +651,32 @@ def _document_from_json(
     raise DataError(f"{ctx}: document {doc_id!r} has unknown kind {kind!r}")
 
 
+class _Encodings(dict):
+    """Maps a value to its JSON piece, encoding each distinct value once."""
+
+    def __init__(self, encode: Callable[[object], str]):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, value) -> str:
+        piece = self[value] = self.encode(value)
+        return piece
+
+
 def save_corpus(corpus: Corpus, path) -> None:
+    """Write one JSON line per document, in corpus order.
+
+    Every line is byte for byte what `json.dumps(obj, separators=(",", ":"))`
+    writes for the document's object, escapes (`ensure_ascii`) included;
+    text documents go through that call. A speech line is joined from the
+    networks' columns instead: each distinct token's `["token",` prefix and
+    each distinct probability's `prob]` suffix is encoded once per call
+    (`json.dumps` of a float is its repr, finite by the network's
+    invariant), and no (token, prob) pair is built per arc. Arcs join with
+    `,`, slots with `],[` and utterances with `,`.
+    """
+    heads = _Encodings(lambda token: "[" + json.dumps(token) + ",")
+    tails = _Encodings(lambda prob: json.dumps(prob) + "]")
     with atomic_output(path) as out:
         for doc in corpus:
             if doc.kind == TEXT:
@@ -660,14 +685,23 @@ def save_corpus(corpus: Corpus, path) -> None:
                     "kind": TEXT,
                     "sentences": [" ".join(sent) for sent in doc.sentences],
                 }
-            else:
-                obj = {
-                    "id": doc.id,
-                    "kind": SPEECH,
-                    # json writes the (token, prob) tuples as [token, prob]
-                    "utterances": [cn.slots for cn in doc.utterances],
-                }
-            out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                continue
+            networks = []
+            for cn in doc.utterances:
+                arcs = list(map(
+                    str.__add__,
+                    map(heads.__getitem__, cn.tokens),
+                    map(tails.__getitem__, cn.probs.tolist()),
+                ))
+                networks.append("[[" + "],[".join([
+                    ",".join(arcs[start:end])
+                    for start, end in zip((0, *cn.ends), cn.ends)
+                ]) + "]]")
+            out.write(
+                '{"id":' + json.dumps(doc.id) + ',"kind":"' + SPEECH
+                + '","utterances":[' + ",".join(networks) + "]}\n"
+            )
 
 
 def load_translation_table(path) -> TranslationTable:

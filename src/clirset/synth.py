@@ -27,13 +27,15 @@ trainable models see every word at least once.
 
 Every random draw comes from streams derived from the single seed, keyed
 by purpose, so e.g. regenerating with a different speech fraction leaves
-document content untouched. Same spec, same bytes.
+document content untouched. Same spec, same bytes: the digests in
+`tests/test_output_identity.py` pin all six files for two worlds.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -156,8 +158,13 @@ def _pseudo_words(rng: random.Random, count: int, consonants: str) -> list[str]:
     return words
 
 
-def _zipf_weights(count: int) -> list[float]:
-    return [1.0 / (rank + 1.0) for rank in range(count)]
+def _cumulative_zipf_weights(count: int) -> list[float]:
+    """Running sums of the Zipf(1.0) weights, for `choices(cum_weights=...)`.
+
+    `choices` accumulates `weights` into exactly this list before each
+    draw, so passing it once draws the same items without the re-summing.
+    """
+    return list(accumulate(1.0 / (rank + 1.0) for rank in range(count)))
 
 
 def generate(spec: SynthSpec) -> SynthDataset:
@@ -178,7 +185,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
             "synth queries reserve nearly the whole dictionary; grow the"
             " vocabularies or shrink the query set"
         )
-    pool_weights = _zipf_weights(len(pool))
+    pool_cum_weights = _cumulative_zipf_weights(len(pool))
 
     rng_text = _stream(spec.seed, "text")
     doc_sentences: list[list[list[str]]] = []
@@ -187,7 +194,9 @@ def generate(spec: SynthSpec) -> SynthDataset:
         sentences = []
         for _ in range(n_sent):
             length = rng_text.randint(*SENTENCE_LEN)
-            sentences.append(rng_text.choices(pool, pool_weights, k=length))
+            sentences.append(
+                rng_text.choices(pool, cum_weights=pool_cum_weights, k=length)
+            )
         doc_sentences.append(sentences)
     doc_ids = [f"d{i:04d}" for i in range(spec.docs)]
 
@@ -196,7 +205,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
 
     corpus = _wrap_documents(spec, doc_ids, doc_sentences, pool)
     bitext = _make_bitext(spec, foreign, dictionary, n_dict, reserved, reverse,
-                          pool, pool_weights)
+                          pool, pool_cum_weights)
     table = _make_table(spec, english, dictionary, reserved)
     hypotheses = _make_hypotheses(spec, english, dictionary, reserved, doc_ids,
                                   doc_sentences, bitext)
@@ -321,7 +330,7 @@ def _wrap_documents(spec, doc_ids, doc_sentences, decoy_pool):
 
 
 def _make_bitext(spec, foreign, dictionary, n_dict, reserved, reverse, pool,
-                 pool_weights):
+                 pool_cum_weights):
     """Random dictionary-translated pairs, query coverage, and a lexicon.
 
     The tail of the bitext is a one-entry-per-word bilingual lexicon, the
@@ -332,15 +341,15 @@ def _make_bitext(spec, foreign, dictionary, n_dict, reserved, reverse, pool,
     """
     rng = _stream(spec.seed, "bitext")
     all_foreign = foreign[:n_dict]
-    all_weights = _zipf_weights(n_dict)
+    all_cum_weights = _cumulative_zipf_weights(n_dict)
     pairs = []
     for _ in range(spec.bitext_pairs):
         length = rng.randint(*SENTENCE_LEN)
-        src = rng.choices(all_foreign, all_weights, k=length)
+        src = rng.choices(all_foreign, cum_weights=all_cum_weights, k=length)
         pairs.append((tuple(src), tuple(dictionary[f] for f in src)))
     # Guarantee every reserved query word shows up in running training text.
     for word in sorted(reserved):
-        src = rng.choices(pool, pool_weights, k=3) + [reverse[word]]
+        src = rng.choices(pool, cum_weights=pool_cum_weights, k=3) + [reverse[word]]
         rng.shuffle(src)
         pairs.append((tuple(src), tuple(dictionary[f] for f in src)))
     for f in sorted(all_foreign):

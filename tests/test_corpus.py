@@ -181,14 +181,101 @@ class TestCorpusIO:
         save_corpus(corpus, path)
         assert load_corpus(path) == corpus
 
-    def test_save_deterministic(self, tmp_path):
-        corpus = Corpus.from_documents(
-            [Document(id="t", kind="text", sentences=(("a",),))]
-        )
+    def test_save_deterministic(self, tmp_path, monkeypatch):
+        corpus = Corpus.from_documents([
+            Document(id="t", kind="text", sentences=(("a",),)),
+            Document(id="s", kind="speech", utterances=(
+                from_slots(((("a", 0.7), ("b", 0.25)), (("c", 1.0),))),
+                from_slots(((("b", 0.5),),)),
+            )),
+        ])
+        slots_calls = []
+        original = ConfusionNetwork.slots
+
+        def spy(cn):
+            slots_calls.append(cn)
+            return original.fget(cn)
+
+        # the speech lines are written from the columns, not the slot pairs
+        monkeypatch.setattr(ConfusionNetwork, "slots", property(spy))
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_corpus(corpus, p1)
         save_corpus(corpus, p2)
+        assert slots_calls == []
         assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_bytes() == per_line_save_corpus(corpus)
+
+
+def per_line_save_corpus(corpus):
+    """The bytes the corpus file held when each line was one json.dumps call."""
+    lines = []
+    for doc in corpus:
+        if doc.kind == "text":
+            obj = {
+                "id": doc.id,
+                "kind": "text",
+                "sentences": [" ".join(sent) for sent in doc.sentences],
+            }
+        else:
+            obj = {
+                "id": doc.id,
+                "kind": "speech",
+                # json writes the (token, prob) tuples as [token, prob]
+                "utterances": [cn.slots for cn in doc.utterances],
+            }
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+# Tokens that normalize to themselves but need escapes or non-ASCII in
+# JSON: a quote, a backslash, a control character, a letter outside
+# ASCII, CJK and a character outside the BMP (a surrogate pair), each
+# between letters so that no edge punctuation is stripped.
+ESCAPED_TOKENS = st.builds(
+    lambda head, middle, tail: head + middle + tail,
+    st.sampled_from(["a", "zz", "ü"]),
+    st.sampled_from(["", '"', "\\", "\x07", "ü", "日本", "\U0001f600"]),
+    st.sampled_from(["b", "日本"]),
+)
+# Probabilities whose reprs are long or short; every slot sums to <= 1.
+LONG_REPR_PROBS = st.sampled_from([0.1 + 0.2, 5e-324, 1 / 3, 0.1, 1e-17])
+ESCAPED_SLOTS = st.lists(
+    st.one_of(
+        ESCAPED_TOKENS.map(lambda token: ((token, 1.0),)),
+        st.lists(st.tuples(ESCAPED_TOKENS, LONG_REPR_PROBS), min_size=1, max_size=3)
+        .map(tuple),
+    ),
+    min_size=1,
+    max_size=4,
+).map(tuple)
+ESCAPED_DOCS = st.lists(
+    st.tuples(
+        st.sampled_from(["", '"', "\\", "\x07", "\n", " ", "ü", "日本"]),
+        st.one_of(
+            st.lists(st.lists(ESCAPED_TOKENS, min_size=1, max_size=3).map(tuple),
+                     min_size=1, max_size=3)
+            .map(lambda sentences: {"kind": "text", "sentences": tuple(sentences)}),
+            st.lists(ESCAPED_SLOTS.map(from_slots), min_size=1, max_size=3)
+            .map(lambda utterances: {"kind": "speech", "utterances": tuple(utterances)}),
+        ),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestSaveCorpusBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(ESCAPED_DOCS)
+    def test_equals_per_line_json_dumps(self, tmp_path_factory, docs):
+        corpus = Corpus.from_documents([
+            Document(id=f"d{i}{suffix}", **fields)
+            for i, (suffix, fields) in enumerate(docs)
+        ])
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        save_corpus(corpus, path)
+        assert path.read_bytes() == per_line_save_corpus(corpus)
+        assert load_corpus(path) == corpus
 
 
 # Raw arc tokens: case and edge-punctuation variants of a few words, so a

@@ -15,7 +15,10 @@ purpose re-records the digests and says why.
 
 import hashlib
 
+import pytest
+
 from clirset.cli import main
+from clirset.synth import DATASET_FILES
 
 SYNTH = [
     "synth", "--seed", "0", "--docs", "30", "--queries", "5",
@@ -144,3 +147,58 @@ def test_dump_evidence_matches_recorded_digests(tmp_path):
     for argv in steps:
         assert main(argv) == 0, argv[0]
     assert digests(out, DUMP_EVIDENCE_SHA256) == DUMP_EVIDENCE_SHA256
+
+
+SYNTH_SHA256 = {
+    "corpus.jsonl": (
+        "e63534dbd109251e46bce4edda63e8a851fe12bf514352285ecbc2bbd2a1c6e3"
+    ),
+    "bitext.tsv": (
+        "8532a568d7b7373959af6c037f488e323019d24ba53c45eaac2b275a707807d1"
+    ),
+    "table.tsv": (
+        "5c9f2849e949d499ef0d2e2adf13cbcd1af92146ba1ef76d9e7b94daa1d30391"
+    ),
+    "mt_hyps.tsv": (
+        "74ab35cccdb3c8db3cf2166271c8ecdaac48b2bf83b2ec6277650fec307a50b3"
+    ),
+    "queries.tsv": (
+        "aa55e03dc6e775affb123c4d5c25dcb0fdd87e83a1ba7992eb846861b7300014"
+    ),
+    "judgments.tsv": (
+        "e9c8df4c753cd180b8f0e0ad2257e8eb0a1dd232d8eec6d871c15d5d3ef24857"
+    ),
+}
+
+LONG_SPEECH_SYNTH_SHA256 = {
+    "corpus.jsonl": (
+        "c4968a99635365896800533975bfad4eccf1ea737f84fe6b5f902f286d6af00f"
+    ),
+    "bitext.tsv": (
+        "8532a568d7b7373959af6c037f488e323019d24ba53c45eaac2b275a707807d1"
+    ),
+    "table.tsv": (
+        "5c9f2849e949d499ef0d2e2adf13cbcd1af92146ba1ef76d9e7b94daa1d30391"
+    ),
+    "mt_hyps.tsv": (
+        "3ee81ee92c3c9daa42a658a19b8d8bcca1211ec2b3303c7a6cbbe2a1482d256c"
+    ),
+    "queries.tsv": (
+        "aa55e03dc6e775affb123c4d5c25dcb0fdd87e83a1ba7992eb846861b7300014"
+    ),
+    "judgments.tsv": (
+        "b64e9d91eb3d444195860890bff69447040b7556b73b678589e199f473f0bdd7"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(SYNTH, SYNTH_SHA256), (LONG_SPEECH_SYNTH, LONG_SPEECH_SYNTH_SHA256)],
+    ids=["noisy-mixed", "long-speech"],
+)
+def test_synth_files_match_recorded_digests(tmp_path, argv, expected):
+    """Every file `synth` writes, byte for byte, for both worlds above."""
+    assert set(expected) == set(DATASET_FILES.values())
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert digests(tmp_path, expected) == expected
