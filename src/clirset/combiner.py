@@ -181,28 +181,21 @@ def _instance_q(
 ) -> np.ndarray:
     """The (instances x matrices) q_k of fit_mixture's instances.
 
-    Only q outlives the call; the instances and their indexes are freed
-    before the EM allocates its buffers.
+    Each matrix is read into one (vocabulary x pairs) table, and each
+    instance's value is gathered from it at its (word, pair). Only q
+    outlives the call; the instances and the table are freed before the
+    EM allocates its buffers.
     """
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
     positive = instances.label == 1
-    pairs = instances.pair_index
-    # each word's instances, ascending: one run of the stably sorted order
-    order = np.argsort(instances.word_index, kind="stable")
-    word_ids, starts = np.unique(instances.word_index[order], return_index=True)
-    bounds = [*starts.tolist(), len(order)]
-    words = [vocab.tokens[j] for j in word_ids.tolist()]
-    pair_positions = {(bitext_doc_id(i), 0): i for i in range(len(bitext))}
+    keys = tuple((bitext_doc_id(i), 0) for i in range(len(bitext)))
+    table = np.empty((len(vocab), len(bitext)))
     q = np.empty((len(instances), len(matrices)))
     for col, matrix in enumerate(matrices):
-        p = np.empty(len(instances))
-        cells = matrix.cells_at(pair_positions, words)
-        for word, start, end in zip(words, bounds, bounds[1:]):
-            held, values = cells[word]
-            by_pair = np.full(len(bitext), matrix.background)
-            by_pair[held] = values
-            members = order[start:end]
-            p[members] = by_pair[pairs[members]]
+        table.fill(matrix.background)
+        for row, (held, values) in zip(table, matrix.cells_at(keys, vocab).values()):
+            row[held] = values
+        p = table[instances.word_index, instances.pair_index]
         q[:, col] = np.where(positive, p, 1.0 - p)
     return q
 

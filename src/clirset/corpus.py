@@ -236,10 +236,9 @@ class Corpus:
         return np.array([len(doc) for doc in self], dtype=np.int64)
 
     @cached_property
-    def segment_positions(self) -> dict[tuple[str, int], int]:
-        """(doc id, segment index) -> position of every segment, in corpus order."""
-        keys = ((doc.id, index) for doc in self for index in range(len(doc)))
-        return {key: position for position, key in enumerate(keys)}
+    def segment_keys(self) -> tuple[tuple[str, int], ...]:
+        """(doc id, segment index) of every segment, in corpus order: row i is key i."""
+        return tuple((doc.id, index) for doc in self for index in range(len(doc)))
 
     @cached_property
     def by_id(self) -> np.ndarray:
@@ -317,6 +316,7 @@ def parse_query(line: str) -> Query:
     text = text.strip()
     if not qid:
         raise DataError(f"query line has empty id: {line!r}")
+    _check_id("", "query", qid)
     if not text:
         raise DataError(f"query {qid!r} has empty query string")
 
@@ -519,6 +519,15 @@ def parse_index(path, lineno: int, raw: str) -> int:
         raise DataError(f"{path}:{lineno}: bad sentence index {raw!r}") from exc
 
 
+def _check_id(prefix: str, what: str, value: str) -> None:
+    """Refuse an id no output line can hold: `ranked.run` and `sets.tsv` split
+    at whitespace, and a lone surrogate (a JSON escape gives one) has no UTF-8."""
+    if value.split() != [value]:
+        raise DataError(f"{prefix}{what} id {value!r} holds whitespace")
+    if re.search("[\ud800-\udfff]", value):
+        raise DataError(f"{prefix}{what} id {value!r} is not valid UTF-8")
+
+
 def load_corpus(path) -> Corpus:
     """Read a JSONL corpus, validating every document.
 
@@ -560,6 +569,8 @@ def load_corpus(path) -> Corpus:
     finally:
         if gc_was_enabled:
             gc.enable()
+    if not docs:
+        raise DataError(f"{path}: corpus file is empty")
     return Corpus(docs)
 
 
@@ -579,6 +590,7 @@ def _document_from_json(
     kind = obj.get("kind")
     if not isinstance(doc_id, str) or not doc_id:
         raise DataError(f"{ctx}: document id missing or not a string")
+    _check_id(f"{ctx}: ", "document", doc_id)
     if kind == TEXT:
         raw_sentences = obj.get("sentences")
         if not isinstance(raw_sentences, list) or not raw_sentences:
@@ -729,6 +741,8 @@ def load_translation_table(path) -> TranslationTable:
             )
         first_line[key] = lineno
         entries.setdefault(key[0], {})[key[1]] = prob
+    if not entries:
+        raise DataError(f"{path}: translation table file is empty")
     try:
         return TranslationTable(entries, Path(path).stem)
     except DataError as exc:
@@ -808,6 +822,8 @@ def load_judgments(path, corpus: Corpus | None = None) -> Judgments:
         doc_id = doc_id.strip()
         if not qid or not doc_id:
             raise DataError(f"{path}:{lineno}: empty query or document id")
+        _check_id(f"{path}:{lineno}: ", "query", qid)
+        _check_id(f"{path}:{lineno}: ", "document", doc_id)
         relevant.setdefault(qid, set()).add(doc_id)
     judgments = Judgments({qid: frozenset(docs) for qid, docs in relevant.items()})
     if corpus is not None:

@@ -20,7 +20,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class MtHypothesisSet:
     def holders(
         self,
         systems: Sequence[str],
-        keys: Collection[tuple[str, int]],
+        keys: Sequence[tuple[str, int]],
         words: Sequence[Token],
     ) -> list[np.ndarray]:
         """Per system, word slot * len(keys) + key slot of each held (key, word).
@@ -288,15 +288,14 @@ class MtEnsembleGenerator:
         the word, as a per-segment z[holds] += weight did. The holders come
         from an index, not from z != bias, which a zero weight would fool.
         """
-        positions = corpus.segment_positions
-        held = self.hyps.holders(self.model.systems, positions, words)
-        n = len(positions)
-        cells = np.unique(np.concatenate(held))  # word by word, positions ascending
+        keys = corpus.segment_keys
+        held = self.hyps.holders(self.model.systems, keys, words)
+        cells = np.unique(np.concatenate(held))  # word by word, rows ascending
         z = np.full(len(cells), self.model.bias)
-        for weight, keys in zip(self.model.weights, held):
-            z[np.searchsorted(cells, keys)] += weight
+        for weight, system_held in zip(self.model.weights, held):
+            z[np.searchsorted(cells, system_held)] += weight
         values = sigmoid(z)
-        word_codes, rows = np.divmod(cells, n)
+        word_codes, rows = np.divmod(cells, len(keys))
         bounds = np.searchsorted(word_codes, np.arange(len(words) + 1)).tolist()
         return {
             word: (rows[start:end], values[start:end])

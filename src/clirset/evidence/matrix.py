@@ -18,7 +18,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -82,8 +82,8 @@ class Vocabulary:
         return cls(ranked_tokens(english for _, english in bitext)[:size])
 
 
-# A generator's scores before the floor: per word, the ascending corpus
-# positions (int64) of the segments holding a value, and the values
+# A generator's scores before the floor: per word, the ascending rows
+# (int64, in segment_keys order) of the segments holding a value, and the values
 # (float64); then every other segment's value, or None for the floor.
 # EvidenceMatrix takes ownership of the arrays: it floors a writeable
 # values array in place and makes every array read-only. Words may share
@@ -95,8 +95,8 @@ class EvidenceGenerator(Protocol):
     """One source of per-sentence relevance evidence.
 
     `columns(corpus, words)` scores every segment of the corpus (a text
-    Sentence or a speech ConfusionNetwork), numbered by
-    `corpus.segment_positions`, for the English query words `words`, which
+    Sentence or a speech ConfusionNetwork), in the order of
+    `corpus.segment_keys`, for the English query words `words`, which
     come sorted and distinct.
     """
 
@@ -108,13 +108,14 @@ class EvidenceGenerator(Protocol):
 class EvidenceMatrix:
     """p(rel | segment, word) for one generator, floored, stored by column.
 
-    Its rows, the segments, are numbered as the `segment_positions` of
-    the corpus it is built over, and it is read only by that numbering.
+    Its rows are the segments in the order of `keys`, the `segment_keys`
+    of the corpus it is built over, and it is read only in that order.
     Each word has one column: the ascending rows (int64) that hold a cell
     for it, and their values (float64). Every other cell reads as
-    `background`, the floor unless the generator gave one. Such a
-    background is a cell of the words in `filled` at every segment:
-    iter_cells lists those cells too, n_cells counts the column cells only.
+    `background`, the floor unless the generator gave one. When it gave
+    one, the matrix is `filled`: the background is a cell of every column
+    word at every segment, which iter_cells lists too; n_cells counts the
+    column cells only.
     """
 
     def __init__(
@@ -122,19 +123,18 @@ class EvidenceMatrix:
         generator: str,
         epsilon: float,
         columns: Columns,
-        rows: dict[tuple[str, int], int],
-        filled: Iterable[Token] = (),
+        keys: Sequence[tuple[str, int]],
+        filled: bool = False,
     ) -> None:
-        """A matrix of `columns`, floored, over the segments `rows` numbers."""
+        """A matrix of `columns`, floored, over the segments `keys` lists."""
         if not generator:
             raise DataError("evidence matrix with empty generator tag")
         if not 0.0 < epsilon < 0.5:
             raise DataError(f"evidence floor {epsilon!r} outside (0, 0.5)")
         self.generator = generator
         self.epsilon = epsilon
-        self.filled = frozenset(filled)
-        # (doc id, segment index) -> row; the rows count up in the dict's order
-        self._rows = rows
+        self.filled = filled
+        self._keys = keys  # (doc id, segment index) of each row
         cells, background = columns
         if background is None:
             background = epsilon
@@ -144,19 +144,16 @@ class EvidenceMatrix:
             for word, (column_rows, values) in cells.items()
         }
         # NaN passes the floor unchanged: name its first cell in corpus order
-        nan = min(
-            (
-                (int(column_rows[np.argmax(np.isnan(values))]), word)
-                for word, (column_rows, values) in self._columns.items()
-                if np.isnan(values).any()
-            ),
-            default=None,
-        )
+        nans = [
+            (int(column_rows[np.argmax(np.isnan(values))]), word)
+            for word, (column_rows, values) in self._columns.items()
+            if np.isnan(values).any()
+        ]
         if self.background != self.background:  # a NaN cell at every segment
-            nan = 0, min(self.filled, default=None)
-        if nan is not None:
-            row, word = nan
-            doc_id, index = list(rows)[row]
+            nans = [(0, min(self._columns, default=None))]
+        if nans:
+            row, word = min(nans)
+            doc_id, index = keys[row]
             raise DataError(
                 f"generator {generator!r} gave NaN evidence for"
                 f" document {doc_id!r} segment {index} word {word!r}"
@@ -171,16 +168,16 @@ class EvidenceMatrix:
         return np.minimum(values, 1.0 - self.epsilon, out=values)
 
     def cells_at(
-        self, positions: Mapping[tuple[str, int], int], words: Iterable[Token]
+        self, keys: Sequence[tuple[str, int]], words: Iterable[Token]
     ) -> dict[Token, tuple[np.ndarray, np.ndarray]]:
         """Each word's stored cells: the rows that hold one, and their values.
 
-        `positions` must number the segments as the matrix's rows do: it is
-        the `segment_positions` of the corpus the matrix was built over, or
-        equal to it. Any other numbering is a DataError. Every row a word's
-        column does not hold reads as the background.
+        `keys` must list the segments in the matrix's row order: it is the
+        `segment_keys` of the corpus the matrix was built over, or equal to
+        it. Any other order is a DataError. Every row a word's column does
+        not hold reads as the background.
         """
-        if positions is not self._rows and positions != self._rows:
+        if keys is not self._keys and keys != self._keys:
             raise DataError(
                 f"evidence matrix {self.generator!r} is read over a corpus"
                 " it was not built over"
@@ -193,17 +190,16 @@ class EvidenceMatrix:
 
     def iter_cells(self) -> Iterator[tuple[str, int, Token, float]]:
         """All held cells, background ones included, in sorted (doc, sentence, word) order."""
-        words = sorted(self._columns.keys() | self.filled)
+        words = sorted(self._columns)
         if not words:
             return
-        segments = list(self._rows)
-        by_key = sorted(range(len(segments)), key=segments.__getitem__)
-        key_rank = np.empty(len(segments), dtype=np.int64)
-        key_rank[by_key] = np.arange(len(segments))
+        segments = self._keys
+        # each row's place in sorted key order
+        key_rank = np.argsort(sorted(range(len(segments)), key=segments.__getitem__))
         columns = []
         for word in words:
-            rows, values = self._columns.get(word, _NO_COLUMN)
-            if word in self.filled:
+            rows, values = self._columns[word]
+            if self.filled:
                 full = np.full(len(segments), self.background)
                 full[rows] = values
                 rows, values = np.arange(len(segments)), full
@@ -243,18 +239,18 @@ def weighted_sum(
 ) -> EvidenceMatrix:
     """The matrix of sum(weight * matrix value) over `weighted`, floored.
 
-    The matrices must number their rows with one dict, as those built over
-    one corpus share its `segment_positions`. A cell is stored wherever one
+    The matrices must order their rows by one tuple of keys, as those built
+    over one corpus share its `segment_keys`. A cell is stored wherever one
     of the matrices stores one; the others give their background there.
     Each cell, and the background, sums from 0 in the given order, as
-    Python's sum() over the weighted values would. The background fills
-    the words any of the matrices fills.
+    Python's sum() over the weighted values would. The sum is filled when
+    any of the matrices is.
     """
     matrices = [matrix for _, matrix in weighted]
-    rows = matrices[0]._rows
-    if any(matrix._rows is not rows for matrix in matrices):
+    keys = matrices[0]._keys
+    if any(matrix._keys is not keys for matrix in matrices):
         raise DataError("evidence matrices to combine are not built over one corpus")
-    n = len(rows)
+    n = len(keys)
     every_row = np.arange(n)
     cells = {}
     for word in sorted({word for matrix in matrices for word in matrix._columns}):
@@ -262,21 +258,18 @@ def weighted_sum(
         total = 0
         for weight, matrix in weighted:
             values = np.full(n, matrix.background)
-            if word in matrix._columns:
-                column_rows, column_values = matrix._columns[word]
-                values[column_rows] = column_values
-                held[column_rows] = True
+            column_rows, column_values = matrix._columns.get(word, _NO_COLUMN)
+            values[column_rows] = column_values
+            held[column_rows] = True
             total = total + weight * values
         if held.all():  # a dense column stores the sum itself
             cells[word] = every_row, total
         else:
             at = np.flatnonzero(held)
             cells[word] = at, total[at]
-    background = 0
-    for weight, matrix in weighted:
-        background = background + weight * matrix.background
-    filled = frozenset().union(*(matrix.filled for matrix in matrices))
-    return EvidenceMatrix(generator, epsilon, (cells, background), rows, filled)
+    background = sum(weight * matrix.background for weight, matrix in weighted)
+    filled = any(matrix.filled for matrix in matrices)
+    return EvidenceMatrix(generator, epsilon, (cells, background), keys, filled)
 
 
 def query_words(queries: Iterable[Query]) -> list[Token]:
@@ -302,10 +295,9 @@ def build_evidence_for_words(
     epsilon: float = DEFAULT_EPSILON,
 ) -> EvidenceMatrix:
     columns = generator.columns(corpus, sorted(set(words)))
-    cells, background = columns
     # a background the generator gives is its value at every segment
-    filled = () if background is None else cells
-    return EvidenceMatrix(generator.tag, epsilon, columns, corpus.segment_positions, filled)
+    filled = columns[1] is not None
+    return EvidenceMatrix(generator.tag, epsilon, columns, corpus.segment_keys, filled)
 
 
 def save_matrix(matrix: EvidenceMatrix, path) -> int:

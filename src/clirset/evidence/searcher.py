@@ -286,8 +286,8 @@ def train_searcher(
         for key in _ATTENTION_KEYS:
             params[key] = rng.normal(0.0, INIT_SCALE, (config.dim, config.dim))
 
-    foreign_index = {tok: i for i, tok in enumerate(foreign_tokens)}
-    unk = len(foreign_tokens)
+    # the model holds `params`, which the steps below update in place
+    model = SearcherModel(vocab, foreign_tokens, params)
     all_word_ids = np.arange(k)
 
     # Foreign rows and positive word ids per pair are fixed; negatives are
@@ -299,9 +299,7 @@ def train_searcher(
         reference = {word for word in tgt if word in vocab}
         if not reference:
             continue
-        pair_foreign[i] = _Ids.grouped(
-            np.array([foreign_index.get(tok, unk) for tok in src], dtype=int)
-        )
+        pair_foreign[i] = _Ids.grouped(model.foreign_ids(src))
         pair_positive[i] = np.array(
             sorted(vocab.index_of(word) for word in reference), dtype=int
         )
@@ -339,8 +337,6 @@ def train_searcher(
             epoch_count += len(words.ids)
         losses.append(epoch_loss / epoch_count)
         log.info("searcher epoch %d mean loss %.6f", epoch + 1, losses[-1])
-
-    model = SearcherModel(vocab, foreign_tokens, params)
     return model, losses
 
 

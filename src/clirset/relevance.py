@@ -121,24 +121,24 @@ def _query_doc_rels(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> n
             f"query {query.id!r} has kind {query.kind!r}; only lexical"
             " queries are retrievable"
         )
-    positions = corpus.segment_positions
+    keys = corpus.segment_keys
     words = dict.fromkeys(word for phrase in query.phrases for word in phrase)
-    cells = evidence.cells_at(positions, words)
+    cells = evidence.cells_at(keys, words)
     background_log = math.log(evidence.background)
     logs = {}
     for word, (at, values) in cells.items():
-        logs[word] = np.full(len(positions), background_log)
+        logs[word] = np.full(len(keys), background_log)
         logs[word][at] = _per_value(math.log, values)
     phrase_logs = []
     for phrase in query.phrases:
         log_p = sum(logs[word] for word in phrase)
         # Every segment where no word of the phrase holds a cell has the
         # same log_p: the background's log added once per word.
-        held = np.zeros(len(positions), dtype=bool)
+        held = np.zeros(len(keys), dtype=bool)
         for word in phrase:
             held[cells[word][0]] = True
         all_background = _log_miss(sum(background_log for _ in phrase))
-        log_miss_by_segment = np.full(len(positions), all_background)
+        log_miss_by_segment = np.full(len(keys), all_background)
         log_miss_by_segment[held] = _per_value(_log_miss, log_p[held])
         log_miss = np.zeros(len(corpus))  # in by_length order
         for segments in corpus.segment_slots:

@@ -644,6 +644,26 @@ class TestErrorPaths:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc_id, flaw",
+        [("d\ud800", "is not valid UTF-8"), ("d\t1", "holds whitespace")],
+    )
+    def test_corpus_id_no_output_can_hold_is_data_error(
+        self, data_dir, tmp_path, capsys, doc_id, flaw
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        original = (data_dir / "corpus.jsonl").read_bytes()
+        bad = json.dumps({"id": doc_id, "kind": "text", "sentences": ["virus"]})
+        corpus.write_bytes(original + bad.encode() + b"\n")
+        line = original.count(b"\n") + 1
+        argv = retrieve_args(data_dir, tmp_path / "run")
+        argv[argv.index("--corpus") + 1] = str(corpus)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}:{line}: document id {doc_id!r} {flaw}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_non_utf8_queries_is_data_error(self, data_dir, tmp_path, capsys):
         queries = tmp_path / "queries.tsv"
         original = (data_dir / "queries.tsv").read_bytes()

@@ -11,6 +11,7 @@ from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clirset.combiner as combiner_module
 from clirset.combiner import (
     MixtureWeights,
     combine,
@@ -21,7 +22,14 @@ from clirset.combiner import (
 )
 from clirset.corpus import Bitext, Corpus, Document, bitext_corpus, bitext_doc_id
 from clirset.errors import DataError
-from clirset.evidence import Vocabulary, labeled_instances
+from clirset.evidence import (
+    MtEnsembleGenerator,
+    MtEnsembleModel,
+    MtHypothesisSet,
+    Vocabulary,
+    build_evidence_for_words,
+    labeled_instances,
+)
 
 
 # Every segment the combine tests name.
@@ -142,7 +150,7 @@ class TestCombine:
 
     def test_matrices_over_different_numberings_rejected(self):
         m1 = matrix_over(CORPUS, [("d", 0, "w", 0.5)], "g1")
-        # a corpus of the same documents, which numbers its rows with its own dict
+        # a corpus of the same documents, which lists its segment keys in its own tuple
         twin = Corpus(dict(CORPUS.documents))
         m2 = matrix_over(twin, [("d", 0, "w", 0.5)], "g2")
         with pytest.raises(DataError, match="not built over one corpus"):
@@ -429,6 +437,45 @@ class TestFitMixture:
         lam, history = em_fit(q)
         assert [fitted.weights[m.generator] for m in matrices] == lam.tolist()
         assert list(fitted.loglik_history) == history
+
+
+    def test_q_reads_the_background_where_no_cell_is_stored(self, monkeypatch):
+        """MT's background is sigmoid(bias), not the floor: it is what q holds
+        for a word no translation of the pair holds, and for the words the
+        matrix has no column for."""
+        bitext, vocab = toy_bitext_and_vocab()
+        pseudo = bitext_corpus(bitext)
+        keys = pseudo.segment_keys
+        hyps = MtHypothesisSet(("s1", "s2"), {
+            "s1": {key: (reference[0],) for key, (_, reference) in zip(keys, bitext)},
+            "s2": {key: ("e0", "filler") for key in keys},
+        })
+        model = MtEnsembleModel(("s1", "s2"), (2.0, -1.0), 0.5)
+        mt = build_evidence_for_words(MtEnsembleGenerator(model, hyps), pseudo, vocab.tokens[:4])
+        sharp, _ = sharp_and_flat(bitext, vocab)
+        assert mt.filled and mt.background > 100 * mt.epsilon
+        assert set(vocab.tokens) - set(mt.cells_at(keys, vocab.tokens[:4])) == {"e4", "e5"}
+        seen = []
+        monkeypatch.setattr(combiner_module, "em_fit", lambda q: seen.append(q) or em_fit(q))
+        fit_mixture([mt, sharp], bitext, vocab, m_neg=3, seed=0)
+
+        def read(matrix, pair, word):
+            rows, values = matrix.cells_at(keys, [word])[word]
+            return dict(zip(rows.tolist(), values.tolist())).get(pair, matrix.background)
+
+        instances = labeled_instances(bitext, vocab, 3, random.Random(0))
+        want = [
+            [
+                p if inst.label == 1 else 1.0 - p
+                for p in (read(m, inst.pair_index, inst.word) for m in (mt, sharp))
+            ]
+            for inst in instances
+        ]
+        [q] = seen
+        assert q.tolist() == want
+        mt_reads = [read(mt, inst.pair_index, inst.word) for inst in instances]
+        assert mt_reads.count(mt.background) > 0
+        assert {inst.word for inst in instances} >= {"e4", "e5"}
 
 
 class TestWeightsIO:

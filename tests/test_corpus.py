@@ -165,6 +165,20 @@ class TestCorpusIO:
         with pytest.raises(DataError, match=r"outside \(0, 1\]"):
             load_corpus(self._write(tmp_path, [line]))
 
+    @pytest.mark.parametrize(
+        "doc_id, flaw",
+        [("d 1", "holds whitespace"), ("d\t1", "holds whitespace"),
+         ("d1\n", "holds whitespace"), ("\u00a0d1", "holds whitespace"),
+         ("d\ud800", "is not valid UTF-8")],
+    )
+    def test_id_no_output_line_can_hold_rejected(self, tmp_path, doc_id, flaw):
+        good = json.dumps({"id": "d0", "kind": "text", "sentences": ["a"]})
+        bad = json.dumps({"id": doc_id, "kind": "text", "sentences": ["a"]})
+        path = self._write(tmp_path, [good, bad])
+        with pytest.raises(DataError) as raised:
+            load_corpus(path)
+        assert str(raised.value) == f"{path}:2: document id {doc_id!r} {flaw}"
+
     def test_round_trip(self, tmp_path):
         docs = [
             Document(id="t", kind="text", sentences=(("a", "b"), ("c",))),
@@ -275,7 +289,12 @@ class TestSaveCorpusBytes:
         path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
         save_corpus(corpus, path)
         assert path.read_bytes() == per_line_save_corpus(corpus)
-        assert load_corpus(path) == corpus
+        spaced = [i for i, doc in enumerate(corpus, 1) if doc.id.split() != [doc.id]]
+        if spaced:  # an output line cannot hold such an id
+            with pytest.raises(DataError, match=rf"{spaced[0]}: document id .* whitespace"):
+                load_corpus(path)
+        else:
+            assert load_corpus(path) == corpus
 
 
 # Raw arc tokens: case and edge-punctuation variants of a few words, so a
@@ -661,6 +680,27 @@ class TestBitextIO:
         corpus = bitext_corpus(bitext)
         assert bitext_doc_id(1) == "bt000001"
         assert corpus["bt000001"].sentences == (("zu", "ba"),)
+        assert corpus.segment_keys == (("bt000000", 0), ("bt000001", 0))
+
+
+class TestSegmentKeys:
+    def test_every_segment_in_corpus_order(self):
+        network = from_slots(((("a", 1.0),),))
+        corpus = Corpus.from_documents([
+            Document(id="z", kind="text", sentences=(("a",), ("b",))),
+            Document(id="s", kind="speech", utterances=(network,) * 3),
+            Document(id="a", kind="text", sentences=(("c",),)),
+            Document(id="m", kind="speech", utterances=(network,)),
+        ])
+        assert corpus.segment_keys == (
+            ("z", 0), ("z", 1), ("s", 0), ("s", 1), ("s", 2), ("a", 0), ("m", 0)
+        )
+        assert corpus.segment_keys is corpus.segment_keys
+
+    def test_bitext_corpus_keys_one_segment_per_pair(self):
+        bitext = Bitext(tuple(((f"f{i}",), ("e",)) for i in range(5)))
+        keys = bitext_corpus(bitext).segment_keys
+        assert keys == tuple((bitext_doc_id(i), 0) for i in range(5))
 
 
 class TestQueryAndJudgmentIO:
@@ -679,6 +719,26 @@ class TestQueryAndJudgmentIO:
         out = tmp_path / "q2.tsv"
         save_queries(queries, out)
         assert load_queries(out) == queries
+
+    @pytest.mark.parametrize("query_id", ["q 1", "q\x0b1", "q\u30001"])
+    def test_query_id_with_whitespace_rejected(self, tmp_path, query_id):
+        path = tmp_path / "q.tsv"
+        path.write_text(f"q0\tvirus\n{query_id}\tvirus\n", encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            load_queries(path)
+        assert str(raised.value) == f"{path}:2: query id {query_id!r} holds whitespace"
+
+    @pytest.mark.parametrize(
+        "line, what, value",
+        [("q 1\td1", "query", "q 1"), ("q1\td 1", "document", "d 1"),
+         ("q1\td\u20031", "document", "d\u20031")],
+    )
+    def test_judgment_id_with_whitespace_rejected(self, tmp_path, line, what, value):
+        path = tmp_path / "j.tsv"
+        path.write_text(f"q0\td0\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            load_judgments(path)
+        assert str(raised.value) == f"{path}:2: {what} id {value!r} holds whitespace"
 
     def test_duplicate_query_id(self, tmp_path):
         path = tmp_path / "q.tsv"

@@ -302,21 +302,21 @@ class TestConstructor:
 
     def test_floors_a_writeable_column_in_place(self):
         corpus = text_corpus(d=3)
-        positions = corpus.segment_positions
+        keys = corpus.segment_keys
         values = np.array([0.0, 0.5, 1.0])
-        matrix = EvidenceMatrix("g", 0.1, ({"w": (np.arange(3), values)}, None), positions)
-        _, stored = matrix.cells_at(positions, ["w"])["w"]
+        matrix = EvidenceMatrix("g", 0.1, ({"w": (np.arange(3), values)}, None), keys)
+        _, stored = matrix.cells_at(keys, ["w"])["w"]
         assert stored is values
         assert values.tolist() == [0.1, 0.5, 0.9]
         assert not values.flags.writeable
 
     def test_copies_a_read_only_column_and_leaves_it_unchanged(self):
         corpus = text_corpus(d=3)
-        positions = corpus.segment_positions
+        keys = corpus.segment_keys
         wide = matrix_over(corpus, [("d", 0, "w", 0.05), ("d", 2, "w", 0.95)], epsilon=0.01)
-        rows, values = wide.cells_at(positions, ["w"])["w"]
-        narrow = EvidenceMatrix("g", 0.1, ({"w": (rows, values)}, None), positions)
-        _, stored = narrow.cells_at(positions, ["w"])["w"]
+        rows, values = wide.cells_at(keys, ["w"])["w"]
+        narrow = EvidenceMatrix("g", 0.1, ({"w": (rows, values)}, None), keys)
+        _, stored = narrow.cells_at(keys, ["w"])["w"]
         assert stored.tolist() == [0.1, 0.9]
         assert values.tolist() == [0.05, 0.95]
         assert list(wide.iter_cells()) == [("d", 0, "w", 0.05), ("d", 2, "w", 0.95)]

@@ -137,10 +137,10 @@ def put_row_cells(score, corpus, epsilon):
 
 def reads(matrix, corpus, words):
     """What every (segment, word) reads as, word by word in corpus order."""
-    positions = corpus.segment_positions
+    keys = corpus.segment_keys
     out = {}
-    for word, (at, values) in matrix.cells_at(positions, words).items():
-        column = np.full(len(positions), matrix.background)
+    for word, (at, values) in matrix.cells_at(keys, words).items():
+        column = np.full(len(keys), matrix.background)
         column[at] = values
         out[word] = column.tolist()
     return out
@@ -149,7 +149,7 @@ def reads(matrix, corpus, words):
 def assert_same_evidence(matrix, cells, corpus, words):
     assert list(matrix.iter_cells()) == sorted((*key, value) for key, value in cells.items())
     want = {
-        word: [cells.get((*key, word), matrix.epsilon) for key in corpus.segment_positions]
+        word: [cells.get((*key, word), matrix.epsilon) for key in corpus.segment_keys]
         for word in words
     }
     assert reads(matrix, corpus, words) == want
@@ -221,7 +221,7 @@ def mt_generators(draw, corpus):
     hypotheses = {
         system: {
             key: tuple(draw(st.lists(words, min_size=1, max_size=5)))
-            for key in corpus.segment_positions
+            for key in corpus.segment_keys
         }
         for system in systems
     }
@@ -256,7 +256,7 @@ class TestTableColumns:
         cells = put_row_cells(old_table_scorer(generator, sorted(words)), corpus, epsilon)
         assert_same_evidence(matrix, cells, corpus, sorted(words))
         assert matrix.n_cells() == len(cells)
-        assert matrix.background == epsilon and not matrix.filled
+        assert matrix.background == epsilon and matrix.filled is False
 
 
 class TestMtColumns:
@@ -271,13 +271,13 @@ class TestMtColumns:
         hypotheses = generator.hyps.hypotheses
         held = {
             (key, word)
-            for key in corpus.segment_positions
+            for key in corpus.segment_keys
             for system in generator.model.systems
             for word in hypotheses[system][key]
             if word in words
         }
         assert matrix.n_cells() == len(held)
-        assert matrix.filled == frozenset(words)
+        assert matrix.filled is True
 
     def test_zero_weight_does_not_hide_a_holder(self):
         corpus = Corpus.from_documents(
@@ -294,7 +294,7 @@ class TestMtColumns:
         words = ["fast", "virus"]
         matrix = build_evidence_for_words(generator, corpus, words)
         # virus is held by s1 alone, whose weight 0.0 leaves z at the bias
-        assert matrix.cells_at(corpus.segment_positions, ["virus"])["virus"][0].tolist() == [0]
+        assert matrix.cells_at(corpus.segment_keys, ["virus"])["virus"][0].tolist() == [0]
         assert matrix.n_cells() == 2
         cells = put_row_cells(old_mt_scorer(generator, words), corpus, matrix.epsilon)
         assert_same_evidence(matrix, cells, corpus, words)
@@ -310,7 +310,7 @@ class TestMtColumns:
         self, data, corpus, words, dropped
     ):
         generator = data.draw(mt_generators(corpus))
-        keys = list(corpus.segment_positions)
+        keys = corpus.segment_keys
         hypotheses = {s: dict(per_key) for s, per_key in generator.hyps.hypotheses.items()}
         systems = generator.hyps.systems
         for col, position in dropped:
@@ -352,7 +352,7 @@ class TestSearcherColumns:
         cells = put_row_cells(old_searcher_scorer(generator, sorted(words)), corpus, epsilon)
         assert_same_evidence(matrix, cells, corpus, sorted(words))
         assert matrix.n_cells() == len(cells)
-        assert matrix.background == epsilon and not matrix.filled
+        assert matrix.background == epsilon and matrix.filled is False
 
     def test_build_peaks_under_twice_its_values(self):
         """The build holds its values, a block and little else at any time:
@@ -381,7 +381,7 @@ class TestSearcherColumns:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        columns = matrix.cells_at(corpus.segment_positions, english).values()
+        columns = matrix.cells_at(corpus.segment_keys, english).values()
         values = sum(column.nbytes for _, column in columns)
         assert values == len(sentences) * n_english * 8
         assert peak <= 2 * values

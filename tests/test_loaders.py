@@ -1,4 +1,5 @@
-"""Every file loader, fed arbitrary bytes, loads or raises DataError naming the file."""
+"""Every file loader, fed arbitrary bytes, loads or raises DataError naming the file;
+an empty input file is an error for each loader that needs an entry."""
 
 import pytest
 from hypothesis import example, given
@@ -59,3 +60,25 @@ def test_loads_or_names_the_file(scratch, loader, data):
         loader(path)
     except DataError as exc:
         assert str(path) in str(exc)
+
+
+# Each loader whose file must hold an entry, and what it says of a file
+# with none.
+EMPTY_FILE_ERRORS = {
+    load_corpus: "corpus file is empty",
+    load_translation_table: "translation table file is empty",
+    load_bitext: "bitext file is empty",
+    load_queries: "query file is empty",
+    load_mt_hypotheses: "empty hypothesis file",
+    load_weights: "empty mixture weight file",
+}
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["no-lines", "blank-lines"])
+@pytest.mark.parametrize("loader", EMPTY_FILE_ERRORS, ids=lambda loader: loader.__name__)
+def test_empty_file_names_the_file(tmp_path, loader, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as raised:
+        loader(path)
+    assert str(raised.value) == f"{path}: {EMPTY_FILE_ERRORS[loader]}"
