@@ -311,7 +311,10 @@ def cmd_fit_mixture(args: argparse.Namespace) -> int:
     parts = " ".join(
         f"{tag}={mixture.weights[tag]:.4f}" for tag in sorted(mixture.weights)
     )
-    print(f"fit-mixture: {parts} loglik={mixture.loglik:.6f} -> {out}")
+    print(
+        f"fit-mixture: {parts} loglik={mixture.loglik:.6f}"
+        f" iterations={len(mixture.loglik_history)} -> {out}"
+    )
     return 0
 
 

@@ -41,6 +41,9 @@ COMBINED_TAG = "combined"
 
 LOGLIK_PREFIX = "#loglik="
 
+# Instances em_fit works on at a time, so that a block's buffers stay in cache.
+_BLOCK_INSTANCES = 16384
+
 
 @dataclass(frozen=True)
 class MixtureWeights:
@@ -113,27 +116,44 @@ def em_fit(
     at the cap while still improving. Returns the weights and the
     per-iteration log-likelihood trace (evaluated after each update).
 
-    Every per-instance value lives in buffers allocated once. Each
-    generator's responsibilities are divided and summed in place, front to
-    back, as numpy's mean(axis=0) over the (n, k) matrix sums them.
+    The buffers are allocated once per fit: a contiguous copy of q's
+    columns, the n-long row sums, and two block-sized buffers. An iteration
+    walks the instances in blocks of _BLOCK_INSTANCES. Per block, the
+    weighted columns and their row sums fill the (generators x block)
+    buffer, and the responsibilities are divided into the transpose of the
+    (block x generators) one. The running per-generator sums are added into
+    that block's first row, and np.einsum("ij->j") sums each generator's
+    column front to back, as numpy's mean(axis=0) over the (n, k) matrix
+    does. With one generator every responsibility is exactly 1.0, so its
+    sums are exact in any order. The log-likelihood is always
+    sum(log(q @ lam)) over the whole of q.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
         raise DataError("EM needs a non-empty 2-d instance matrix")
-    if np.any(q <= 0.0):
-        raise DataError("EM instance likelihoods must be positive")
+    if not np.all((q > 0.0) & np.isfinite(q)):
+        raise DataError("EM instance likelihoods must be finite and positive")
     n, k = q.shape
     columns = np.ascontiguousarray(q.T)  # one contiguous row per generator
-    resp = np.empty((k, n))
     total = np.empty(n)
+    size = min(_BLOCK_INSTANCES, n)
+    weighted = np.empty((k, size))
+    resp = np.empty((size, k))
     lam = np.full(k, 1.0 / k)
     history: list[float] = []
     prev = _loglik(q, lam, total)
     for _ in range(max_iter):
-        np.multiply(columns, lam[:, None], out=resp)
-        _row_sums(resp, total)
-        np.divide(resp, total, out=resp)
-        lam = np.array([np.add.accumulate(r, out=r)[-1] for r in resp]) / n
+        sums = np.zeros(k)
+        for first in range(0, n, size):
+            last = min(first + size, n)
+            w = weighted[:, : last - first]
+            r = resp[: last - first]
+            np.multiply(columns[:, first:last], lam[:, None], out=w)
+            _row_sums(w, total[first:last], r)
+            np.divide(w, total[first:last], out=r.T)
+            r[0] += sums
+            sums = np.einsum("ij->j", r)
+        lam = sums / n
         loglik = _loglik(q, lam, total)
         history.append(loglik)
         gain = loglik - prev
@@ -157,19 +177,22 @@ def _loglik(q: np.ndarray, lam: np.ndarray, out: np.ndarray) -> float:
     return float(np.sum(np.log(out, out=out)))
 
 
-def _row_sums(resp: np.ndarray, out: np.ndarray) -> None:
-    """Write each instance's sum over generators (the columns of `resp`) to `out`.
+def _row_sums(weighted: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write each instance's sum over generators (the columns of `weighted`)
+    to `out`.
 
     The sums are added in the order numpy's sum(axis=1) adds over the
     (n, k) matrix: left to right for fewer than 8 generators, through
-    numpy's own blocked summation for more.
+    numpy's own blocked summation, on the transpose copied into `scratch`,
+    for more.
     """
-    if len(resp) >= 8:
-        np.ascontiguousarray(resp.T).sum(axis=1, out=out)
+    if len(weighted) >= 8:
+        np.copyto(scratch, weighted.T)
+        scratch.sum(axis=1, out=out)
         return
-    np.copyto(out, resp[0])
-    for r in resp[1:]:
-        np.add(out, r, out=out)
+    np.copyto(out, weighted[0])
+    for w in weighted[1:]:
+        np.add(out, w, out=out)
 
 
 def _instance_q(

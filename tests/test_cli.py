@@ -338,7 +338,10 @@ class TestTrainers:
         assert code == 0
         weights = load_weights(out).weights
         assert weights["t1"] == pytest.approx(0.5, abs=1e-9)
-        assert "loglik=" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "loglik=" in printed
+        # identical tables stay uniform: the first update gains nothing
+        assert " iterations=1 -> " in printed
 
     def test_fit_mixture_draws_the_instances_once(
         self, data_dir, tmp_path, monkeypatch

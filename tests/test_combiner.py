@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import clirset.combiner as combiner_module
 from clirset.combiner import (
+    _BLOCK_INSTANCES,
     MixtureWeights,
     combine,
     em_fit,
@@ -224,6 +225,9 @@ class TestEmFit:
             em_fit(np.array([1.0, 0.5]))
         with pytest.raises(DataError, match="positive"):
             em_fit(np.array([[0.5, 0.0]]))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DataError, match="finite and positive"):
+                em_fit(np.array([[bad, 0.5], [0.2, 0.3]]))
 
 
 def em_fit_on_the_matrix(q, tol, max_iter):
@@ -278,13 +282,31 @@ class TestEmFitBitExact:
         assert lam.tolist() == want_lam.tolist()
         assert history == want_history
 
+    @pytest.mark.parametrize("levels", [0, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            _BLOCK_INSTANCES - 1,
+            _BLOCK_INSTANCES,
+            _BLOCK_INSTANCES + 1,
+            2 * _BLOCK_INSTANCES + 1362,
+        ],
+    )
+    def test_matches_the_matrix_loop_across_blocks(self, n, k, levels):
+        q = planted_q(n, k, n + k, levels)
+        lam, history = em_fit(q, -math.inf, 25)
+        want_lam, want_history = em_fit_on_the_matrix(q, -math.inf, 25)
+        assert lam.tolist() == want_lam.tolist()
+        assert history == want_history
+
 
 class TestEmFitMemory:
     def test_peak_is_its_buffers_at_any_iteration_count(self):
         """em_fit allocates its per-instance buffers once: a contiguous copy
-        of q's columns and the responsibilities (each as large as q) and the
-        row sums (a third of q). Nothing of that size is allocated per
-        iteration."""
+        of q's columns (as large as q), the row sums (a third of q) and two
+        buffers of one block of instances each. Nothing of that size is
+        allocated per iteration."""
         q = planted_q(100_000, 3, 0, 0)
         peaks = []
         for max_iter in (5, 50):
@@ -296,7 +318,7 @@ class TestEmFitMemory:
                 tracemalloc.stop()
             assert len(history) == max_iter
             peaks.append(peak)
-        assert max(peaks) <= 2.4 * q.nbytes
+        assert max(peaks) <= 1.8 * q.nbytes
         # equal up to the growing history list: far below one 800 kB row
         assert abs(peaks[1] - peaks[0]) < 4096
 
