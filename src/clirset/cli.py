@@ -19,7 +19,14 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
-from .combiner import MixtureWeights, combine, fit_mixture, load_weights, save_weights
+from .combiner import (
+    MixtureWeights,
+    check_tags,
+    combine,
+    fit_mixture,
+    load_weights,
+    save_weights,
+)
 from .corpus import (
     LEXICAL,
     bitext_corpus,
@@ -66,8 +73,6 @@ log = logging.getLogger(__name__)
 RANKED_FILE = "ranked.run"
 CUTOFFS_FILE = "cutoffs.tsv"
 SETS_FILE = "sets.tsv"
-
-DEFAULT_VOCAB_SIZE = 2000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,11 +205,6 @@ def _output_file(path: Path) -> Path:
     return path
 
 
-def _vocabulary(args: argparse.Namespace, bitext) -> Vocabulary:
-    size = DEFAULT_VOCAB_SIZE if args.vocab_size is None else args.vocab_size
-    return Vocabulary.from_bitext(bitext, size)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers. Each returns 0; errors surface as exceptions.
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def cmd_train_searcher(args: argparse.Namespace) -> int:
     bitext_path = _required(args, "bitext")
     out = _output_file(_required(args, "out"))
     bitext = load_bitext(bitext_path)
-    vocab = _vocabulary(args, bitext)
+    vocab = Vocabulary.from_bitext(bitext, **_given(args, "vocab_size"))
     config = SearcherConfig(**_given(args, *_field_names(SearcherConfig)))
     model, losses = train_searcher(bitext, vocab, config)
     save_searcher(model, out)
@@ -245,7 +245,7 @@ def cmd_fit_ensemble(args: argparse.Namespace) -> int:
     out = _output_file(_required(args, "out"))
     bitext = load_bitext(bitext_path)
     hyps = load_mt_hypotheses(hyps_path)
-    vocab = _vocabulary(args, bitext)
+    vocab = Vocabulary.from_bitext(bitext, **_given(args, "vocab_size"))
     model, loss = fit_mt_ensemble(hyps, bitext, vocab)
     save_mt_ensemble(model, out)
     print(
@@ -299,7 +299,7 @@ def cmd_fit_mixture(args: argparse.Namespace) -> int:
     out = _output_file(_required(args, "out"))
     generators = _build_generators(args)
     bitext = load_bitext(bitext_path)
-    vocab = _vocabulary(args, bitext)
+    vocab = Vocabulary.from_bitext(bitext, **_given(args, "vocab_size"))
     # Every word of a vocabulary drawn from this bitext is a positive of
     # some pair, so the matrices cover exactly the instances' words.
     pseudo = bitext_corpus(bitext)
@@ -372,6 +372,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = ThresholdConfig(**_given(args, "beta", "gamma"))
 
     mixture = _resolve_weights(args, generators)
+    check_tags(mixture, [gen.tag for gen in generators])
     matrices = _build_each(
         generators, lambda gen: build_evidence(gen, corpus, queries)
     )

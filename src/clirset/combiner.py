@@ -75,6 +75,15 @@ class MixtureWeights:
         return cls({tag: 1.0 / len(tags) for tag in tags})
 
 
+def check_tags(mixture: MixtureWeights, tags: Sequence[str]) -> None:
+    """Raise DataError unless `mixture` weighs exactly the generator tags `tags`."""
+    if set(tags) != set(mixture.weights):
+        raise DataError(
+            f"mixture weights {sorted(mixture.weights)} do not match"
+            f" generator tags {sorted(tags)}"
+        )
+
+
 def combine(
     matrices: Sequence[EvidenceMatrix], mixture: MixtureWeights
 ) -> EvidenceMatrix:
@@ -90,11 +99,7 @@ def combine(
     tags = [m.generator for m in matrices]
     if len(set(tags)) != len(tags):
         raise DataError("duplicate generator tags among matrices")
-    if set(tags) != set(mixture.weights):
-        raise DataError(
-            f"mixture weights {sorted(mixture.weights)} do not match"
-            f" matrix tags {sorted(tags)}"
-        )
+    check_tags(mixture, tags)
     epsilons = {m.epsilon for m in matrices}
     if len(epsilons) != 1:
         raise DataError("matrices disagree on the evidence floor")

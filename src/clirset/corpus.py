@@ -231,42 +231,23 @@ class Corpus:
         return self.documents[doc_id]
 
     @cached_property
-    def segment_counts(self) -> np.ndarray:
-        """The number of segments of each document, in corpus order."""
-        return np.array([len(doc) for doc in self], dtype=np.int64)
-
-    @cached_property
     def segment_keys(self) -> tuple[tuple[str, int], ...]:
         """(doc id, segment index) of every segment, in corpus order: row i is key i."""
         return tuple((doc.id, index) for doc in self for index in range(len(doc)))
+
+    @cached_property
+    def segment_docs(self) -> np.ndarray:
+        """The corpus-order index of every segment's document, in row order.
+
+        Row i (key i of `segment_keys`) lies in document segment_docs[i].
+        """
+        return np.repeat(np.arange(len(self)), [len(doc) for doc in self])
 
     @cached_property
     def by_id(self) -> np.ndarray:
         """The corpus-order index of every document, in ascending id order."""
         ids = list(self.documents)
         return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
-
-    @cached_property
-    def by_length(self) -> np.ndarray:
-        """The corpus-order index of every document, most segments first.
-
-        Documents with equally many segments keep corpus order.
-        """
-        return np.argsort(-self.segment_counts, kind="stable")
-
-    @cached_property
-    def segment_slots(self) -> tuple[np.ndarray, ...]:
-        """Slot j: the position of segment j of each document that has one.
-
-        The documents are taken in `by_length` order, so slot j covers a
-        prefix of `by_length`.
-        """
-        counts = self.segment_counts
-        starts = np.cumsum(counts) - counts
-        per_slot = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
-        return tuple(
-            starts[self.by_length[:n]] + j for j, n in enumerate(per_slot.tolist())
-        )
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document]) -> "Corpus":

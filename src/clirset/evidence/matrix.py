@@ -28,6 +28,8 @@ from ..numerics import DEFAULT_EPSILON
 
 MATRIX_HEADER_PREFIX = "#generator="
 
+DEFAULT_VOCAB_SIZE = 2000
+
 
 def sha256_tokens(tokens: Sequence[Token]) -> str:
     """Hash of a token list, as recorded next to a saved vocabulary."""
@@ -75,11 +77,13 @@ class Vocabulary:
         return sha256_tokens(self.tokens)
 
     @classmethod
-    def from_bitext(cls, bitext: Bitext, size: int) -> "Vocabulary":
-        """The `size` most frequent English-side tokens, ties lexicographic."""
-        if size < 1:
-            raise DataError(f"vocabulary size {size} must be positive")
-        return cls(ranked_tokens(english for _, english in bitext)[:size])
+    def from_bitext(
+        cls, bitext: Bitext, vocab_size: int = DEFAULT_VOCAB_SIZE
+    ) -> "Vocabulary":
+        """The `vocab_size` most frequent English-side tokens, ties lexicographic."""
+        if vocab_size < 1:
+            raise DataError(f"vocabulary size {vocab_size} must be positive")
+        return cls(ranked_tokens(english for _, english in bitext)[:vocab_size])
 
 
 # A generator's scores before the floor: per word, the ascending rows

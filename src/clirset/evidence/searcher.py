@@ -35,7 +35,7 @@ import numpy as np
 
 from ..corpus import Bitext, ConfusionNetwork, Corpus, Token, atomic_output
 from ..errors import DataError
-from ..numerics import require_positive, sigmoid
+from ..numerics import require_positive, sigmoid, softplus
 from .instances import DEFAULT_NEGATIVES_PER_POSITIVE
 from .matrix import Columns, Vocabulary, ranked_tokens, sha256_tokens
 
@@ -221,7 +221,7 @@ def _pair_loss_and_grads(
     scores = h @ word_emb.T  # (tokens, words)
     best = scores.argmax(axis=0)
     z = scores[best, np.arange(len(words.ids))] + params["bias"][words.ids]
-    loss = float(np.sum(np.logaddexp(0.0, z) - labels * z))
+    loss = float(np.sum(softplus(z) - labels * z))
     dz = sigmoid(z) - labels
     grads = [
         ("bias", words.rows, words.row_grads(dz)),

@@ -113,8 +113,8 @@ def _query_doc_rels(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> n
     float operations in the same order as a loop over one segment at a
     time: a phrase's log relevance in a segment adds its words' logs from
     0, in phrase order; a document's log miss adds its segments'
-    log(1 - p) from 0.0, in segment order; the query adds its phrases'
-    logs from 0.
+    log(1 - p) from 0.0, in segment order, by one `np.bincount` over
+    `corpus.segment_docs`; the query adds its phrases' logs from 0.
     """
     if query.kind != LEXICAL:
         raise UnsupportedQueryError(
@@ -140,12 +140,10 @@ def _query_doc_rels(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> n
         all_background = _log_miss(sum(background_log for _ in phrase))
         log_miss_by_segment = np.full(len(keys), all_background)
         log_miss_by_segment[held] = _per_value(_log_miss, log_p[held])
-        log_miss = np.zeros(len(corpus))  # in by_length order
-        for segments in corpus.segment_slots:
-            log_miss[: len(segments)] += log_miss_by_segment[segments]
-        in_order = np.empty(len(corpus))
-        in_order[corpus.by_length] = log_miss
-        phrase_logs.append(_per_value(_log_union, in_order))
+        log_miss = np.bincount(
+            corpus.segment_docs, weights=log_miss_by_segment, minlength=len(corpus)
+        )
+        phrase_logs.append(_per_value(_log_union, log_miss))
     return _per_value(_prob, sum(phrase_logs))
 
 

@@ -67,20 +67,14 @@ _VOWELS = "aeiou"
 
 TABLE_TAG = "table"
 
-CORPUS_FILE = "corpus.jsonl"
-BITEXT_FILE = "bitext.tsv"
-TABLE_FILE = "table.tsv"
-MT_HYPS_FILE = "mt_hyps.tsv"
-QUERIES_FILE = "queries.tsv"
-JUDGMENTS_FILE = "judgments.tsv"
 # write_dataset's path map: artifact -> file name under the output directory
 DATASET_FILES = {
-    "corpus": CORPUS_FILE,
-    "bitext": BITEXT_FILE,
-    "table": TABLE_FILE,
-    "mt_hyps": MT_HYPS_FILE,
-    "queries": QUERIES_FILE,
-    "judgments": JUDGMENTS_FILE,
+    "corpus": "corpus.jsonl",
+    "bitext": "bitext.tsv",
+    "table": "table.tsv",
+    "mt_hyps": "mt_hyps.tsv",
+    "queries": "queries.tsv",
+    "judgments": "judgments.tsv",
 }
 
 

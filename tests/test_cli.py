@@ -303,7 +303,7 @@ class TestTrainers:
 
     def test_defaults_are_the_library_defaults(self, data_dir, tmp_path):
         bitext = load_bitext(data_dir / "bitext.tsv")
-        vocab = Vocabulary.from_bitext(bitext, cli_module.DEFAULT_VOCAB_SIZE)
+        vocab = Vocabulary.from_bitext(bitext)
 
         searcher = tmp_path / "searcher.npz"
         assert main([
@@ -721,7 +721,11 @@ class TestErrorPaths:
         monkeypatch.setattr(cli_module, "build_evidence", build_evidence)
         bad = tmp_path / "weights.tsv"
         bad.write_text("table\tnot-a-number\n")
-        for weights, code in ((tmp_path / "missing.tsv", 1), (bad, 2)):
+        other_tags = tmp_path / "other-tags.tsv"
+        other_tags.write_text("table\t0.5\nmt\t0.5\n")
+        for weights, code in (
+            (tmp_path / "missing.tsv", 1), (bad, 2), (other_tags, 2)
+        ):
             assert main(
                 retrieve_args(data_dir, tmp_path / "run")
                 + ["--weights", str(weights)]
@@ -729,7 +733,11 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"weights file does not exist: {tmp_path / 'missing.tsv'}" in err
         assert f"{bad}:1:" in err
+        assert (
+            "mixture weights ['mt', 'table'] do not match generator tags ['table']"
+        ) in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_judgments_naming_an_unknown_document(
         self, data_dir, tmp_path, capsys
