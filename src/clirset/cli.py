@@ -357,7 +357,12 @@ def _resolve_weights(args: argparse.Namespace, generators) -> MixtureWeights:
     weights_path = Path(args.weights)
     if not weights_path.is_file():
         raise ConfigError(f"weights file does not exist: {weights_path}")
-    return load_weights(weights_path)
+    mixture = load_weights(weights_path)
+    try:
+        check_tags(mixture, [gen.tag for gen in generators])
+    except DataError as exc:
+        raise DataError(f"{weights_path}: {exc}") from exc
+    return mixture
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
@@ -372,7 +377,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = ThresholdConfig(**_given(args, "beta", "gamma"))
 
     mixture = _resolve_weights(args, generators)
-    check_tags(mixture, [gen.tag for gen in generators])
     matrices = _build_each(
         generators, lambda gen: build_evidence(gen, corpus, queries)
     )

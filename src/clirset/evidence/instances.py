@@ -54,6 +54,51 @@ class LabeledInstances:
             yield LabeledInstance(pair, tokens[word], label)
 
 
+# 32-bit words that `_Choices` pulls from the generator at a time.
+_CHUNK_WORDS = 1 << 14
+
+
+class _Choices:
+    """`rng.choice(pool)` draws, many at a time, off the words `rng` would use.
+
+    CPython's `choice` over n items takes one 32-bit Mersenne Twister word
+    per attempt, keeps its top `n.bit_length()` bits, and tries again while
+    they are >= n; `getrandbits(32 * m)` returns the next m words, word i
+    at bits 32i to 32i + 31. `close` puts `rng` back where the last chunk
+    began and advances it by the words used, as the `choice` calls would.
+    """
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.state = None  # rng's state where self.words began
+        self.words = np.empty(0, dtype=np.uint32)
+        self.used = 0  # words of self.words that draws have taken
+
+    def draw(self, pool: np.ndarray, count: int) -> np.ndarray:
+        """The next `count` draws of `rng.choice(pool)`."""
+        n = len(pool)
+        picks = []
+        while count:
+            if self.used == len(self.words):
+                self.state = self.rng.getstate()
+                bits = self.rng.getrandbits(32 * _CHUNK_WORDS)
+                self.words = np.frombuffer(bits.to_bytes(4 * _CHUNK_WORDS, "little"), "<u4")
+                self.used = 0
+            # an attempt succeeds with probability at least 1/2, so the
+            # window usually holds every draw still to make
+            window = self.words[self.used : self.used + 2 * count + 32] >> (32 - n.bit_length())
+            hits = np.flatnonzero(window < n)[:count]
+            picks.append(window[hits])
+            count -= len(hits)
+            self.used += (int(hits[-1]) + 1) if count == 0 else len(window)
+        return pool[np.concatenate(picks)]
+
+    def close(self) -> None:
+        if self.state is not None:
+            self.rng.setstate(self.state)
+            self.rng.getrandbits(32 * self.used)
+
+
 def labeled_instances(
     bitext: Bitext,
     vocab: Vocabulary,
@@ -63,31 +108,36 @@ def labeled_instances(
     """Positives and sampled negatives for every bitext pair, in pair order.
 
     Each positive, in vocabulary order, is followed by its `m_neg`
-    negatives, each one `rng.choice` of the pair's vocabulary words
-    outside its reference translation.
+    negatives, each one `rng.choice` of the pair's pool: the vocabulary
+    indices outside its reference translation, ascending. A pair's draws
+    are made together (`_Choices`), and give the same words, and leave
+    `rng` in the same state, as one `rng.choice` call per negative.
     """
     if m_neg < 1:
         raise DataError(f"negative sampling rate {m_neg} must be >= 1")
     pairs: list[np.ndarray] = []
     words: list[np.ndarray] = []
     labels: list[np.ndarray] = []
+    choices = _Choices(rng)
     for i, (_, english) in enumerate(bitext):
-        reference = set(english)
-        positives = [j for j, token in enumerate(vocab) if token in reference]
+        positives = sorted({vocab.index_of(token) for token in english if token in vocab})
         if not positives:
             continue
-        pool = [j for j, token in enumerate(vocab) if token not in reference]
-        per_positive = 1 + m_neg if pool else 1
+        in_reference = np.zeros(len(vocab), dtype=bool)
+        in_reference[positives] = True
+        pool = np.flatnonzero(~in_reference)
+        per_positive = 1 + m_neg if len(pool) else 1
         block = np.zeros((len(positives), per_positive), dtype=np.int64)
         block[:, 0] = positives
-        if pool:
-            draws = [rng.choice(pool) for _ in range(m_neg * len(positives))]
-            block[:, 1:] = np.reshape(draws, (len(positives), m_neg))
+        if len(pool):
+            draws = choices.draw(pool, m_neg * len(positives))
+            block[:, 1:] = draws.reshape(len(positives), m_neg)
         label = np.zeros((len(positives), per_positive), dtype=np.int8)
         label[:, 0] = 1
         words.append(block.ravel())
         labels.append(label.ravel())
         pairs.append(np.full(block.size, i, dtype=np.int64))
+    choices.close()
     if not labels:
         raise DataError("bitext yields no positive training instances")
     label = np.concatenate(labels)

@@ -14,7 +14,8 @@ complement when the vocabulary is small, otherwise a sampled subset).
 Gradients are computed in closed form; `searcher_objective` exposes the
 loss/gradient pair so finite-difference checks can run against it. A
 training step computes and updates only the parameter rows its sentence
-pair touches.
+pair touches; with the full vocabulary scored, those are every row of
+`english_emb` and `bias`, whose gradients then come in row order.
 
 Persisted form is a .npz archive holding the parameter arrays, both token
 lists, and a JSON manifest recording the dimension, the attention depth,
@@ -144,26 +145,31 @@ def _contextualize(params: Mapping[str, np.ndarray], x: np.ndarray):
     return h, (x, q, k, v, attn, scale)
 
 
+# The rows of a gradient that covers every row of its parameter.
+_ALL_ROWS = slice(None)
+
+
 class _Ids(NamedTuple):
     """Row ids as a step reads them, and the distinct rows they touch."""
 
     ids: np.ndarray
-    rows: np.ndarray  # the distinct ids
-    slots: np.ndarray | None  # each id's index into rows; None when ids are distinct
-
-    @classmethod
-    def distinct(cls, ids: np.ndarray) -> "_Ids":
-        return cls(ids, ids, None)
+    rows: np.ndarray | slice  # the distinct ids; _ALL_ROWS when they are every row
+    slots: np.ndarray  # each id's index into rows; for every row, each row's index into ids
 
     @classmethod
     def grouped(cls, ids: np.ndarray) -> "_Ids":
         rows, slots = np.unique(ids, return_inverse=True)
         return cls(ids, rows, slots)
 
+    @classmethod
+    def every_row(cls, ids: np.ndarray) -> "_Ids":
+        """Ids that hold each row of their parameter once, in any order."""
+        return cls(ids, _ALL_ROWS, np.argsort(ids))
+
     def row_grads(self, values: np.ndarray) -> np.ndarray:
         """The gradient rows `rows`, as `np.add.at` into zeros leaves them."""
-        if self.slots is None:
-            return values + 0.0
+        if self.rows is _ALL_ROWS:
+            return values[self.slots] + 0.0
         return _add_at(self.slots, values, len(self.rows))
 
 
@@ -185,7 +191,6 @@ def _add_at(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 # One step's gradient: (parameter key, rows, values). `values` holds those
 # rows of the dense gradient, which is zero in every other row.
 _Grads = list[tuple[str, np.ndarray | slice, np.ndarray]]
-_ALL_ROWS = slice(None)
 
 
 def _backprop_context(params, cache, grad_h, foreign: _Ids) -> _Grads:
@@ -262,12 +267,24 @@ def _foreign_vocabulary(bitext: Bitext) -> tuple[Token, ...]:
     return ranked_tokens(src for src, _ in bitext)
 
 
+def _step_words(positives: np.ndarray, negatives: np.ndarray, ids, lr: float):
+    """A step's words (`ids` of the positives, then the negatives), their
+    labels, 1.0 then 0.0, and the step's scale."""
+    words = np.concatenate([positives, negatives])
+    labels = (np.arange(len(words)) < len(positives)).astype(float)
+    return ids(words), labels, lr / len(words)
+
+
 def train_searcher(
     bitext: Bitext, vocab: Vocabulary, config: SearcherConfig = SearcherConfig()
 ) -> tuple[SearcherModel, list[float]]:
     """SGD over bitext pairs; returns the model and per-epoch mean losses.
 
-    Single-threaded and fully determined by config.seed.
+    Single-threaded and fully determined by config.seed. With at most
+    FULL_VOCAB_MAX words, each pair's words, labels and step scale are
+    built once, before the first epoch, and a step subtracts the whole
+    `english_emb` and `bias` gradients, in row order; a larger vocabulary
+    re-draws each step's negatives and updates the rows they touch.
     """
     rng = np.random.default_rng(config.seed)
     foreign_tokens = _foreign_vocabulary(bitext)
@@ -288,28 +305,38 @@ def train_searcher(
 
     # the model holds `params`, which the steps below update in place
     model = SearcherModel(vocab, foreign_tokens, params)
-    all_word_ids = np.arange(k)
 
-    # Foreign rows and positive word ids per pair are fixed; negatives are
-    # re-drawn per step unless the vocabulary is small enough to score in
-    # full. Pairs without a vocabulary word are never trained on.
+    # Foreign rows and positive word ids per pair are fixed. A small
+    # vocabulary is scored in full, so a pair's words (its positives, then
+    # every other word), labels and step scale are fixed too; otherwise
+    # negatives are re-drawn per step. Pairs without a vocabulary word are
+    # never trained on.
+    full_vocab = k <= FULL_VOCAB_MAX
     pair_foreign: dict[int, _Ids] = {}
     pair_positive: dict[int, np.ndarray] = {}
+    pair_words: dict[int, tuple[_Ids, np.ndarray, float]] = {}
     for i, (src, tgt) in enumerate(bitext):
         reference = {word for word in tgt if word in vocab}
         if not reference:
             continue
         pair_foreign[i] = _Ids.grouped(model.foreign_ids(src))
-        pair_positive[i] = np.array(
+        pair_positive[i] = positives = np.array(
             sorted(vocab.index_of(word) for word in reference), dtype=int
         )
+        if full_vocab:
+            is_positive = np.zeros(k, dtype=bool)
+            is_positive[positives] = True
+            pair_words[i] = _step_words(
+                positives, np.flatnonzero(~is_positive), _Ids.every_row, config.lr
+            )
     usable = list(pair_positive)
     if not usable:
         raise DataError("no bitext pair shares a word with the vocabulary")
 
     # A step reads and updates only the rows its pair touches: every other
     # row of the dense gradient is 0.0, and p - s * 0.0 leaves p as it is.
-    full_vocab = k <= FULL_VOCAB_MAX
+    # Scoring every word touches every row of `english_emb` and `bias`, and
+    # their gradients come in row order, so those update whole.
     losses: list[float] = []
     for epoch in range(config.epochs):
         order = np.array(usable)
@@ -317,20 +344,18 @@ def train_searcher(
         epoch_loss = 0.0
         epoch_count = 0
         for i in order:
-            positives = pair_positive[i]
-            is_positive = np.zeros(k, dtype=bool)
-            is_positive[positives] = True
             if full_vocab:
-                negatives = all_word_ids[~is_positive]
-                words = _Ids.distinct(np.concatenate([positives, negatives]))
+                words, labels, scale = pair_words[i]
             else:
+                positives = pair_positive[i]
+                is_positive = np.zeros(k, dtype=bool)
+                is_positive[positives] = True
                 negatives = rng.integers(0, k, size=config.m_neg * len(positives))
                 negatives = negatives[~is_positive[negatives]]
-                words = _Ids.grouped(np.concatenate([positives, negatives]))
-            labels = np.zeros(len(words.ids))
-            labels[: len(positives)] = 1.0
+                words, labels, scale = _step_words(
+                    positives, negatives, _Ids.grouped, config.lr
+                )
             loss, grads = _pair_loss_and_grads(params, pair_foreign[i], words, labels)
-            scale = config.lr / len(words.ids)
             for key, rows, values in grads:
                 params[key][rows] -= scale * values
             epoch_loss += loss

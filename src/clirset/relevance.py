@@ -36,9 +36,10 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 _ABOVE_ZERO = math.nextafter(0.0, 1.0)
 
 
-def _open_unit(p: float) -> float:
-    """Nudge a rounded/underflowed probability back inside (0, 1)."""
-    return min(max(p, _ABOVE_ZERO), _BELOW_ONE)
+def _open_unit(p: np.ndarray) -> np.ndarray:
+    """Nudge rounded/underflowed probabilities back inside (0, 1)."""
+    # against nonzero bounds these pick what builtin max and min pick, NaN included
+    return np.minimum(np.maximum(p, _ABOVE_ZERO), _BELOW_ONE)
 
 
 @dataclass(frozen=True, init=False)
@@ -82,28 +83,37 @@ class RankedList:
 
 
 def _per_value(f, x: np.ndarray) -> np.ndarray:
-    """The scalar math function f at every element of x, called once per distinct value.
+    """f, which maps an array, at every element of x, computed once per distinct value."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return f(values)[inverse]
+
+
+def _mapped(f, x: np.ndarray) -> np.ndarray:
+    """The scalar math function f at every element of x, by one C-level `map`.
 
     numpy's own log and exp round differently from the math module on
-    some inputs, so the math functions stay, and run once per value.
+    some inputs, so the math functions stay.
     """
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([f(v) for v in values.tolist()], dtype=float)[inverse]
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
 
 
-def _log_miss(log_p: float) -> float:
-    """log(1 - p) for a segment whose phrase relevance is exp(log_p)."""
-    return math.log1p(-math.exp(log_p))
+def _log(p: np.ndarray) -> np.ndarray:
+    return _mapped(math.log, p)
 
 
-def _log_union(log_miss: float) -> float:
+def _log_miss(log_p: np.ndarray) -> np.ndarray:
+    """log(1 - p) for segments whose phrase relevance is exp(log_p)."""
+    return _mapped(math.log1p, -_mapped(math.exp, log_p))
+
+
+def _log_union(log_miss: np.ndarray) -> np.ndarray:
     # -expm1 keeps precision when the union is tiny; the one-ulp nudge
     # keeps it inside (0, 1) when rounding would reach an endpoint
-    return math.log(_open_unit(-math.expm1(log_miss)))
+    return _log(_open_unit(-_mapped(math.expm1, log_miss)))
 
 
-def _prob(log_rel: float) -> float:
-    return _open_unit(math.exp(log_rel))
+def _prob(log_rel: np.ndarray) -> np.ndarray:
+    return _open_unit(_mapped(math.exp, log_rel))
 
 
 def _query_doc_rels(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> np.ndarray:
@@ -128,7 +138,7 @@ def _query_doc_rels(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> n
     logs = {}
     for word, (at, values) in cells.items():
         logs[word] = np.full(len(keys), background_log)
-        logs[word][at] = _per_value(math.log, values)
+        logs[word][at] = _per_value(_log, values)
     phrase_logs = []
     for phrase in query.phrases:
         log_p = sum(logs[word] for word in phrase)
@@ -137,8 +147,8 @@ def _query_doc_rels(evidence: EvidenceMatrix, corpus: Corpus, query: Query) -> n
         held = np.zeros(len(keys), dtype=bool)
         for word in phrase:
             held[cells[word][0]] = True
-        all_background = _log_miss(sum(background_log for _ in phrase))
-        log_miss_by_segment = np.full(len(keys), all_background)
+        all_background = _log_miss(np.array([sum(background_log for _ in phrase)]))
+        log_miss_by_segment = np.full(len(keys), all_background[0])
         log_miss_by_segment[held] = _per_value(_log_miss, log_p[held])
         log_miss = np.bincount(
             corpus.segment_docs, weights=log_miss_by_segment, minlength=len(corpus)

@@ -734,7 +734,8 @@ class TestErrorPaths:
         assert f"weights file does not exist: {tmp_path / 'missing.tsv'}" in err
         assert f"{bad}:1:" in err
         assert (
-            "mixture weights ['mt', 'table'] do not match generator tags ['table']"
+            f"{other_tags}: mixture weights ['mt', 'table'] do not match"
+            " generator tags ['table']"
         ) in err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()

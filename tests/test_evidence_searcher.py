@@ -481,6 +481,25 @@ class TestTrainingBitExact:
             assert model.params[key].tobytes() == want.tobytes(), key
 
 
+class TestDenseUpdateAtBenchmarkShape:
+    """A 300-word vocabulary at dim 16, as the benchmark trains: every step
+    scores every word, so `english_emb` and `bias` update whole."""
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_matches_the_dense_loop(self, depth):
+        bitext, vocab = dictionary_bitext(n_words=300, n_pairs=150, seed=4)
+        config = SearcherConfig(dim=16, depth=depth, epochs=2, lr=2.0, seed=1)
+        want_params, want_losses = dense_train_searcher(
+            bitext, vocab, config, searcher_module.FULL_VOCAB_MAX
+        )
+        model, losses = train_searcher(bitext, vocab, config)
+        assert losses == want_losses
+        assert model.params.keys() == want_params.keys()
+        for key, want in want_params.items():
+            assert (model.params[key] == want).all(), key
+            assert model.params[key].tobytes() == want.tobytes(), key
+
+
 class TestRowGrads:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -498,12 +517,30 @@ class TestRowGrads:
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-spread, spread + 1, size=shape)
         if zeros:  # -0.0 must come out as add.at leaves it: 0.0 + -0.0 == +0.0
             values[rng.random(size=shape) < 0.5] = -0.0
-        for rows in (_Ids.grouped(ids), _Ids.distinct(np.unique(ids))):
-            if rows.slots is None:
-                values = values[: len(rows.ids)]
-            want = np.zeros((ids.max(initial=-1) + 1, *values.shape[1:]))
-            np.add.at(want, rows.ids, values)
-            assert rows.row_grads(values).tobytes() == want[rows.rows].tobytes()
+        rows = _Ids.grouped(ids)
+        want = np.zeros((ids.max(initial=-1) + 1, *values.shape[1:]))
+        np.add.at(want, rows.ids, values)
+        assert rows.row_grads(values).tobytes() == want[rows.rows].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_rows=st.integers(1, 40),
+        width=st.sampled_from([0, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.booleans(),
+    )
+    def test_every_row_in_row_order(self, n_rows, width, seed, zeros):
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(n_rows)
+        shape = (n_rows, width) if width else (n_rows,)
+        values = rng.normal(size=shape)
+        if zeros:
+            values[rng.random(size=shape) < 0.5] = -0.0
+        rows = _Ids.every_row(ids)
+        want = np.zeros(shape)
+        np.add.at(want, ids, values)
+        assert rows.rows == slice(None)
+        assert rows.row_grads(values).tobytes() == want.tobytes()
 
 
 class TestObjectiveSharesTheStep:

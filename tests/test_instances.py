@@ -10,6 +10,7 @@ from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clirset.evidence.instances as instances_module
 from clirset.corpus import Bitext, Corpus, Document
 from clirset.errors import DataError
 from clirset.evidence import LabeledInstance, Vocabulary, labeled_instances
@@ -52,6 +53,48 @@ def bitexts_and_vocabularies(draw):
     english = st.lists(st.sampled_from([*TOKENS, "off-vocab"]), min_size=1, max_size=6)
     pairs = draw(st.lists(english, min_size=1, max_size=12))
     return Bitext(tuple((("f",), tuple(e)) for e in pairs)), Vocabulary(tuple(vocab))
+
+
+def choice_loop(bitext, vocab, m_neg, rng):
+    """The instance columns of one `rng.choice` call per negative, over index pools."""
+    pairs, words, labels = [], [], []
+    for i, (_, english) in enumerate(bitext):
+        positives = [j for j, token in enumerate(vocab) if token in english]
+        pool = [j for j, token in enumerate(vocab) if token not in english]
+        for j in positives:
+            pairs.append(i)
+            words.append(j)
+            labels.append(1)
+            for _ in range(m_neg if pool else 0):
+                pairs.append(i)
+                words.append(rng.choice(pool))
+                labels.append(0)
+    return pairs, words, labels
+
+
+class TestBulkDraw:
+    """Pool sizes where `choice`'s bit count changes and its rejection rate
+    peaks (2^j + 1 rejects almost half the words), and chunks of words that
+    end inside a pair's draws."""
+
+    POOL_SIZES = sorted({1, *(2**j + d for j in range(1, 10) for d in (-1, 0, 1))})
+
+    @pytest.mark.parametrize("chunk_words", [None, 5])
+    @pytest.mark.parametrize("m_neg", [1, 3, 50])
+    @pytest.mark.parametrize("pool_size", POOL_SIZES)
+    def test_equals_a_choice_loop(self, pool_size, m_neg, chunk_words, monkeypatch):
+        if chunk_words:
+            monkeypatch.setattr(instances_module, "_CHUNK_WORDS", chunk_words)
+        vocab = Vocabulary(tuple(f"w{i}" for i in range(pool_size + 2)))
+        # every pair holds two vocabulary words, so each pool has pool_size words
+        bitext = Bitext(tuple(
+            (("f",), (f"w{a}", "off-vocab", f"w{b}"))
+            for a, b in ((0, 1), (pool_size + 1, 0), (pool_size // 2, pool_size + 1))
+        ))
+        got_rng, want_rng = random.Random(pool_size), random.Random(pool_size)
+        got = labeled_instances(bitext, vocab, m_neg, got_rng)
+        assert columns_of(got) == choice_loop(bitext, vocab, m_neg, want_rng)
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestLabeledInstances:

@@ -8,6 +8,7 @@ Hand values used below:
 import math
 import random
 
+import numpy as np
 import pytest
 from evidence_cells import matrix_over
 from hypothesis import given, settings
@@ -15,7 +16,16 @@ from hypothesis import strategies as st
 
 from clirset.corpus import CONCEPTUAL, LEXICAL, Corpus, Document, Query
 from clirset.errors import DataError, UnsupportedQueryError
-from clirset.relevance import RankedList, rank, save_run
+from clirset.relevance import (
+    RankedList,
+    _log,
+    _log_miss,
+    _log_union,
+    _per_value,
+    _prob,
+    rank,
+    save_run,
+)
 
 
 def doc(doc_id, n_sentences):
@@ -255,6 +265,69 @@ class TestMatchesScalarAlgebra:
         corpus = Corpus.from_documents(docs)
         got = rank(matrix_over(corpus, writes), corpus, q).entries
         assert got == scalar_ranking(cells, 1e-6, docs, q)
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+# Each helper's scalar composition, as rank's per-segment algebra writes it.
+SCALAR_HELPERS = {
+    "log": (_log, math.log),
+    "log_miss": (_log_miss, lambda log_p: math.log1p(-math.exp(log_p))),
+    "log_union": (_log_union, lambda log_miss: math.log(open_unit(-math.expm1(log_miss)))),
+    "prob": (_prob, lambda log_rel: open_unit(math.exp(log_rel))),
+}
+EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, -1e-16, -1e-15,
+    math.log(1.0 - 1e-6), 1e-6, 1.0 - 1e-6, math.nextafter(1.0, 0.0), -0.5, 0.5,
+    -36.7, -40.0, -700.0, -745.1, -746.0, -1e300, -math.inf, math.nan,
+]
+
+
+class TestMappedHelpers:
+    """The helpers map arrays; each element must equal the scalar math
+    composition bit for bit, a NaN included."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_HELPERS))
+    @pytest.mark.parametrize("x", EDGES)
+    def test_edge_value(self, name, x):
+        mapped, scalar = SCALAR_HELPERS[name]
+        try:
+            want = scalar(x)
+        except ValueError:  # log of 0.0 or of a negative number
+            with pytest.raises(ValueError):
+                mapped(np.array([x]))
+        else:
+            assert bits(mapped(np.array([x]))) == bits([want])
+
+    def test_log_union_of_zero_clamps_to_the_smallest_float(self):
+        # -expm1(0.0) is -0.0, which max(-0.0, 5e-324) lifts to 5e-324
+        assert _log_union(np.array([0.0]))[0] == math.log(5e-324)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(EDGES), st.floats(-800.0, 0.0), st.floats(allow_nan=False)
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from(sorted(SCALAR_HELPERS)),
+    )
+    def test_per_value_over_an_array(self, values, name):
+        mapped, scalar = SCALAR_HELPERS[name]
+        kept = [x for x in values if _scalar_ok(scalar, x)] * 2  # every value repeats
+        assert bits(_per_value(mapped, np.array(kept))) == bits(list(map(scalar, kept)))
+
+
+def _scalar_ok(scalar, x):
+    try:
+        scalar(x)
+    except (ValueError, OverflowError):  # log outside its domain; exp too large
+        return False
+    return True
 
 
 class TestRank:
