@@ -227,9 +227,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train_searcher(args: argparse.Namespace) -> int:
     bitext_path = _required(args, "bitext")
     out = _output_file(_required(args, "out"))
+    config = SearcherConfig(**_given(args, *_field_names(SearcherConfig)))
     bitext = load_bitext(bitext_path)
     vocab = Vocabulary.from_bitext(bitext, **_given(args, "vocab_size"))
-    config = SearcherConfig(**_given(args, *_field_names(SearcherConfig)))
     model, losses = train_searcher(bitext, vocab, config)
     save_searcher(model, out)
     print(
@@ -406,6 +406,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    out = None if args.out is None else _output_file(args.out)
     corpus = load_corpus(_required(args, "corpus"))
     judgments = load_judgments(_required(args, "judgments"))
     returned_sets = load_returned_sets(_required(args, "sets"))
@@ -415,8 +416,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if qid not in retrieved:
                 log.warning("query %s not retrieved; scored as an empty set", qid)
     run_score = score_run(returned_sets, judgments, corpus, **_given(args, "beta"))
-    if args.out is not None:
-        save_report(run_score, args.out)
+    if out is not None:
+        save_report(run_score, out)
     print(f"evaluate: {format_summary(run_score)}")
     return 0
 

@@ -89,26 +89,18 @@ class MtHypothesisSet:
         """Per system, word slot * len(keys) + key slot of each held (key, word).
 
         A (key, word) is held when the system's translation of the sentence
-        `key` holds the word. Every key must have a translation from every
-        system; a missing one raises for the first key, and within it the
-        first system, in the given orders.
+        `key` holds the word. Each (key, system) translation is read once,
+        through `translation`, key by key and within a key system by
+        system, so the first missing one raises.
         """
-        for doc_id, index in keys:
-            for system in systems:
-                self.translation(system, doc_id, index)
         code = {word: slot for slot, word in enumerate(words)}
         n = len(keys)
-        return [
-            np.array(
-                [
-                    code[word] * n + slot
-                    for slot, key in enumerate(keys)
-                    for word in code.keys() & translations[key]
-                ],
-                dtype=np.int64,
-            )
-            for translations in (self.hypotheses[system] for system in systems)
-        ]
+        held: list[list[int]] = [[] for _ in systems]
+        for slot, (doc_id, index) in enumerate(keys):
+            for codes, system in zip(held, systems):
+                translation = self.translation(system, doc_id, index)
+                codes.extend(code[word] * n + slot for word in code.keys() & translation)
+        return [np.array(codes, dtype=np.int64) for codes in held]
 
 
 def load_mt_hypotheses(path) -> MtHypothesisSet:
@@ -223,17 +215,19 @@ def _instance_features(
     """The (instances x systems) 0/1 features and the labels.
 
     A feature is 1 when the system's translation of the instance's pair
-    holds the instance's word. A missing translation raises for the first
+    holds the instance's word. The holder codes of the pairs with
+    instances index one (word, pair) x systems grid, from which each
+    instance's row is gathered. A missing translation raises for the first
     pair that has instances, and within it the first of `hyps.systems`.
     """
-    labels = instances.label.astype(float)
-    words = instances.word_index
     pairs, pair_slots = np.unique(instances.pair_index, return_inverse=True)
     keys = [(bitext_doc_id(pair), 0) for pair in pairs.tolist()]
     held = hyps.holders(hyps.systems, keys, vocab.tokens)
-    cells = words * len(keys) + pair_slots
-    features = np.stack([np.isin(cells, system_held) for system_held in held], axis=1)
-    return features.astype(float), labels
+    grid = np.zeros((len(vocab) * len(keys), len(held)), dtype=bool)
+    for system, codes in enumerate(held):
+        grid[codes, system] = True
+    features = grid[instances.word_index * len(keys) + pair_slots]
+    return features.astype(float), instances.label.astype(float)
 
 
 def fit_mt_ensemble(

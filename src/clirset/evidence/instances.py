@@ -4,7 +4,8 @@ Shared by the MT-ensemble fitter and the mixture-weight fitter so that
 both agree on what a positive and a negative example look like: positives
 are vocabulary words that occur in the reference translation, negatives
 are vocabulary words that do not, sampled uniformly with replacement at a
-fixed rate per positive.
+fixed rate per positive. The searcher trainer reads its positives from
+the same `reference_grid`.
 """
 
 from __future__ import annotations
@@ -99,6 +100,14 @@ class _Choices:
             self.rng.getrandbits(32 * self.used)
 
 
+def reference_grid(bitext: Bitext, vocab: Vocabulary) -> np.ndarray:
+    """(pairs x vocabulary) bool: True where the word occurs in the pair's English side."""
+    grid = np.zeros((len(bitext), len(vocab)), dtype=bool)
+    for row, (_, english) in zip(grid, bitext):
+        row[[vocab.index_of(token) for token in english if token in vocab]] = True
+    return grid
+
+
 def labeled_instances(
     bitext: Bitext,
     vocab: Vocabulary,
@@ -107,11 +116,11 @@ def labeled_instances(
 ) -> LabeledInstances:
     """Positives and sampled negatives for every bitext pair, in pair order.
 
-    Each positive, in vocabulary order, is followed by its `m_neg`
-    negatives, each one `rng.choice` of the pair's pool: the vocabulary
-    indices outside its reference translation, ascending. A pair's draws
-    are made together (`_Choices`), and give the same words, and leave
-    `rng` in the same state, as one `rng.choice` call per negative.
+    A pair's positives are the vocabulary indices of its `reference_grid`
+    row, ascending, and its pool the rest. Each positive is followed by
+    its `m_neg` negatives, each one `rng.choice` of the pool. A pair's
+    draws are made together (`_Choices`), and give the same words, and
+    leave `rng` in the same state, as one `rng.choice` call per negative.
     """
     if m_neg < 1:
         raise DataError(f"negative sampling rate {m_neg} must be >= 1")
@@ -119,12 +128,10 @@ def labeled_instances(
     words: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     choices = _Choices(rng)
-    for i, (_, english) in enumerate(bitext):
-        positives = sorted({vocab.index_of(token) for token in english if token in vocab})
-        if not positives:
+    for i, in_reference in enumerate(reference_grid(bitext, vocab)):
+        positives = np.flatnonzero(in_reference)
+        if not len(positives):
             continue
-        in_reference = np.zeros(len(vocab), dtype=bool)
-        in_reference[positives] = True
         pool = np.flatnonzero(~in_reference)
         per_positive = 1 + m_neg if len(pool) else 1
         block = np.zeros((len(positives), per_positive), dtype=np.int64)

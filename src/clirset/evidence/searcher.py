@@ -37,7 +37,7 @@ import numpy as np
 from ..corpus import Bitext, ConfusionNetwork, Corpus, Token, atomic_output
 from ..errors import DataError
 from ..numerics import require_positive, sigmoid, softplus
-from .instances import DEFAULT_NEGATIVES_PER_POSITIVE
+from .instances import DEFAULT_NEGATIVES_PER_POSITIVE, reference_grid
 from .matrix import Columns, Vocabulary, ranked_tokens, sha256_tokens
 
 log = logging.getLogger(__name__)
@@ -83,6 +83,10 @@ class SearcherConfig:
         if self.epochs < 1:
             raise DataError(f"epoch count {self.epochs} must be positive")
         require_positive("learning rate", self.lr)
+        if self.m_neg < 1:
+            raise DataError(f"negative sampling rate {self.m_neg} must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed {self.seed} must be non-negative")
 
 
 @dataclass
@@ -280,11 +284,13 @@ def train_searcher(
 ) -> tuple[SearcherModel, list[float]]:
     """SGD over bitext pairs; returns the model and per-epoch mean losses.
 
-    Single-threaded and fully determined by config.seed. With at most
-    FULL_VOCAB_MAX words, each pair's words, labels and step scale are
+    Single-threaded and fully determined by config.seed. A pair's
+    positives are its `reference_grid` row's vocabulary indices. With at
+    most FULL_VOCAB_MAX words, each pair's words, labels and step scale are
     built once, before the first epoch, and a step subtracts the whole
     `english_emb` and `bias` gradients, in row order; a larger vocabulary
-    re-draws each step's negatives and updates the rows they touch.
+    re-draws each step's negatives, drops those the grid row marks, and
+    updates the rows they touch.
     """
     rng = np.random.default_rng(config.seed)
     foreign_tokens = _foreign_vocabulary(bitext)
@@ -306,31 +312,23 @@ def train_searcher(
     # the model holds `params`, which the steps below update in place
     model = SearcherModel(vocab, foreign_tokens, params)
 
-    # Foreign rows and positive word ids per pair are fixed. A small
-    # vocabulary is scored in full, so a pair's words (its positives, then
-    # every other word), labels and step scale are fixed too; otherwise
-    # negatives are re-drawn per step. Pairs without a vocabulary word are
-    # never trained on.
-    full_vocab = k <= FULL_VOCAB_MAX
-    pair_foreign: dict[int, _Ids] = {}
-    pair_positive: dict[int, np.ndarray] = {}
-    pair_words: dict[int, tuple[_Ids, np.ndarray, float]] = {}
-    for i, (src, tgt) in enumerate(bitext):
-        reference = {word for word in tgt if word in vocab}
-        if not reference:
+    # Per pair with a vocabulary word: its foreign rows, its positives and,
+    # for a small vocabulary, which is scored in full, its fixed step (its
+    # words: the positives, then every other word; labels; scale). A larger
+    # vocabulary re-draws the negatives per step (None). Pairs without a
+    # vocabulary word are never trained on.
+    grid = reference_grid(bitext, vocab)
+    pairs: dict[int, tuple[_Ids, np.ndarray, tuple | None]] = {}
+    for i, ((src, _), in_reference) in enumerate(zip(bitext, grid)):
+        positives = np.flatnonzero(in_reference)
+        if not len(positives):
             continue
-        pair_foreign[i] = _Ids.grouped(model.foreign_ids(src))
-        pair_positive[i] = positives = np.array(
-            sorted(vocab.index_of(word) for word in reference), dtype=int
-        )
-        if full_vocab:
-            is_positive = np.zeros(k, dtype=bool)
-            is_positive[positives] = True
-            pair_words[i] = _step_words(
-                positives, np.flatnonzero(~is_positive), _Ids.every_row, config.lr
-            )
-    usable = list(pair_positive)
-    if not usable:
+        step = None
+        if k <= FULL_VOCAB_MAX:
+            negatives = np.flatnonzero(~in_reference)
+            step = _step_words(positives, negatives, _Ids.every_row, config.lr)
+        pairs[i] = (_Ids.grouped(model.foreign_ids(src)), positives, step)
+    if not pairs:
         raise DataError("no bitext pair shares a word with the vocabulary")
 
     # A step reads and updates only the rows its pair touches: every other
@@ -339,23 +337,18 @@ def train_searcher(
     # their gradients come in row order, so those update whole.
     losses: list[float] = []
     for epoch in range(config.epochs):
-        order = np.array(usable)
+        order = np.array(list(pairs))
         rng.shuffle(order)
         epoch_loss = 0.0
         epoch_count = 0
         for i in order:
-            if full_vocab:
-                words, labels, scale = pair_words[i]
-            else:
-                positives = pair_positive[i]
-                is_positive = np.zeros(k, dtype=bool)
-                is_positive[positives] = True
+            foreign, positives, step = pairs[i]
+            if step is None:
                 negatives = rng.integers(0, k, size=config.m_neg * len(positives))
-                negatives = negatives[~is_positive[negatives]]
-                words, labels, scale = _step_words(
-                    positives, negatives, _Ids.grouped, config.lr
-                )
-            loss, grads = _pair_loss_and_grads(params, pair_foreign[i], words, labels)
+                negatives = negatives[~grid[i, negatives]]
+                step = _step_words(positives, negatives, _Ids.grouped, config.lr)
+            words, labels, scale = step
+            loss, grads = _pair_loss_and_grads(params, foreign, words, labels)
             for key, rows, values in grads:
                 params[key][rows] -= scale * values
             epoch_loss += loss

@@ -24,18 +24,9 @@ def sigmoid(z):
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     pos = z >= 0
-    # The same ufuncs in the same order as 1.0 / (1.0 + np.exp(-z)) and
-    # ez / (1.0 + ez), each step written over the one before.
-    t = z[pos]
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.add(1.0, t, out=t)
-    out[pos] = np.divide(1.0, t, out=t)
-    neg = ~pos
-    ez = z[neg]
-    np.exp(ez, out=ez)
-    t = np.add(1.0, ez)
-    out[neg] = np.divide(ez, t, out=t)
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
     if out.ndim == 0:
         return float(out)
     return out

@@ -27,6 +27,7 @@ sets as `query-id <TAB> doc-id` lines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +125,14 @@ def load_cutoffs(path) -> dict[str, tuple[int, float]]:
         if qid in cutoffs:
             raise DataError(f"{path}:{lineno}: duplicate query id {qid!r}")
         try:
-            cutoffs[qid] = (int(k_raw), float(qv_raw))
+            k, qv = int(k_raw), float(qv_raw)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad cutoff line") from exc
+        if k < 0:
+            raise DataError(f"{path}:{lineno}: cutoff k {k} is negative")
+        if not math.isfinite(qv):
+            raise DataError(f"{path}:{lineno}: expected QV {qv_raw!r} is not finite")
+        cutoffs[qid] = (k, qv)
     return cutoffs
 
 

@@ -286,6 +286,29 @@ class TestTrainers:
         assert main(argv + ["--depth", "2"]) == 2
         assert main(argv + ["--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "-1", "seed -1 must be non-negative"),
+        ("m_neg", "-3", "negative sampling rate -3 must be >= 1"),
+        ("m_neg", "0", "negative sampling rate 0 must be >= 1"),
+    ])
+    def test_negative_seed_or_sampling_rate_is_a_data_error_by_flag_or_config(
+        self, data_dir, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        ran = []
+        monkeypatch.setattr(cli_module, "load_bitext", ran.append)
+        cfg = tmp_path / "searcher.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [
+            "train-searcher", "--bitext", str(data_dir / "bitext.tsv"),
+            "--out", str(tmp_path / "searcher.npz"),
+        ]
+        flag = "--" + key.replace("_", "-")
+        for extra in ([flag, value], ["--config", str(cfg)]):
+            assert main(argv + extra) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert ran == []
+        assert not (tmp_path / "searcher.npz").exists()
+
     def test_fit_ensemble_smoke(self, data_dir, tmp_path):
         model_path = tmp_path / "mt.json"
         code = main([
@@ -503,6 +526,7 @@ class TestOutputPaths:
             pytest.param("retrieve", "ranked.run", id="retrieve"),
             pytest.param("retrieve", "cutoffs.tsv", id="retrieve-cutoffs"),
             pytest.param("retrieve", "sets.tsv", id="retrieve-sets"),
+            pytest.param("evaluate", "report.tsv", id="evaluate"),
         ],
     )
     def test_out_that_is_a_directory_is_a_one_line_error(
@@ -512,7 +536,7 @@ class TestOutputPaths:
         for work in (
             "load_bitext", "load_corpus", "load_mt_hypotheses", "train_searcher",
             "fit_mt_ensemble", "fit_mixture", "build_evidence",
-            "build_evidence_for_words",
+            "build_evidence_for_words", "load_judgments", "score_run",
         ):
             monkeypatch.setattr(
                 cli_module, work, lambda *args, work=work, **kwargs: ran.append(work)
@@ -536,6 +560,12 @@ class TestOutputPaths:
                 "train-searcher": [command, *bitext],
                 "fit-mixture": [command, *bitext, *table],
                 "dump-evidence": [command, *corpus, *table],
+                "evaluate": [
+                    command,
+                    "--corpus", str(data_dir / "corpus.jsonl"),
+                    "--judgments", str(data_dir / "judgments.tsv"),
+                    "--sets", str(data_dir / "judgments.tsv"),
+                ],
             }[command] + ["--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err

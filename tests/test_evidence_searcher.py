@@ -203,6 +203,10 @@ class TestTraining:
             SearcherConfig(lr=0.0)
         with pytest.raises(DataError, match="learning rate nan"):
             SearcherConfig(lr=float("nan"))
+        with pytest.raises(DataError, match="seed -1 must be non-negative"):
+            SearcherConfig(seed=-1)
+        with pytest.raises(DataError, match="sampling rate 0 must be >= 1"):
+            SearcherConfig(m_neg=0)
 
 
 class TestGenerator:

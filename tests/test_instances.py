@@ -204,6 +204,27 @@ class TestNumerics:
         assert sigmoid(-800.0) == pytest.approx(0.0, abs=1e-300)
         assert np.all(np.isfinite(sigmoid(np.array([-1e5, 0.0, 1e5]))))
 
+    @staticmethod
+    def sigmoid_formula(x: float) -> float:
+        """1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below, on one element."""
+        z = np.array([x])
+        if x >= 0:
+            return float((1.0 / (1.0 + np.exp(-z)))[0])
+        ez = np.exp(z)
+        return float((ez / (1.0 + ez))[0])
+
+    EDGES = (0.0, -0.0, math.inf, -math.inf, 750.0, -750.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), max_size=40))
+    def test_sigmoid_equals_the_formulas_bit_for_bit(self, values):
+        values += self.EDGES
+        want = np.array([self.sigmoid_formula(x) for x in values])
+        assert sigmoid(np.array(values)).tobytes() == want.tobytes()
+        for x in self.EDGES:
+            assert type(sigmoid(x)) is float
+            assert np.float64(sigmoid(x)).tobytes() == np.float64(self.sigmoid_formula(x)).tobytes()
+
     @given(st.floats(-30, 30))
     def test_sigmoid_complement_symmetry(self, z):
         assert sigmoid(-z) == pytest.approx(1.0 - sigmoid(z), abs=1e-12)

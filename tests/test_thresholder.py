@@ -241,6 +241,21 @@ class TestCutoffIO:
         with pytest.raises(DataError, match="duplicate"):
             load_cutoffs(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("q2\t-4\t0.5", "cutoff k -4 is negative"),
+        ("q2\t3\tnan", "expected QV 'nan' is not finite"),
+        ("q2\t3\t-inf", "expected QV '-inf' is not finite"),
+        ("q000\t-4\tnan", "cutoff k -4 is negative"),
+    ])
+    def test_negative_k_or_non_finite_qv_rejected_with_file_and_line(
+        self, tmp_path, line, message
+    ):
+        path = tmp_path / "cutoffs.tsv"
+        path.write_text(f"q1\t2\t0.5\n{line}\n")
+        with pytest.raises(DataError) as raised:
+            load_cutoffs(path)
+        assert str(raised.value) == f"{path}:2: {message}"
+
     def test_returned_sets_round_trip(self, tmp_path):
         sets = {"q1": ("d1", "d2"), "q2": ()}
         path = tmp_path / "sets.tsv"
