@@ -408,8 +408,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     out = None if args.out is None else _output_file(args.out)
     corpus = load_corpus(_required(args, "corpus"))
-    judgments = load_judgments(_required(args, "judgments"))
-    returned_sets = load_returned_sets(_required(args, "sets"))
+    judgments = load_judgments(_required(args, "judgments"), corpus)
+    returned_sets = load_returned_sets(_required(args, "sets"), corpus)
     if args.cutoffs is not None:
         retrieved = load_cutoffs(args.cutoffs)
         for qid in sorted(judgments.relevant):

@@ -424,12 +424,13 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, line without its newline) for every non-blank line.
 
     The one way the package reads a file line by line: an unreadable file
-    or a line that is not UTF-8 raises DataError naming the file.
+    or a line that is not UTF-8 raises DataError naming the file. A leading
+    byte order mark is not part of the first line.
     """
     try:
         # Undecodable bytes become lone surrogates, which encode() refuses,
         # so the error can name the line rather than a buffered chunk.
-        handle = open(path, encoding="utf-8", errors="surrogateescape")
+        handle = open(path, encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -795,21 +796,29 @@ def save_queries(queries: Iterable[Query], path) -> None:
             out.write(format_query(query) + "\n")
 
 
+def query_document_pair(
+    path, lineno: int, line: str, corpus: Corpus | None
+) -> tuple[str, str]:
+    """The ids of a `query-id <TAB> doc-id` line, without surrounding space.
+
+    Each must be a valid id, and the document one of `corpus`'s if given.
+    """
+    qid, doc_id = (field.strip() for field in split_tsv(path, lineno, line, 2))
+    if not qid or not doc_id:
+        raise DataError(f"{path}:{lineno}: empty query or document id")
+    _check_id(f"{path}:{lineno}: ", "query", qid)
+    _check_id(f"{path}:{lineno}: ", "document", doc_id)
+    if corpus is not None and doc_id not in corpus:
+        raise DataError(f"{path}:{lineno}: document {doc_id!r} is not in the corpus")
+    return qid, doc_id
+
+
 def load_judgments(path, corpus: Corpus | None = None) -> Judgments:
     relevant: dict[str, set[str]] = {}
     for lineno, line in data_lines(path):
-        qid, doc_id = split_tsv(path, lineno, line, 2)
-        qid = qid.strip()
-        doc_id = doc_id.strip()
-        if not qid or not doc_id:
-            raise DataError(f"{path}:{lineno}: empty query or document id")
-        _check_id(f"{path}:{lineno}: ", "query", qid)
-        _check_id(f"{path}:{lineno}: ", "document", doc_id)
+        qid, doc_id = query_document_pair(path, lineno, line, corpus)
         relevant.setdefault(qid, set()).add(doc_id)
-    judgments = Judgments({qid: frozenset(docs) for qid, docs in relevant.items()})
-    if corpus is not None:
-        judgments.validate_against(corpus)
-    return judgments
+    return Judgments({qid: frozenset(docs) for qid, docs in relevant.items()})
 
 
 def save_judgments(judgments: Judgments, path) -> None:

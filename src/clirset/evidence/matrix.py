@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -31,11 +31,6 @@ MATRIX_HEADER_PREFIX = "#generator="
 DEFAULT_VOCAB_SIZE = 2000
 
 
-def sha256_tokens(tokens: Sequence[Token]) -> str:
-    """Hash of a token list, as recorded next to a saved vocabulary."""
-    return hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
-
-
 def ranked_tokens(sentences: Iterable[Sequence[Token]]) -> tuple[Token, ...]:
     """Every token of `sentences`, the most frequent first, ties lexicographic."""
     counts = Counter(chain.from_iterable(sentences))
@@ -44,7 +39,7 @@ def ranked_tokens(sentences: Iterable[Sequence[Token]]) -> tuple[Token, ...]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered English working vocabulary with O(1) membership."""
+    """Ordered tokens, English words or a searcher's foreign tokens, with O(1) lookup."""
 
     tokens: tuple[Token, ...]
 
@@ -73,8 +68,13 @@ class Vocabulary:
         except KeyError:
             raise DataError(f"token {token!r} not in vocabulary") from None
 
+    def ids(self, tokens: Iterable[Token], missing: int) -> np.ndarray:
+        """Each token's index; `missing` for a token not in the vocabulary."""
+        return np.fromiter(map(self._index.get, tokens, repeat(missing)), dtype=int)
+
     def sha256(self) -> str:
-        return sha256_tokens(self.tokens)
+        """Hash of the token list, as recorded next to a saved vocabulary."""
+        return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
     @classmethod
     def from_bitext(

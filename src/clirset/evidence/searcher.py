@@ -19,7 +19,8 @@ pair touches; with the full vocabulary scored, those are every row of
 
 Persisted form is a .npz archive holding the parameter arrays, both token
 lists, and a JSON manifest recording the dimension, the attention depth,
-and sha256 hashes of both vocabularies.
+and sha256 hashes of both vocabularies. Loading builds the model from the
+arrays and refuses a manifest that does not describe it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import json
 import logging
 import math
 import zipfile
+import zlib
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +40,7 @@ from ..corpus import Bitext, ConfusionNetwork, Corpus, Token, atomic_output
 from ..errors import DataError
 from ..numerics import require_positive, sigmoid, softplus
 from .instances import DEFAULT_NEGATIVES_PER_POSITIVE, reference_grid
-from .matrix import Columns, Vocabulary, ranked_tokens, sha256_tokens
+from .matrix import Columns, Vocabulary, ranked_tokens
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +54,7 @@ FULL_VOCAB_MAX = 2000
 INIT_SCALE = 0.1
 
 _ATTENTION_KEYS = ("wq", "wk", "wv")
+_PARAM_KEYS = ("foreign_emb", "english_emb", "bias", *_ATTENTION_KEYS)
 
 # Segments whose evidence SearcherGenerator.columns computes at a time.
 _BLOCK_SEGMENTS = 1024
@@ -91,10 +94,12 @@ class SearcherConfig:
 
 @dataclass
 class SearcherModel:
-    """Trained embeddings. The last foreign row is the unknown-token vector."""
+    """Trained embeddings: row i of `foreign_emb` is foreign_vocab's token i,
+    and its one extra, last row the unknown-token vector; row i of
+    `english_emb` and `bias` is english_vocab's word i."""
 
     english_vocab: Vocabulary
-    foreign_tokens: tuple[Token, ...]
+    foreign_vocab: Vocabulary
     params: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
@@ -103,11 +108,11 @@ class SearcherModel:
         present = [key for key in _ATTENTION_KEYS if key in self.params]
         if present and len(present) != len(_ATTENTION_KEYS):
             raise DataError("attention parameters must appear all together")
-        femb = self.params["foreign_emb"]
-        if femb.ndim != 2 or femb.shape[0] != len(self.foreign_tokens) + 1:
+        femb, n_foreign = self.params["foreign_emb"], len(self.foreign_vocab)
+        if femb.ndim != 2 or femb.shape[0] != n_foreign + 1:
             raise DataError(
                 f"searcher parameter 'foreign_emb' has shape {femb.shape},"
-                f" want ({len(self.foreign_tokens) + 1}, dim)"
+                f" want ({n_foreign + 1}, dim)"
             )
         dim, n_english = femb.shape[1], len(self.english_vocab)
         wanted = {"english_emb": (n_english, dim), "bias": (n_english,)}
@@ -118,7 +123,6 @@ class SearcherModel:
                     f"searcher parameter {key!r} has shape"
                     f" {self.params[key].shape}, want {shape}"
                 )
-        self._foreign_index = {tok: i for i, tok in enumerate(self.foreign_tokens)}
 
     @property
     def dim(self) -> int:
@@ -130,8 +134,7 @@ class SearcherModel:
 
     def foreign_ids(self, tokens: Iterable[Token]) -> np.ndarray:
         """Each token's embedding row; the unknown-token row for the unknown ones."""
-        unk = len(self.foreign_tokens)
-        return np.fromiter(map(self._foreign_index.get, tokens, repeat(unk)), dtype=int)
+        return self.foreign_vocab.ids(tokens, missing=len(self.foreign_vocab))
 
 
 def _contextualize(params: Mapping[str, np.ndarray], x: np.ndarray):
@@ -267,10 +270,6 @@ def searcher_objective(
     return total / count, grads
 
 
-def _foreign_vocabulary(bitext: Bitext) -> tuple[Token, ...]:
-    return ranked_tokens(src for src, _ in bitext)
-
-
 def _step_words(positives: np.ndarray, negatives: np.ndarray, ids, lr: float):
     """A step's words (`ids` of the positives, then the negatives), their
     labels, 1.0 then 0.0, and the step's scale."""
@@ -293,14 +292,12 @@ def train_searcher(
     updates the rows they touch.
     """
     rng = np.random.default_rng(config.seed)
-    foreign_tokens = _foreign_vocabulary(bitext)
-    if not foreign_tokens:
-        raise DataError("bitext yields an empty foreign vocabulary")
+    foreign_vocab = Vocabulary(ranked_tokens(src for src, _ in bitext))
 
     k = len(vocab)
     params: dict[str, np.ndarray] = {
         "foreign_emb": rng.normal(
-            0.0, INIT_SCALE, (len(foreign_tokens) + 1, config.dim)
+            0.0, INIT_SCALE, (len(foreign_vocab) + 1, config.dim)
         ),
         "english_emb": rng.normal(0.0, INIT_SCALE, (k, config.dim)),
         "bias": np.zeros(k),
@@ -310,7 +307,7 @@ def train_searcher(
             params[key] = rng.normal(0.0, INIT_SCALE, (config.dim, config.dim))
 
     # the model holds `params`, which the steps below update in place
-    model = SearcherModel(vocab, foreign_tokens, params)
+    model = SearcherModel(vocab, foreign_vocab, params)
 
     # Per pair with a vocabulary word: its foreign rows, its positives and,
     # for a small vocabulary, which is scored in full, its fixed step (its
@@ -408,53 +405,56 @@ class SearcherGenerator:
         return {word: (rows, column) for word, column in zip(known, probs)}, None
 
 
-def save_searcher(model: SearcherModel, path) -> None:
-    manifest = {
+def _manifest(model: SearcherModel) -> dict:
+    return {
         "dim": model.dim,
         "depth": model.depth,
         "english_vocab_sha256": model.english_vocab.sha256(),
-        "foreign_vocab_sha256": sha256_tokens(model.foreign_tokens),
+        "foreign_vocab_sha256": model.foreign_vocab.sha256(),
     }
+
+
+def save_searcher(model: SearcherModel, path) -> None:
     arrays = dict(model.params)
     arrays["english_tokens"] = np.array(model.english_vocab.tokens)
-    arrays["foreign_tokens"] = np.array(model.foreign_tokens)
-    arrays["manifest"] = np.array(json.dumps(manifest, sort_keys=True))
+    arrays["foreign_tokens"] = np.array(model.foreign_vocab.tokens)
+    arrays["manifest"] = np.array(json.dumps(_manifest(model), sort_keys=True))
     with atomic_output(path, binary=True) as out:
         np.savez(out, **arrays)
 
 
 def load_searcher(path) -> SearcherModel:
+    """The model saved at `path`; a malformed archive is a DataError naming `path`."""
     try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+    # EOFError: an empty file; TypeError: a lone .npy array, not an archive;
+    # NotImplementedError, RuntimeError, zlib.error: a member zipfile cannot
+    # decompress (unknown method, encrypted, corrupt data)
+    except (OSError, EOFError, TypeError, ValueError, NotImplementedError,
+            RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
         raise DataError(f"cannot read searcher model {path}: {exc}") from exc
-    with archive:
-        try:
-            manifest = json.loads(str(archive["manifest"]))
-            english = tuple(str(t) for t in archive["english_tokens"])
-            foreign = tuple(str(t) for t in archive["foreign_tokens"])
-            params = {
-                key: archive[key].astype(float)
-                for key in ("foreign_emb", "english_emb", "bias")
-            }
-            if manifest["depth"] == 1:
-                for key in _ATTENTION_KEYS:
-                    params[key] = archive[key].astype(float)
-        # TypeError: a manifest that is not an object; RecursionError: nested too deeply
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise DataError(f"{path}: malformed searcher model: {exc}") from exc
+    try:
+        manifest = json.loads(str(arrays["manifest"]))
+        english = Vocabulary(tuple(str(t) for t in arrays["english_tokens"]))
+        foreign = Vocabulary(tuple(str(t) for t in arrays["foreign_tokens"]))
+        params = {
+            key: np.asarray(arrays[key], dtype=float)
+            for key in _PARAM_KEYS
+            if key in arrays
+        }
+        model = SearcherModel(english, foreign, params)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    # TypeError: a 0-d token array; RecursionError: a manifest nested too deeply
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: malformed searcher model: {exc}") from exc
     for key, values in params.items():
         if not np.isfinite(values).all():
             raise DataError(f"{path}: searcher parameter {key!r} is not finite")
-    vocab = Vocabulary(english)
-    if manifest.get("english_vocab_sha256") != vocab.sha256():
-        raise DataError(f"{path}: english vocabulary hash mismatch")
-    if manifest.get("foreign_vocab_sha256") != sha256_tokens(foreign):
-        raise DataError(f"{path}: foreign vocabulary hash mismatch")
-    try:
-        model = SearcherModel(vocab, foreign, params)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if manifest.get("dim") != model.dim:
-        raise DataError(f"{path}: manifest dim does not match arrays")
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: malformed searcher model: manifest is not an object")
+    for key, value in _manifest(model).items():
+        if manifest.get(key) != value:
+            raise DataError(f"{path}: manifest {key} does not match the arrays")
     return model

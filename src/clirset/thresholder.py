@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import atomic_output, data_lines, split_tsv
+from .corpus import Corpus, atomic_output, data_lines, query_document_pair, split_tsv
 from .errors import DataError
 from .numerics import DEFAULT_EPSILON, require_positive
 from .relevance import RankedList
@@ -143,9 +143,10 @@ def save_returned_sets(sets_by_query: dict[str, list[str]], path) -> None:
                 out.write(f"{qid}\t{doc_id}\n")
 
 
-def load_returned_sets(path) -> dict[str, set[str]]:
+def load_returned_sets(path, corpus: Corpus | None = None) -> dict[str, set[str]]:
+    """Each query's returned documents, its lines checked as in load_judgments."""
     sets: dict[str, set[str]] = {}
     for lineno, line in data_lines(path):
-        qid, doc_id = split_tsv(path, lineno, line, 2)
+        qid, doc_id = query_document_pair(path, lineno, line, corpus)
         sets.setdefault(qid, set()).add(doc_id)
     return sets

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -781,8 +782,20 @@ class TestErrorPaths:
         argv[argv.index("--judgments") + 1] = str(judgments)
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: judgments for query 'q1' name unknown document 'no-such-doc'\n"
+            f"error: {judgments}:1: document 'no-such-doc' is not in the corpus\n"
         )
+
+    @pytest.mark.parametrize("line, message", [
+        ("q1\tno-such-doc", "document 'no-such-doc' is not in the corpus"),
+        ("q 1\td0001", "query id 'q 1' holds whitespace"),
+    ], ids=["unknown-document", "spaced-query-id"])
+    def test_sets_line_checked_with_file_and_line(
+        self, data_dir, tmp_path, capsys, line, message
+    ):
+        sets = tmp_path / "sets.tsv"
+        sets.write_text(f"q1\td0000\n{line}\n")
+        assert main(evaluate_args(data_dir, sets)) == 2
+        assert capsys.readouterr().err == f"error: {sets}:2: {message}\n"
 
     def test_non_lexical_queries_skipped_with_warning(
         self, data_dir, tmp_path, capsys, caplog
@@ -899,6 +912,45 @@ class TestErrorPaths:
         assert f"{bad}: searcher parameter {key!r} has shape" in err
         assert want in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tamper", [
+        "empty", "depth-1-says-0", "depth-1-says-2", "depth-0-beside-attention",
+        "repeated-foreign-token",
+    ])
+    def test_tampered_searcher_archive_is_one_line_naming_the_file(
+        self, data_dir, tmp_path, capsys, tamper
+    ):
+        bitext = load_bitext(data_dir / "bitext.tsv")
+        model, _ = train_searcher(
+            bitext, Vocabulary.from_bitext(bitext, 50),
+            SearcherConfig(dim=4, depth=0 if "depth-0" in tamper else 1, epochs=1),
+        )
+        bad = tmp_path / "bad.npz"
+        save_searcher(model, bad)
+        with np.load(bad) as archive:
+            arrays = dict(archive)
+        manifest = json.loads(str(arrays["manifest"]))
+        if tamper.startswith("depth-1-says-"):
+            manifest["depth"] = int(tamper[-1])
+        elif tamper == "depth-0-beside-attention":
+            arrays.update((key, np.zeros((4, 4))) for key in ("wq", "wk", "wv"))
+        elif tamper == "repeated-foreign-token":  # with the manifest hash to match
+            tokens = arrays["foreign_tokens"].tolist()
+            tokens[1] = tokens[0]
+            arrays["foreign_tokens"] = np.array(tokens)
+            joined = "\n".join(tokens).encode("utf-8")
+            manifest["foreign_vocab_sha256"] = hashlib.sha256(joined).hexdigest()
+        arrays["manifest"] = np.array(json.dumps(manifest))
+        np.savez(bad, **arrays)
+        if tamper == "empty":
+            bad.write_bytes(b"")
+        code = main(retrieve_args(data_dir, tmp_path / "run") + [
+            "--searcher-model", str(bad),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and str(bad) in err
 
     def test_all_non_lexical_is_data_error(self, data_dir, tmp_path):
         queries = tmp_path / "queries.tsv"

@@ -765,5 +765,6 @@ class TestQueryAndJudgmentIO:
         corpus = Corpus.from_documents(
             [Document(id="d1", kind="text", sentences=(("a",),))]
         )
-        with pytest.raises(DataError, match="unknown document"):
+        with pytest.raises(DataError) as raised:
             load_judgments(path, corpus)
+        assert str(raised.value) == f"{path}:1: document 'ghost' is not in the corpus"

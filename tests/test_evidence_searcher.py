@@ -1,7 +1,9 @@
 """Embedding searcher: scoring, closed-form gradients, training, persistence."""
 
+import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -23,10 +25,10 @@ from clirset.evidence import (
     searcher_objective,
     train_searcher,
 )
+from clirset.evidence.matrix import ranked_tokens
 from clirset.evidence.searcher import (
     INIT_SCALE,
     _contextualize,
-    _foreign_vocabulary,
     _Ids,
 )
 from clirset.numerics import sigmoid
@@ -34,7 +36,7 @@ from clirset.numerics import sigmoid
 
 def zero_model(n_english=3, n_foreign=2, dim=4, depth=0):
     vocab = Vocabulary(tuple(f"e{i}" for i in range(n_english)))
-    foreign = tuple(f"f{i}" for i in range(n_foreign))
+    foreign = Vocabulary(tuple(f"f{i}" for i in range(n_foreign)))
     params = {
         "foreign_emb": np.zeros((n_foreign + 1, dim)),
         "english_emb": np.zeros((n_english, dim)),
@@ -220,7 +222,7 @@ class TestGenerator:
         scores = segment_scores(gen, doc, ["e0", "e2"])
         # sigmoid(max_j <e(w), h_j> + bias_w), with h_j the token embeddings
         # since the model has no attention layer
-        rows = [model.foreign_tokens.index(tok) for tok in ("f0", "f4")]
+        rows = [model.foreign_vocab.tokens.index(tok) for tok in ("f0", "f4")]
         word = vocab.index_of("e0")
         e_w = model.params["english_emb"][word]
         z = max(float(model.params["foreign_emb"][j] @ e_w) for j in rows)
@@ -266,7 +268,7 @@ class TestPersistence:
         save_searcher(model, path)
         loaded = load_searcher(path)
         assert loaded.english_vocab.tokens == model.english_vocab.tokens
-        assert loaded.foreign_tokens == model.foreign_tokens
+        assert loaded.foreign_vocab.tokens == model.foreign_vocab.tokens
         assert loaded.depth == 1
         for key in model.params:
             assert np.array_equal(loaded.params[key], model.params[key])
@@ -291,8 +293,76 @@ class TestPersistence:
         tokens[0] = "swapped"
         archive["english_tokens"] = np.array(tokens)
         np.savez(path, **archive)
-        with pytest.raises(DataError, match="hash mismatch"):
+        with pytest.raises(DataError) as raised:
             load_searcher(path)
+        assert str(raised.value) == (
+            f"{path}: manifest english_vocab_sha256 does not match the arrays"
+        )
+
+    @pytest.mark.parametrize("key", ["english_tokens", "foreign_tokens"])
+    def test_repeated_token_refused(self, tmp_path, key):
+        path = tmp_path / "model.npz"
+        save_searcher(zero_model(), path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = dict(archive)
+        tokens = arrays[key].tolist()
+        tokens[1] = tokens[0]
+        arrays[key] = np.array(tokens)
+        np.savez(path, **arrays)
+        with pytest.raises(DataError) as raised:
+            load_searcher(path)
+        assert str(raised.value) == f"{path}: duplicate vocabulary token {tokens[0]!r}"
+
+    @pytest.mark.parametrize(
+        "depth, manifest, extra, key",
+        [
+            (1, {"depth": 0}, (), "depth"),
+            (1, {"depth": 2}, (), "depth"),
+            (0, {}, ("wq", "wk", "wv"), "depth"),
+            (0, {"dim": 5}, (), "dim"),
+        ],
+        ids=["depth-1-says-0", "depth-1-says-2", "depth-0-beside-attention", "dim"],
+    )
+    def test_manifest_must_describe_the_arrays(self, tmp_path, depth, manifest, extra, key):
+        path = tmp_path / "model.npz"
+        save_searcher(zero_model(dim=4, depth=depth), path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = dict(archive)
+        saved = json.loads(str(arrays["manifest"]))
+        arrays["manifest"] = np.array(json.dumps({**saved, **manifest}))
+        arrays.update((name, np.zeros((4, 4))) for name in extra)
+        np.savez(path, **arrays)
+        with pytest.raises(DataError) as raised:
+            load_searcher(path)
+        assert str(raised.value) == f"{path}: manifest {key} does not match the arrays"
+
+    @pytest.mark.parametrize("damage", ["method", "encrypted", "deflate"])
+    def test_damaged_zip_member_names_the_file(self, tmp_path, damage):
+        path = tmp_path / "model.npz"
+        save_searcher(zero_model(), path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = dict(archive)
+        np.savez_compressed(path, **arrays)
+        data = bytearray(path.read_bytes())
+        central = data.index(b"PK\x01\x02")  # the first member's directory entry
+        if damage == "method":  # no compression method zipfile knows
+            data[central + 10] = 99
+        elif damage == "encrypted":
+            data[central + 8] |= 1
+        else:  # the first deflate block of the first member: a reserved type
+            name_len, extra_len = struct.unpack_from("<HH", data, 26)
+            data[30 + name_len + extra_len] = 0xFF
+        path.write_bytes(data)
+        with pytest.raises(DataError) as raised:
+            load_searcher(path)
+        assert str(raised.value).startswith(f"cannot read searcher model {path}: ")
+
+    def test_lone_array_is_not_a_model(self, tmp_path):
+        path = tmp_path / "model.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(DataError) as raised:
+            load_searcher(path)
+        assert str(raised.value).startswith(f"cannot read searcher model {path}: ")
 
     def test_unreadable_file_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
@@ -361,7 +431,7 @@ def dense_pair_loss_and_grads(params, foreign_ids, word_ids, labels, grads) -> f
 
 def dense_train_searcher(bitext, vocab, config, full_vocab_max):
     rng = np.random.default_rng(config.seed)
-    foreign_tokens = _foreign_vocabulary(bitext)
+    foreign_tokens = ranked_tokens(src for src, _ in bitext)
     if not foreign_tokens:
         raise DataError("bitext yields an empty foreign vocabulary")
 

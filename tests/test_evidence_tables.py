@@ -369,3 +369,8 @@ class TestVocabulary:
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
             Vocabulary(("a", "a"))
+
+    def test_ids_map_unknown_tokens_to_missing(self):
+        vocab = Vocabulary(("a", "b"))
+        assert vocab.ids(["b", "z", "a", "b"], missing=-1).tolist() == [1, -1, 0, 1]
+        assert vocab.ids(iter(["z"]), missing=2).tolist() == [2]

@@ -89,10 +89,9 @@ def old_mt_scorer(generator, words):
 
 
 def old_foreign_ids(model, sentence):
-    unk = len(model.foreign_tokens)
-    return np.array(
-        [model._foreign_index.get(tok, unk) for tok in sentence], dtype=int
-    )
+    foreign_index = {tok: i for i, tok in enumerate(model.foreign_vocab.tokens)}
+    unk = len(model.foreign_vocab)
+    return np.array([foreign_index.get(tok, unk) for tok in sentence], dtype=int)
 
 
 def old_searcher_scorer(generator, words):
@@ -239,7 +238,8 @@ def searcher_generator(seed, depth, dim):
     if depth:
         for key in ("wq", "wk", "wv"):
             params[key] = rng.normal(size=(dim, dim))
-    return SearcherGenerator(SearcherModel(Vocabulary(tuple(ENGLISH)), tuple(FOREIGN), params))
+    model = SearcherModel(Vocabulary(tuple(ENGLISH)), Vocabulary(tuple(FOREIGN)), params)
+    return SearcherGenerator(model)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,8 @@ class TestSearcherColumns:
             "english_emb": rng.normal(size=(n_english, dim)),
             "bias": rng.normal(size=n_english),
         }
-        generator = SearcherGenerator(SearcherModel(Vocabulary(english), foreign, params))
+        model = SearcherModel(Vocabulary(english), Vocabulary(foreign), params)
+        generator = SearcherGenerator(model)
         sentences = [
             tuple(foreign[j] for j in rng.integers(0, n_foreign, size=8).tolist())
             for _ in range(12_000)

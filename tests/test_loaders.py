@@ -1,5 +1,8 @@
 """Every file loader, fed arbitrary bytes, loads or raises DataError naming the file;
-an empty input file is an error for each loader that needs an entry."""
+an empty input file is an error for each loader that needs an entry; a leading
+byte order mark changes nothing a loader reads."""
+
+import json
 
 import pytest
 from hypothesis import example, given
@@ -14,7 +17,7 @@ from clirset.corpus import (
     load_translation_table,
 )
 from clirset.errors import DataError
-from clirset.evidence import load_mt_ensemble, load_mt_hypotheses
+from clirset.evidence import load_mt_ensemble, load_mt_hypotheses, load_searcher
 from clirset.thresholder import load_cutoffs, load_returned_sets
 
 LOADERS = [
@@ -28,6 +31,7 @@ LOADERS = [
     load_weights,
     load_cutoffs,
     load_returned_sets,
+    load_searcher,
 ]
 
 # Characters the file formats are made of, so that examples often get past
@@ -49,6 +53,7 @@ def scratch(tmp_path_factory):
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 @given(data=st.one_of(st.binary(max_size=200), FORMAT_TEXT.map(str.encode)))
+@example(data=b"")
 @example(data=b"q1\tvirus spread\n\xff\n")
 @example(data=DEEP_JSON)
 @example(data=HUGE_ARC_PROB)
@@ -82,3 +87,26 @@ def test_empty_file_names_the_file(tmp_path, loader, text):
     with pytest.raises(DataError) as raised:
         loader(path)
     assert str(raised.value) == f"{path}: {EMPTY_FILE_ERRORS[loader]}"
+
+
+# Each text loader, and a file it loads whose first field is where a byte
+# order mark would land.
+BOM_INPUTS = {
+    load_corpus: json.dumps({"id": "d1", "kind": "text", "sentences": ["a b"]}) + "\n",
+    load_translation_table: "f1\te1\t0.5\n",
+    load_bitext: "f1 f2\te1\n",
+    load_queries: "q1\tvirus spread\n",
+    load_judgments: "q1\td1\n",
+    load_weights: "table\t1.0\n",
+    load_cutoffs: "q1\t2\t0.5\n",
+    load_returned_sets: "q1\td1\n",
+}
+
+
+@pytest.mark.parametrize("loader", BOM_INPUTS, ids=lambda loader: loader.__name__)
+def test_leading_byte_order_mark_is_ignored(tmp_path, loader):
+    plain, marked = tmp_path / "plain" / "input.tsv", tmp_path / "marked" / "input.tsv"
+    for path, prefix in ((plain, ""), (marked, "\ufeff")):
+        path.parent.mkdir()
+        path.write_text(prefix + BOM_INPUTS[loader], encoding="utf-8")
+    assert loader(marked) == loader(plain)
