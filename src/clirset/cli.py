@@ -520,6 +520,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -78,9 +78,23 @@ def sentence_normalizer() -> Callable[[str], Sentence]:
 
     Every occurrence of a token is the same str object: a file of many
     lines holds one string per distinct token, not one per occurrence.
+    Each distinct lowercased piece is stripped once: `shared` maps it to
+    its token, or to "" when it is only punctuation, and maps each token
+    to itself.
     """
-    tokens: dict[str, Token] = {}
-    return lambda raw: tuple([tokens.setdefault(t, t) for t in normalize(raw)])
+    shared: dict[str, str] = {}
+
+    def normalize_shared(raw: str) -> Sentence:
+        pieces = raw.lower().split()
+        tokens = list(map(shared.get, pieces))
+        if None in tokens:  # a piece not seen before
+            for piece in set(pieces).difference(shared):
+                token = piece.strip(string.punctuation)
+                shared[piece] = shared.setdefault(token, token) if token else ""
+            tokens = list(map(shared.__getitem__, pieces))
+        return tuple(filter(None, tokens))
+
+    return normalize_shared
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -31,6 +31,7 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -162,11 +163,17 @@ class _Ids(NamedTuple):
     ids: np.ndarray
     rows: np.ndarray | slice  # the distinct ids; _ALL_ROWS when they are every row
     slots: np.ndarray  # each id's index into rows; for every row, each row's index into ids
+    # For grouped ids and values `width` wide: `cells[i, j]` is the flat index
+    # of (i, j) in a (len(ids) x width) array, and `bins` each value's flat
+    # (slot, column) bin, `cells[slots].ravel()`.
+    cells: np.ndarray | None = None
+    bins: np.ndarray | None = None
 
     @classmethod
-    def grouped(cls, ids: np.ndarray) -> "_Ids":
+    def grouped(cls, ids: np.ndarray, width: int) -> "_Ids":
         rows, slots = np.unique(ids, return_inverse=True)
-        return cls(ids, rows, slots)
+        cells = np.arange(len(ids) * width).reshape(len(ids), width)
+        return cls(ids, rows, slots, cells, cells[slots].ravel())
 
     @classmethod
     def every_row(cls, ids: np.ndarray) -> "_Ids":
@@ -176,22 +183,24 @@ class _Ids(NamedTuple):
     def row_grads(self, values: np.ndarray) -> np.ndarray:
         """The gradient rows `rows`, as `np.add.at` into zeros leaves them."""
         if self.rows is _ALL_ROWS:
-            return values[self.slots] + 0.0
-        return _add_at(self.slots, values, len(self.rows))
+            return values.take(self.slots, axis=0) + 0.0
+        if values.ndim == 1:
+            return _add_at(self.slots, values, len(self.rows))
+        return _add_at(self.bins, values, len(self.rows))
 
 
-def _add_at(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+def _add_at(bins: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """`np.add.at(np.zeros((n, ...)), ids, values)`, by one `np.bincount`.
 
-    Both add each value into its row from 0.0 in the order of `ids`, so the
-    sums are bit-identical; bincount does it without add.at's per-element
-    dispatch.
+    `bins` is `ids` for 1-D values, and each value's flat (id, column) index
+    for 2-D ones. Both add each value into its row from 0.0 in the order of
+    `ids`, so the sums are bit-identical; bincount does it without add.at's
+    per-element dispatch.
     """
     if values.ndim == 1:
-        return np.bincount(ids, weights=values, minlength=n)
+        return np.bincount(bins, weights=values, minlength=n)
     width = values.shape[1]
-    flat = (ids[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(flat, weights=values.ravel(), minlength=n * width)
+    sums = np.bincount(bins, weights=values.ravel(), minlength=n * width)
     return sums.reshape(n, width)
 
 
@@ -226,20 +235,32 @@ def _pair_loss_and_grads(
     words: _Ids,
     labels: np.ndarray,
 ) -> tuple[float, _Grads]:
-    """Summed cross-entropy for one sentence's words, and its gradient."""
-    x = params["foreign_emb"][foreign.ids]
+    """Summed cross-entropy for one sentence's words, and its gradient.
+
+    `foreign` is grouped as wide as the embeddings, and its `cells` place
+    each word's share of `grad_h` in the row of its best-matching token.
+    """
+    x = params["foreign_emb"].take(foreign.ids, axis=0)
     h, cache = _contextualize(params, x)
-    word_emb = params["english_emb"][words.ids]
+    word_emb = params["english_emb"].take(words.ids, axis=0)
     scores = h @ word_emb.T  # (tokens, words)
     best = scores.argmax(axis=0)
-    z = scores[best, np.arange(len(words.ids))] + params["bias"][words.ids]
-    loss = float(np.sum(softplus(z) - labels * z))
+    z = scores[best, np.arange(len(words.ids))] + params["bias"].take(words.ids)
+    loss = float((softplus(z) - labels * z).sum())
     dz = sigmoid(z) - labels
+    if words.rows is _ALL_ROWS:
+        # every row once: gather each row's token and dz, then multiply
+        english = h.take(best.take(words.slots), axis=0)
+        english *= dz.take(words.slots)[:, None]
+        english += 0.0
+    else:
+        english = words.row_grads(dz[:, None] * h.take(best, axis=0))
     grads = [
         ("bias", words.rows, words.row_grads(dz)),
-        ("english_emb", words.rows, words.row_grads(dz[:, None] * h[best])),
+        ("english_emb", words.rows, english),
     ]
-    grad_h = _add_at(best, dz[:, None] * word_emb, len(h))
+    tokens = foreign.cells.take(best, axis=0).ravel()
+    grad_h = _add_at(tokens, dz[:, None] * word_emb, len(h))
     return loss, grads + _backprop_context(params, cache, grad_h, foreign)
 
 
@@ -253,11 +274,12 @@ def searcher_objective(
     by the finite-difference tests.
     """
     grads = {key: np.zeros_like(value) for key, value in params.items()}
+    dim = params["foreign_emb"].shape[1]
     total = 0.0
     count = 0
     for foreign_ids, word_ids, labels in examples:
         loss, pair_grads = _pair_loss_and_grads(
-            params, _Ids.grouped(foreign_ids), _Ids.grouped(word_ids), labels
+            params, _Ids.grouped(foreign_ids, dim), _Ids.grouped(word_ids, dim), labels
         )
         total += loss
         count += len(word_ids)
@@ -324,7 +346,7 @@ def train_searcher(
         if k <= FULL_VOCAB_MAX:
             negatives = np.flatnonzero(~in_reference)
             step = _step_words(positives, negatives, _Ids.every_row, config.lr)
-        pairs[i] = (_Ids.grouped(model.foreign_ids(src)), positives, step)
+        pairs[i] = (_Ids.grouped(model.foreign_ids(src), config.dim), positives, step)
     if not pairs:
         raise DataError("no bitext pair shares a word with the vocabulary")
 
@@ -332,6 +354,7 @@ def train_searcher(
     # row of the dense gradient is 0.0, and p - s * 0.0 leaves p as it is.
     # Scoring every word touches every row of `english_emb` and `bias`, and
     # their gradients come in row order, so those update whole.
+    grouped = partial(_Ids.grouped, width=config.dim)
     losses: list[float] = []
     for epoch in range(config.epochs):
         order = np.array(list(pairs))
@@ -343,11 +366,12 @@ def train_searcher(
             if step is None:
                 negatives = rng.integers(0, k, size=config.m_neg * len(positives))
                 negatives = negatives[~grid[i, negatives]]
-                step = _step_words(positives, negatives, _Ids.grouped, config.lr)
+                step = _step_words(positives, negatives, grouped, config.lr)
             words, labels, scale = step
             loss, grads = _pair_loss_and_grads(params, foreign, words, labels)
             for key, rows, values in grads:
-                params[key][rows] -= scale * values
+                values *= scale
+                params[key][rows] -= values
             epoch_loss += loss
             epoch_count += len(words.ids)
         losses.append(epoch_loss / epoch_count)

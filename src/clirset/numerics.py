@@ -20,13 +20,16 @@ def require_positive(name: str, value: float) -> None:
 
 
 def sigmoid(z):
-    """Logistic function, overflow-safe for large |z|, scalar or ndarray."""
+    """Logistic function, overflow-safe for large |z|, scalar or ndarray.
+
+    1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, in
+    one pass: exp(min(z, -z)) is exp(-z) or exp(z), and NaN stays the NaN
+    it was.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
     if out.ndim == 0:
         return float(out)
     return out

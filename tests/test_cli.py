@@ -611,6 +611,51 @@ class TestOutputPaths:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", ["fit-ensemble", "fit-mixture", "retrieve"])
+    def test_missing_hypothesis_names_the_hypotheses_file(
+        self, data_dir, tmp_path, capsys, command
+    ):
+        model = fit_ensemble(data_dir, tmp_path / "mt.json")
+        lines = (data_dir / "mt_hyps.tsv").read_text(encoding="utf-8").splitlines(True)
+        # the fits read the bitext's sentences, retrieve the corpus's
+        wanted = (lambda doc_id: doc_id.startswith("bt")) if command != "retrieve" else (
+            lambda doc_id: not doc_id.startswith("bt")
+        )
+        dropped = next(line for line in lines if wanted(line.split("\t")[1]))
+        hyps = tmp_path / "hyps.tsv"
+        hyps.write_text("".join(line for line in lines if line != dropped), encoding="utf-8")
+        system, doc_id, index = dropped.split("\t")[:3]
+        argv = {
+            "fit-ensemble": ["fit-ensemble", "--bitext", str(data_dir / "bitext.tsv"),
+                             "--out", str(tmp_path / "out.json")],
+            "fit-mixture": ["fit-mixture", "--bitext", str(data_dir / "bitext.tsv"),
+                            "--mt-model", str(model), "--out", str(tmp_path / "w.tsv")],
+            "retrieve": [*retrieve_args(data_dir, tmp_path / "run"), "--mt-model", str(model)],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--mt-hyps", str(hyps)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {hyps}: system {system!r} has no hypothesis for sentence"
+            f" {doc_id!r}:{index}\n"
+        )
+
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 7.28 TiB for an array with shape (10, 10**11)",
+         "error: out of memory: Unable to allocate 7.28 TiB for an array with shape (10, 10**11)\n"),
+        ("", "error: out of memory\n"),
+    ])
+    def test_out_of_memory_in_a_handler_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, monkeypatch, message, printed
+    ):
+        def out_of_memory(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_module, "cmd_train_searcher", out_of_memory)
+        argv = ["train-searcher", "--bitext", str(data_dir / "bitext.tsv"),
+                "--out", str(tmp_path / "s.npz")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == printed
+
     def test_missing_input_file_is_config_error(self, tmp_path):
         code = main([
             "retrieve",

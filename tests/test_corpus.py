@@ -34,6 +34,7 @@ from clirset.corpus import (
     save_judgments,
     save_queries,
     save_translation_table,
+    sentence_normalizer,
 )
 from clirset.errors import DataError
 from clirset.relevance import RankedList, save_run
@@ -61,6 +62,37 @@ class TestNormalize:
     def test_idempotent(self, raw):
         once = normalize(raw)
         assert normalize(" ".join(once)) == once
+
+
+class TestSentenceNormalizer:
+    # letters that lowercase to one or two code points, ASCII punctuation
+    # that strips, and whitespace, so lines hold pieces that are only
+    # punctuation, pieces that strip to a token seen bare, and no tokens
+    LINES = st.lists(
+        st.text(alphabet=st.sampled_from(list("aBİÉé.,!-'\"«  \t")), max_size=24),
+        max_size=12,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=LINES)
+    def test_equals_normalize_and_shares_strings(self, lines):
+        normalize_shared = sentence_normalizer()
+        got = [normalize_shared(raw) for raw in lines + lines]
+        assert got == [tuple(normalize(raw)) for raw in lines + lines]
+        shared = {}
+        for sentence in got:
+            assert type(sentence) is tuple
+            for token in sentence:
+                assert shared.setdefault(token, token) is token
+
+    def test_examples(self):
+        normalize_shared = sentence_normalizer()
+        assert normalize_shared("İstanbul, ÉCOLE!") == ("i\u0307stanbul", "école")
+        assert normalize_shared("... -- !") == ()
+        assert normalize_shared("") == ()
+        first = normalize_shared("(école)")[0]
+        assert normalize_shared("ÉCOLE école,")[0] is first
+        assert normalize_shared("ÉCOLE école,")[1] is first
 
 
 class TestParseQuery:
@@ -398,8 +430,9 @@ class TestLoadCorpusPerDistinctToken:
         ]
         corpus = load_corpus(write_corpus(tmp_path / "corpus.jsonl", objs))
         assert corpus == per_arc_reference(objs)
-        # three sentences, three distinct raw arc tokens: Foo, bar, and foo
-        assert sorted(calls) == sorted(["Foo bar", "foo", "Foo bar", "Foo", "bar,", "foo"])
+        # three distinct raw arc tokens: Foo, bar, and foo; the sentences go
+        # through a sentence_normalizer, which strips their pieces itself
+        assert sorted(calls) == sorted(["Foo", "bar,", "foo"])
         # the sentences go through a sentence_normalizer: their tokens share strings
         sentences = corpus["t"].sentences
         assert sentences[0][0] is sentences[1][0] is sentences[2][0]

@@ -36,7 +36,7 @@ from clirset.evidence import (
     save_mt_ensemble,
     save_mt_hypotheses,
 )
-from clirset.numerics import sigmoid
+from clirset.numerics import sigmoid, softplus
 
 VOCAB = Vocabulary(("e0", "e1", "e2", "e3"))
 
@@ -394,12 +394,101 @@ def per_instance_features(hyps, bitext, instances):
     return features, labels
 
 
+def per_instance_objective(weights, bias, features, labels, l2):
+    """ensemble_objective as it stood before it grouped the instances, verbatim."""
+    z = features @ weights + bias
+    n = len(labels)
+    loss = float(np.sum(softplus(z) - labels * z)) / n
+    loss += 0.5 * l2 * float(weights @ weights)
+    dz = sigmoid(z) - labels
+    grad_w = features.T @ dz / n + l2 * weights
+    grad_b = float(np.sum(dz)) / n
+    return loss, grad_w, grad_b
+
+
+def same_bytes(got, want):
+    """Equal (loss, grad_w, grad_b) triples, NaN included, byte for byte."""
+    return all(
+        np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+        for a, b in zip(got, want)
+    )
+
+
+# weights and biases from 0.0 to beyond the range where exp overflows
+OBJECTIVE_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(-40.0, 40.0),
+    st.sampled_from([-1e300, -745.0, -1e-300, 1e-300, 745.0, 1e300]),
+)
+
+
+class TestObjectivePerGroup:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        data=st.data(),
+    )
+    def test_equals_the_per_instance_formula_bit_for_bit(self, n, seed, rate, data):
+        n_systems = data.draw(st.integers(1, 4))
+        weights = np.array(data.draw(st.lists(OBJECTIVE_VALUES, min_size=n_systems, max_size=n_systems)))
+        bias = data.draw(OBJECTIVE_VALUES)
+        rng = np.random.default_rng(seed)
+        features = (rng.random((n, n_systems)) < rate).astype(float)
+        labels = (rng.random(n) < 0.3).astype(float)
+        l2 = ensemble_module.DEFAULT_L2
+        groups = ensemble_module._Groups.of(features, labels)
+        assert len(groups.first) <= 2 * 2**n_systems
+        with np.errstate(over="ignore", invalid="ignore"):  # the 1e300 values
+            want = per_instance_objective(weights, bias, features, labels, l2)
+            got = ensemble_objective(weights, bias, features, labels, l2)
+            assert same_bytes(got, want)
+            got = ensemble_module._grouped_objective(weights, bias, groups, l2)
+            assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("feature, label", [(0.5, 1.0), (1.0, 2.0), (math.nan, 0.0)])
+    def test_features_and_labels_are_0_or_1(self, feature, label):
+        features = np.array([[0.0, 1.0], [1.0, feature]])
+        labels = np.array([label, 0.0])
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            ensemble_objective(np.ones(2), 0.0, features, labels, 1e-3)
+
+    def test_more_systems_than_a_packed_byte_holds(self):
+        # 70 systems: the bits of one instance fill nine bytes
+        rng = np.random.default_rng(0)
+        features = (rng.random((500, 70)) < 0.5).astype(float)
+        features[250:] = features[:250]
+        labels = np.zeros(500)
+        labels[::7] = 1.0
+        weights = rng.normal(size=70)
+        groups = ensemble_module._Groups.of(features, labels)
+        assert len(groups.first) == len({(*row, y) for row, y in zip(features.tolist(), labels)})
+        want = per_instance_objective(weights, 0.5, features, labels, 1e-3)
+        got = ensemble_module._grouped_objective(weights, 0.5, groups, 1e-3)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+
+    @pytest.mark.parametrize("n_systems", [1, 2, 3, 4])
+    def test_at_the_benchmark_size(self, n_systems):
+        # about as many instances as the benchmark's fit, so that the
+        # element-wise functions run over long arrays
+        rng = np.random.default_rng(n_systems)
+        features = (rng.random((150_000, n_systems)) < 0.4).astype(float)
+        labels = (rng.random(150_000) < 0.02).astype(float)
+        groups = ensemble_module._Groups.of(features, labels)
+        for _ in range(5):
+            weights = rng.normal(size=n_systems) * 10.0 ** rng.integers(-3, 3, size=n_systems)
+            bias = float(rng.normal() * 5.0)
+            want = per_instance_objective(weights, bias, features, labels, 1e-3)
+            assert same_bytes(ensemble_module._grouped_objective(weights, bias, groups, 1e-3), want)
+
+
 def per_instance_fit(hyps, bitext, vocab, m_neg, seed):
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
     features, labels = per_instance_features(hyps, bitext, instances)
 
     def objective(w, b):
-        return ensemble_objective(w, b, features, labels, ensemble_module.DEFAULT_L2)
+        return per_instance_objective(w, b, features, labels, ensemble_module.DEFAULT_L2)
 
     weights, bias, loss = ensemble_module._minimize(
         objective,

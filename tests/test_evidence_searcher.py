@@ -555,6 +555,25 @@ class TestTrainingBitExact:
             assert model.params[key].tobytes() == want.tobytes(), key
 
 
+class TestSampledVocabulary:
+    """More than FULL_VOCAB_MAX words, with the module constant as it is:
+    each step draws its negatives and updates only the rows it touches."""
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_matches_the_dense_loop(self, depth):
+        n_words = searcher_module.FULL_VOCAB_MAX + 100
+        bitext, vocab = dictionary_bitext(n_words=n_words, n_pairs=80, seed=5)
+        config = SearcherConfig(dim=4, depth=depth, epochs=2, lr=2.0, m_neg=3, seed=2)
+        want_params, want_losses = dense_train_searcher(
+            bitext, vocab, config, searcher_module.FULL_VOCAB_MAX
+        )
+        model, losses = train_searcher(bitext, vocab, config)
+        assert losses == want_losses
+        assert model.params.keys() == want_params.keys()
+        for key, want in want_params.items():
+            assert model.params[key].tobytes() == want.tobytes(), key
+
+
 class TestDenseUpdateAtBenchmarkShape:
     """A 300-word vocabulary at dim 16, as the benchmark trains: every step
     scores every word, so `english_emb` and `bias` update whole."""
@@ -591,7 +610,7 @@ class TestRowGrads:
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-spread, spread + 1, size=shape)
         if zeros:  # -0.0 must come out as add.at leaves it: 0.0 + -0.0 == +0.0
             values[rng.random(size=shape) < 0.5] = -0.0
-        rows = _Ids.grouped(ids)
+        rows = _Ids.grouped(ids, width)
         want = np.zeros((ids.max(initial=-1) + 1, *values.shape[1:]))
         np.add.at(want, rows.ids, values)
         assert rows.row_grads(values).tobytes() == want[rows.rows].tobytes()

@@ -225,6 +225,15 @@ class TestNumerics:
             assert type(sigmoid(x)) is float
             assert np.float64(sigmoid(x)).tobytes() == np.float64(self.sigmoid_formula(x)).tobytes()
 
+    def test_sigmoid_keeps_nan(self):
+        for nan in (math.nan, -math.nan):
+            assert math.isnan(sigmoid(nan))
+        values = [1.0, math.nan, -2.0, -math.nan, 0.0]
+        got = sigmoid(np.array(values))
+        assert np.isnan(got).tolist() == [False, True, False, True, False]
+        want = np.array([self.sigmoid_formula(x) for x in values])
+        assert got.tobytes() == want.tobytes()
+
     @given(st.floats(-30, 30))
     def test_sigmoid_complement_symmetry(self, z):
         assert sigmoid(-z) == pytest.approx(1.0 - sigmoid(z), abs=1e-12)
