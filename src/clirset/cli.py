@@ -313,6 +313,7 @@ def cmd_fit_mixture(args: argparse.Namespace) -> int:
     )
     print(
         f"fit-mixture: {parts} loglik={mixture.loglik:.6f}"
+        f" kkt_gap={mixture.kkt_gap:.3g}"
         f" iterations={len(mixture.loglik_history)} -> {out}"
     )
     return 0

@@ -52,6 +52,7 @@ class MixtureWeights:
     weights: dict[str, float]
     loglik: float | None = None
     loglik_history: tuple[float, ...] = ()
+    kkt_gap: float | None = None  # see _kkt_gap; not saved
 
     def __post_init__(self) -> None:
         if not self.weights:
@@ -182,6 +183,19 @@ def _loglik(q: np.ndarray, lam: np.ndarray, out: np.ndarray) -> float:
     return float(np.sum(np.log(out, out=out)))
 
 
+def _kkt_gap(q: np.ndarray, lam: np.ndarray) -> float:
+    """How far `lam` is from the maximum of the log-likelihood over the simplex.
+
+    With g_k = mean(q_k / (q @ lam)), the maximum has g_k = 1 wherever
+    lam_k > 0 and g_k <= 1 wherever lam_k = 0 (its KKT conditions). The
+    gap is the largest violation: |g_k - 1| over the first generators and
+    max(0, g_k - 1) over the second.
+    """
+    mixed = q @ lam
+    excess = np.array([np.mean(column / mixed) for column in q.T]) - 1.0
+    return float(np.max(np.where(lam > 0.0, np.abs(excess), np.maximum(excess, 0.0))))
+
+
 def _row_sums(weighted: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Write each instance's sum over generators (the columns of `weighted`)
     to `out`.
@@ -260,6 +274,7 @@ def fit_mixture(
         {tag: float(w) for tag, w in zip(tags, lam)},
         loglik=history[-1] if history else None,
         loglik_history=tuple(history),
+        kkt_gap=_kkt_gap(q, lam),
     )
 
 

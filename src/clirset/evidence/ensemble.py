@@ -150,6 +150,8 @@ class MtEnsembleModel:
     systems: tuple[str, ...]
     weights: tuple[float, ...]
     bias: float
+    # the file the model was read from, which a system mismatch names
+    source: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.systems) != len(self.weights):
@@ -307,8 +309,11 @@ class MtEnsembleGenerator:
 
     def __init__(self, model: MtEnsembleModel, hyps: MtHypothesisSet):
         if set(model.systems) != set(hyps.systems):
+            model_name = "ensemble model" + ("" if model.source is None else f" {model.source}")
+            hyps_name = "hypothesis set" + ("" if hyps.source is None else f" {hyps.source}")
             raise DataError(
-                "ensemble model systems do not match the hypothesis set"
+                f"{model_name} systems {sorted(model.systems)} do not match"
+                f" {hyps_name} systems {sorted(hyps.systems)}"
             )
         self.model = model
         self.hyps = hyps
@@ -370,6 +375,7 @@ def load_mt_ensemble(path) -> MtEnsembleModel:
             tuple(systems),
             tuple(_json_number(w) for w in payload["weights"]),
             _json_number(payload["bias"]),
+            str(path),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed ensemble model: {exc}") from exc

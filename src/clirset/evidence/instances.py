@@ -5,7 +5,8 @@ both agree on what a positive and a negative example look like: positives
 are vocabulary words that occur in the reference translation, negatives
 are vocabulary words that do not, sampled uniformly with replacement at a
 fixed rate per positive. The searcher trainer reads its positives from
-the same `reference_grid`.
+the same `reference_grid`. The negatives are drawn in bulk by
+`numerics.Choices`, which `synth` shares.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from ..corpus import Bitext, Token
 from ..errors import DataError
+from ..numerics import Choices
 from .matrix import Vocabulary
 
 DEFAULT_NEGATIVES_PER_POSITIVE = 50
@@ -55,51 +57,6 @@ class LabeledInstances:
             yield LabeledInstance(pair, tokens[word], label)
 
 
-# 32-bit words that `_Choices` pulls from the generator at a time.
-_CHUNK_WORDS = 1 << 14
-
-
-class _Choices:
-    """`rng.choice(pool)` draws, many at a time, off the words `rng` would use.
-
-    CPython's `choice` over n items takes one 32-bit Mersenne Twister word
-    per attempt, keeps its top `n.bit_length()` bits, and tries again while
-    they are >= n; `getrandbits(32 * m)` returns the next m words, word i
-    at bits 32i to 32i + 31. `close` puts `rng` back where the last chunk
-    began and advances it by the words used, as the `choice` calls would.
-    """
-
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-        self.state = None  # rng's state where self.words began
-        self.words = np.empty(0, dtype=np.uint32)
-        self.used = 0  # words of self.words that draws have taken
-
-    def draw(self, pool: np.ndarray, count: int) -> np.ndarray:
-        """The next `count` draws of `rng.choice(pool)`."""
-        n = len(pool)
-        picks = []
-        while count:
-            if self.used == len(self.words):
-                self.state = self.rng.getstate()
-                bits = self.rng.getrandbits(32 * _CHUNK_WORDS)
-                self.words = np.frombuffer(bits.to_bytes(4 * _CHUNK_WORDS, "little"), "<u4")
-                self.used = 0
-            # an attempt succeeds with probability at least 1/2, so the
-            # window usually holds every draw still to make
-            window = self.words[self.used : self.used + 2 * count + 32] >> (32 - n.bit_length())
-            hits = np.flatnonzero(window < n)[:count]
-            picks.append(window[hits])
-            count -= len(hits)
-            self.used += (int(hits[-1]) + 1) if count == 0 else len(window)
-        return pool[np.concatenate(picks)]
-
-    def close(self) -> None:
-        if self.state is not None:
-            self.rng.setstate(self.state)
-            self.rng.getrandbits(32 * self.used)
-
-
 def reference_grid(bitext: Bitext, vocab: Vocabulary) -> np.ndarray:
     """(pairs x vocabulary) bool: True where the word occurs in the pair's English side."""
     grid = np.zeros((len(bitext), len(vocab)), dtype=bool)
@@ -119,15 +76,16 @@ def labeled_instances(
     A pair's positives are the vocabulary indices of its `reference_grid`
     row, ascending, and its pool the rest. Each positive is followed by
     its `m_neg` negatives, each one `rng.choice` of the pool. A pair's
-    draws are made together (`_Choices`), and give the same words, and
-    leave `rng` in the same state, as one `rng.choice` call per negative.
+    draws are made together (`numerics.Choices`), and give the same words,
+    and leave `rng` in the same state, as one `rng.choice` call per
+    negative.
     """
     if m_neg < 1:
         raise DataError(f"negative sampling rate {m_neg} must be >= 1")
     pairs: list[np.ndarray] = []
     words: list[np.ndarray] = []
     labels: list[np.ndarray] = []
-    choices = _Choices(rng)
+    choices = Choices(rng)
     for i, in_reference in enumerate(reference_grid(bitext, vocab)):
         positives = np.flatnonzero(in_reference)
         if not len(positives):
@@ -137,7 +95,7 @@ def labeled_instances(
         block = np.zeros((len(positives), per_positive), dtype=np.int64)
         block[:, 0] = positives
         if len(pool):
-            draws = choices.draw(pool, m_neg * len(positives))
+            draws = pool[choices.draw(len(pool), m_neg * len(positives))]
             block[:, 1:] = draws.reshape(len(positives), m_neg)
         label = np.zeros((len(positives), per_positive), dtype=np.int8)
         label[:, 0] = 1

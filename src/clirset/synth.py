@@ -27,8 +27,12 @@ trainable models see every word at least once.
 
 Every random draw comes from streams derived from the single seed, keyed
 by purpose, so e.g. regenerating with a different speech fraction leaves
-document content untouched. Same spec, same bytes: the digests in
-`tests/test_output_identity.py` pin all six files for two worlds.
+document content untouched. The long runs of draws (document kinds,
+relevance marks, decoy arcs) are read in bulk off the Mersenne Twister
+words the streams would use one call at a time (`numerics.Choices`,
+`numerics.random_floats`), with the same results. Same spec, same bytes:
+the digests in `tests/test_output_identity.py` pin all six files for
+three worlds.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .corpus import (
 )
 from .errors import DataError
 from .evidence.ensemble import MtHypothesisSet, save_mt_hypotheses
+from .numerics import Choices, random_floats
 
 _ENGLISH_CONSONANTS = "bdklmnprst"
 _FOREIGN_CONSONANTS = "fgvzchwj"
@@ -256,12 +261,14 @@ def _plant_relevance(spec, queries, doc_sentences, reverse):
     Every relevant document gets the full word set spliced into two or
     three sentences, the way real relevant documents repeat their topic:
     the repetition is what lets attenuated per-sentence evidence
-    aggregate into a confident document-level probability.
+    aggregate into a confident document-level probability. A query's
+    marks, one `random()` per document, are read in one call.
     """
     rng = _stream(spec.seed, "plant")
     judgments: dict[int, set[int]] = {}
     for q, query in enumerate(queries):
-        relevant = {d for d in range(spec.docs) if rng.random() < RELEVANCE_RATE}
+        marks = random_floats(rng, spec.docs)
+        relevant = set(np.flatnonzero(marks < RELEVANCE_RATE).tolist())
         if not relevant:
             relevant = {rng.randrange(spec.docs)}
         judgments[q] = relevant
@@ -278,19 +285,46 @@ def _plant_relevance(spec, queries, doc_sentences, reverse):
 
 
 def _wrap_documents(spec, doc_ids, doc_sentences, decoy_pool):
-    """Assign document kinds and wrap speech docs into confusion networks."""
-    rng_kind = _stream(spec.seed, "kind")
-    rng_speech = _stream(spec.seed, "speech")
+    """Assign document kinds and wrap speech docs into confusion networks.
+
+    Document d is speech when the kind stream's d-th `random()` is below
+    the speech fraction. Each slot of a speech sentence holds its true
+    token at 1 - noise and `confusion_depth - 1` decoys at an equal share
+    of the noise, drawn by `_decoy_picks`; all slots share one width, so
+    every sentence of one length shares one read-only `probs` array and
+    one `ends` tuple.
+    """
     if spec.speech_fraction > 0.0 and spec.confusion_depth > 1:
         if len(decoy_pool) < spec.confusion_depth:
             raise DataError(
                 "synth confusion depth needs more non-query foreign words"
                 " than the vocabulary leaves free"
             )
+    marks = random_floats(_stream(spec.seed, "kind"), spec.docs)
+    is_speech = (marks < spec.speech_fraction).tolist()
+    # With no decoy mass the slot is just the true token; zero-probability
+    # arcs are not representable.
+    decoys = spec.confusion_depth - 1 if spec.noise != 0.0 else 0
+    width = 1 + decoys
+    slot = [1.0 - spec.noise] + [spec.noise / max(decoys, 1)] * decoys
+    tokens = [
+        token
+        for speech, sentences in zip(is_speech, doc_sentences) if speech
+        for sentence in sentences for token in sentence
+    ]
+    arcs = np.empty((len(tokens), width), dtype=object)
+    arcs[:, 0] = tokens
+    if decoys and tokens:
+        index = {word: i for i, word in enumerate(decoy_pool)}
+        true = np.array([index.get(token, -1) for token in tokens])
+        picks = _decoy_picks(_stream(spec.seed, "speech"), true, len(decoy_pool), decoys)
+        arcs[:, 1:] = np.array(decoy_pool, dtype=object)[picks]
+    arcs = arcs.ravel().tolist()
+    shapes: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
     docs = []
-    for doc_id, sentences in zip(doc_ids, doc_sentences):
-        is_speech = rng_kind.random() < spec.speech_fraction
-        if not is_speech:
+    cursor = 0
+    for doc_id, speech, sentences in zip(doc_ids, is_speech, doc_sentences):
+        if not speech:
             docs.append(
                 Document(
                     id=doc_id,
@@ -301,26 +335,91 @@ def _wrap_documents(spec, doc_ids, doc_sentences, decoy_pool):
             continue
         utterances = []
         for sentence in sentences:
-            tokens, probs, ends = [], [], []
-            for token in sentence:
-                tokens.append(token)
-                probs.append(1.0 - spec.noise)
-                # With no decoy mass the slot is just the true token;
-                # zero-probability arcs are not representable.
-                if spec.noise != 0.0 and spec.confusion_depth != 1:
-                    decoys = []
-                    while len(decoys) < spec.confusion_depth - 1:
-                        decoy = rng_speech.choice(decoy_pool)
-                        if decoy != token and decoy not in decoys:
-                            decoys.append(decoy)
-                    tokens.extend(decoys)
-                    probs.extend([spec.noise / len(decoys)] * len(decoys))
-                ends.append(len(tokens))
+            n = len(sentence)
+            if n not in shapes:
+                probs = np.array(slot * n)
+                probs.flags.writeable = False
+                shapes[n] = probs, tuple(range(width, width * n + 1, width))
+            probs, ends = shapes[n]
             utterances.append(
-                ConfusionNetwork(tuple(tokens), np.array(probs), tuple(ends))
+                ConfusionNetwork(tuple(arcs[cursor : cursor + width * n]), probs, ends)
             )
+            cursor += width * n
         docs.append(Document(id=doc_id, kind=SPEECH, utterances=tuple(utterances)))
     return Corpus.from_documents(docs)
+
+
+# Slots whose decoys `_decoy_picks` checks in one numpy pass.
+_PICK_BLOCK = 256
+
+
+def _decoy_picks(rng, true, n, k):
+    """Decoy indices, (slots x k), that `rng.choice(pool)` calls would pick.
+
+    Slot s takes draws in turn and keeps each one that differs from its
+    true token's pool index `true[s]` (-1 when not in the pool) and from
+    the decoys kept so far, until it holds k. The draws are read in bulk
+    (`Choices`). A slot whose next k draws are distinct and all differ
+    from its true token keeps exactly those, so a block of such slots
+    keeps one run of draws, found in one numpy pass: draw i, the p-th of
+    its slot's window, is rejected when it equals the true token or one
+    of the p draws before it (`_more_draws`' lag). The first slot of a
+    block that rejects a draw is walked one draw at a time. More draws
+    are read only as a lower bound of what the remaining slots need, so
+    `rng` is never advanced past the last draw used.
+    """
+    slots = len(true)
+    spread = np.repeat(true, k)  # draw k*s + p of an all-accepting run is slot s's
+    phase = np.tile(np.arange(k), _PICK_BLOCK)
+    choices = Choices(rng)
+    draws = lag = np.empty(0, dtype=np.intp)
+    kept_runs = []
+    at = 0  # next unused draw
+    s = 0
+    while s < slots:
+        span = k * min(_PICK_BLOCK, slots - s, (len(draws) - at) // k)
+        if span == 0:
+            draws, lag = _more_draws(choices, draws[at:], n, k * (slots - s), k)
+            at = 0
+            continue
+        run = draws[at : at + span]
+        rejects = (run == spread[k * s : k * s + span]) | (lag[at : at + span] <= phase[:span])
+        first = int(rejects.argmax())
+        if not rejects[first]:
+            first = span
+        first -= first % k
+        kept_runs.append(run[:first])
+        s += first // k
+        at += first
+        if first == span:
+            continue
+        kept: list[int] = []
+        while len(kept) < k:
+            if at == len(draws):
+                draws, lag = _more_draws(choices, draws[at:], n, k * (slots - s) - len(kept), k)
+                at = 0
+            pick = int(draws[at])
+            at += 1
+            if pick != true[s] and pick not in kept:
+                kept.append(pick)
+        kept_runs.append(kept)
+        s += 1
+    choices.close()
+    return np.concatenate(kept_runs).reshape(slots, k)
+
+
+def _more_draws(choices, left, n, need, k):
+    """`left` extended to `need` draws, and each draw's lag.
+
+    Draw i's lag is the least l in [1, k) with draw i - l equal to it,
+    and k when there is none: draw i repeats one of the p draws before it
+    exactly when its lag is at most p.
+    """
+    draws = np.concatenate([left, choices.draw(n, need - len(left))]).astype(np.intp)
+    lag = np.full(len(draws), k, dtype=np.intp)
+    for back in range(k - 1, 0, -1):
+        lag[back:][draws[back:] == draws[:-back]] = back
+    return draws, lag
 
 
 def _make_bitext(spec, foreign, dictionary, n_dict, reserved, reverse, pool,

@@ -367,6 +367,40 @@ class TestTrainers:
         # identical tables stay uniform: the first update gains nothing
         assert " iterations=1 -> " in printed
 
+    def test_fit_mixture_prints_a_smaller_kkt_gap_once_converged(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # each table knows half of the dictionary, so the optimum is inside
+        # the simplex and EM stops on its tolerance
+        rows = (data_dir / "table.tsv").read_text(encoding="utf-8").splitlines(True)
+        (tmp_path / "odd.tsv").write_text("".join(rows[0::2]), encoding="utf-8")
+        (tmp_path / "even.tsv").write_text("".join(rows[1::2]), encoding="utf-8")
+        argv = [
+            "fit-mixture", "--bitext", str(data_dir / "bitext.tsv"),
+            "--table", str(tmp_path / "odd.tsv"), "--table", str(tmp_path / "even.tsv"),
+            "--out", str(tmp_path / "weights.tsv"),
+        ]
+
+        def printed():
+            assert main(argv) == 0
+            line = capsys.readouterr().out
+            assert re.search(r" loglik=\S+ kkt_gap=\S+ iterations=\d+ -> ", line)
+            return (
+                float(re.search(r" kkt_gap=(\S+) ", line)[1]),
+                int(re.search(r" iterations=(\d+) ", line)[1]),
+            )
+
+        converged_gap, iterations = printed()
+        weights = (tmp_path / "weights.tsv").read_bytes()
+        assert 5 < iterations < combiner_module.DEFAULT_EM_MAX_ITERATIONS
+        em_fit = combiner_module.em_fit
+        monkeypatch.setattr(combiner_module, "em_fit", lambda q: em_fit(q, max_iter=5))
+        cut_gap, cut_iterations = printed()
+        assert cut_iterations == 5
+        assert 0.0 <= converged_gap < cut_gap
+        # the gap is printed, not saved
+        assert b"kkt" not in weights
+
     def test_fit_mixture_draws_the_instances_once(
         self, data_dir, tmp_path, monkeypatch
     ):
@@ -611,6 +645,24 @@ class TestOutputPaths:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", ["fit-mixture", "retrieve"])
+    def test_mt_system_mismatch_names_both_files(self, data_dir, tmp_path, capsys, command):
+        model = fit_ensemble(data_dir, tmp_path / "mt.json")
+        text = (data_dir / "mt_hyps.tsv").read_text(encoding="utf-8")
+        hyps = tmp_path / "hyps.tsv"
+        hyps.write_text(text.replace("mt1\t", "mtX\t"), encoding="utf-8")
+        argv = {
+            "fit-mixture": ["fit-mixture", "--bitext", str(data_dir / "bitext.tsv"),
+                            "--out", str(tmp_path / "w.tsv")],
+            "retrieve": retrieve_args(data_dir, tmp_path / "run"),
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--mt-model", str(model), "--mt-hyps", str(hyps)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ensemble model {model} systems ['mt1', 'mt2'] do not match"
+            f" hypothesis set {hyps} systems ['mt2', 'mtX']\n"
+        )
+
     @pytest.mark.parametrize("command", ["fit-ensemble", "fit-mixture", "retrieve"])
     def test_missing_hypothesis_names_the_hypotheses_file(
         self, data_dir, tmp_path, capsys, command

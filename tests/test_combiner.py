@@ -372,6 +372,24 @@ def em_warnings(caplog):
     ]
 
 
+class TestKktGap:
+    Q = np.array([[0.9, 0.5], [0.8, 0.4]])
+
+    def test_a_better_unused_generator_counts(self):
+        # lam = (0, 1): g = (mean(0.9/0.5, 0.8/0.4), 1) = (1.9, 1)
+        assert combiner_module._kkt_gap(self.Q, np.array([0.0, 1.0])) == pytest.approx(0.9)
+
+    def test_a_worse_unused_generator_does_not(self):
+        # lam = (1, 0): g = (1, mean(0.5/0.9, 0.4/0.8)), below 1 where lam is 0
+        assert combiner_module._kkt_gap(self.Q, np.array([1.0, 0.0])) == 0.0
+
+    def test_used_generators_count_both_ways(self):
+        g = (self.Q / (self.Q @ [0.5, 0.5])[:, None]).mean(axis=0)
+        assert combiner_module._kkt_gap(self.Q, np.array([0.5, 0.5])) == pytest.approx(
+            max(abs(g - 1.0))
+        )
+
+
 class TestFitMixture:
     def test_sharp_generator_wins(self):
         bitext, vocab = toy_bitext_and_vocab()

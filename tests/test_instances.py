@@ -10,11 +10,11 @@ from evidence_cells import matrix_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import clirset.evidence.instances as instances_module
+import clirset.numerics as numerics_module
 from clirset.corpus import Bitext, Corpus, Document
 from clirset.errors import DataError
 from clirset.evidence import LabeledInstance, Vocabulary, labeled_instances
-from clirset.numerics import DEFAULT_EPSILON, sigmoid, softplus
+from clirset.numerics import DEFAULT_EPSILON, Choices, random_floats, sigmoid, softplus
 
 
 def instances_one_object_each(bitext, vocab, m_neg, rng):
@@ -84,7 +84,7 @@ class TestBulkDraw:
     @pytest.mark.parametrize("pool_size", POOL_SIZES)
     def test_equals_a_choice_loop(self, pool_size, m_neg, chunk_words, monkeypatch):
         if chunk_words:
-            monkeypatch.setattr(instances_module, "_CHUNK_WORDS", chunk_words)
+            monkeypatch.setattr(numerics_module, "_CHUNK_WORDS", chunk_words)
         vocab = Vocabulary(tuple(f"w{i}" for i in range(pool_size + 2)))
         # every pair holds two vocabulary words, so each pool has pool_size words
         bitext = Bitext(tuple(
@@ -94,6 +94,33 @@ class TestBulkDraw:
         got_rng, want_rng = random.Random(pool_size), random.Random(pool_size)
         got = labeled_instances(bitext, vocab, m_neg, got_rng)
         assert columns_of(got) == choice_loop(bitext, vocab, m_neg, want_rng)
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+class TestChoices:
+    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**32 + 1, 2**40])
+    def test_refuses_sizes_one_word_cannot_draw(self, n):
+        with pytest.raises(ValueError, match=rf"n = {n}\b"):
+            Choices(random.Random(0)).draw(n, 1)
+
+    @pytest.mark.parametrize("n", [1, 2**31, 2**31 + 1, 2**32 - 1])
+    def test_widest_sizes_equal_choice(self, n):
+        # a range is a sequence of n items that holds no list of them
+        got_rng, want_rng = random.Random(n), random.Random(n)
+        choices = Choices(got_rng)
+        got = choices.draw(n, 300).tolist()
+        choices.close()
+        assert got == [want_rng.choice(range(n)) for _ in range(300)]
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+class TestRandomFloats:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 16384, 100001])
+    def test_equals_random_calls(self, m):
+        got_rng, want_rng = random.Random(m), random.Random(m)
+        got = random_floats(got_rng, m)
+        assert got.dtype == np.float64
+        assert got.tolist() == [want_rng.random() for _ in range(m)]
         assert got_rng.getstate() == want_rng.getstate()
 
 

@@ -7,7 +7,9 @@ second, table-only world of all-speech documents with 9 to 14 segments
 each pins `rank` on documents long enough that a pairwise (numpy-style)
 sum over segments would round differently from the sequential one. A
 third test pins the `dump-evidence` file of each generator (table, MT,
-searcher) on the noisy world, MT's background cells included. A
+searcher) on the noisy world, MT's background cells included, and a
+fourth every file `synth` writes, for those two worlds and for an
+all-speech one whose decoy pool barely exceeds its depth. A
 refactor that must not change outputs fails here, in seconds, before the
 benchmark's own output checks run. A change that alters outputs on
 purpose re-records the digests and says why.
@@ -192,13 +194,48 @@ LONG_SPEECH_SYNTH_SHA256 = {
 }
 
 
+# All speech at depth 5 over a decoy pool of 10 foreign words, the fewest
+# `synth` accepts: most slots reject a draw and take the one-draw-at-a-time
+# walk of `_decoy_picks`.
+THIN_POOL_SYNTH = [
+    "synth", "--seed", "0", "--docs", "30", "--queries", "4",
+    "--foreign-vocab", "18", "--english-vocab", "18", "--bitext-pairs", "60",
+    "--noise", "0.3", "--speech-fraction", "1.0", "--confusion-depth", "5",
+]
+
+THIN_POOL_SYNTH_SHA256 = {
+    "corpus.jsonl": (
+        "ee4c8e7238ebf69e1f35e6db4724aedf7ed010e541729f87bde7365b7013a603"
+    ),
+    "bitext.tsv": (
+        "3a6ff39bae1ec012732033169d089522f59416b1b9476d10b1704b56adae8372"
+    ),
+    "table.tsv": (
+        "86a8439643620d57f691290b6e86042afbf7a8d6b54b18cd6fc365591cdcece4"
+    ),
+    "mt_hyps.tsv": (
+        "3cc58af4fa5ab3f1d109f5fca643314b9ed96c93900dfcaaae3d62c07d0de496"
+    ),
+    "queries.tsv": (
+        "f9f580f70ec3d19c350a8fc4830efccd95cfd804fa853e1c94f24348411f593e"
+    ),
+    "judgments.tsv": (
+        "43a08c4a2281725f26b50c931a1e502ed970b7792e607bf14fcab5337e00fc34"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "argv, expected",
-    [(SYNTH, SYNTH_SHA256), (LONG_SPEECH_SYNTH, LONG_SPEECH_SYNTH_SHA256)],
-    ids=["noisy-mixed", "long-speech"],
+    [
+        (SYNTH, SYNTH_SHA256),
+        (LONG_SPEECH_SYNTH, LONG_SPEECH_SYNTH_SHA256),
+        (THIN_POOL_SYNTH, THIN_POOL_SYNTH_SHA256),
+    ],
+    ids=["noisy-mixed", "long-speech", "thin-pool"],
 )
 def test_synth_files_match_recorded_digests(tmp_path, argv, expected):
-    """Every file `synth` writes, byte for byte, for both worlds above."""
+    """Every file `synth` writes, byte for byte, for the three worlds above."""
     assert set(expected) == set(DATASET_FILES.values())
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert digests(tmp_path, expected) == expected

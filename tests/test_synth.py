@@ -1,10 +1,23 @@
 """Synthetic dataset generator: determinism, planted structure, validity."""
 
+import random
+from unittest import mock
+
+import numpy as np
 import pytest
 from corpus_helpers import query_words
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import clirset.numerics as numerics_module
+import clirset.synth as synth_module
 from clirset.corpus import (
     LEXICAL,
+    SPEECH,
+    TEXT,
+    ConfusionNetwork,
+    Corpus,
+    Document,
     load_bitext,
     load_corpus,
     load_judgments,
@@ -14,7 +27,7 @@ from clirset.corpus import (
 from clirset.errors import DataError
 from clirset.evidence import TranslationTableGenerator, build_evidence, load_mt_hypotheses
 from clirset.relevance import rank
-from clirset.synth import SynthSpec, generate, write_dataset
+from clirset.synth import SynthSpec, _decoy_picks, _wrap_documents, generate, write_dataset
 
 SMALL = SynthSpec(
     seed=11,
@@ -213,3 +226,128 @@ class TestSpecValidation:
     def test_bad_specs_rejected(self, kwargs):
         with pytest.raises(DataError):
             SynthSpec(**{**SMALL.__dict__, **kwargs})
+
+
+def per_call_wrap_documents(spec, doc_ids, doc_sentences, decoy_pool):
+    """`_wrap_documents` as it was with one `random()` per document kind
+    and one `choice` call per decoy draw, verbatim."""
+    rng_kind = random.Random(f"{spec.seed}/kind")
+    rng_speech = random.Random(f"{spec.seed}/speech")
+    if spec.speech_fraction > 0.0 and spec.confusion_depth > 1:
+        if len(decoy_pool) < spec.confusion_depth:
+            raise DataError(
+                "synth confusion depth needs more non-query foreign words"
+                " than the vocabulary leaves free"
+            )
+    docs = []
+    for doc_id, sentences in zip(doc_ids, doc_sentences):
+        is_speech = rng_kind.random() < spec.speech_fraction
+        if not is_speech:
+            docs.append(
+                Document(
+                    id=doc_id,
+                    kind=TEXT,
+                    sentences=tuple(tuple(s) for s in sentences),
+                )
+            )
+            continue
+        utterances = []
+        for sentence in sentences:
+            tokens, probs, ends = [], [], []
+            for token in sentence:
+                tokens.append(token)
+                probs.append(1.0 - spec.noise)
+                if spec.noise != 0.0 and spec.confusion_depth != 1:
+                    decoys = []
+                    while len(decoys) < spec.confusion_depth - 1:
+                        decoy = rng_speech.choice(decoy_pool)
+                        if decoy != token and decoy not in decoys:
+                            decoys.append(decoy)
+                    tokens.extend(decoys)
+                    probs.extend([spec.noise / len(decoys)] * len(decoys))
+                ends.append(len(tokens))
+            utterances.append(
+                ConfusionNetwork(tuple(tokens), np.array(probs), tuple(ends))
+            )
+        docs.append(Document(id=doc_id, kind=SPEECH, utterances=tuple(utterances)))
+    return Corpus.from_documents(docs)
+
+
+def network_columns(corpus):
+    return [
+        [(cn.tokens, cn.probs.tolist(), cn.ends) for cn in doc.utterances]
+        for doc in corpus
+    ]
+
+
+@st.composite
+def speech_worlds(draw):
+    """A spec, its documents' sentences and a decoy pool, some of exactly
+    `confusion_depth` words; sentences also hold words outside the pool,
+    as planted query words are."""
+    depth = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    spec = SynthSpec(
+        seed=draw(st.integers(0, 2**16)),
+        docs=draw(st.integers(1, 8)),
+        noise=draw(st.sampled_from([0.0, 0.3])),
+        speech_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        confusion_depth=depth,
+    )
+    pool = [f"p{i}" for i in range(draw(st.sampled_from([depth, depth + 1, 40, 553])))]
+    words = st.sampled_from([*pool[:60], "q0", "q1"])
+    sentence = st.lists(words, min_size=1, max_size=14)
+    doc_sentences = [
+        draw(st.lists(sentence, min_size=1, max_size=6)) for _ in range(spec.docs)
+    ]
+    return spec, doc_sentences, pool
+
+
+class TestWrapDocuments:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        speech_worlds(),
+        st.sampled_from([None, 3, 64]),  # words per chunk of draws
+        st.sampled_from([None, 1, 5]),  # slots per numpy pass
+    )
+    def test_equals_one_call_per_draw(self, world, chunk_words, block):
+        spec, doc_sentences, pool = world
+        doc_ids = [f"d{i:04d}" for i in range(spec.docs)]
+        with mock.patch.object(
+            numerics_module, "_CHUNK_WORDS", chunk_words or numerics_module._CHUNK_WORDS
+        ), mock.patch.object(
+            synth_module, "_PICK_BLOCK", block or synth_module._PICK_BLOCK
+        ):
+            got = _wrap_documents(spec, doc_ids, doc_sentences, pool)
+        want = per_call_wrap_documents(spec, doc_ids, doc_sentences, pool)
+        assert got == want
+        assert network_columns(got) == network_columns(want)
+
+    def test_pool_of_depth_words_crosses_chunks(self):
+        """Nearly every slot is walked draw by draw, over many chunks of words."""
+        spec = SynthSpec(seed=3, docs=40, noise=0.3, speech_fraction=1.0, confusion_depth=8)
+        pool = [f"p{i}" for i in range(8)]
+        rng = random.Random(0)
+        doc_sentences = [
+            [rng.choices([*pool, "q0"], k=12) for _ in range(8)] for _ in range(spec.docs)
+        ]
+        doc_ids = [f"d{i:04d}" for i in range(spec.docs)]
+        got = _wrap_documents(spec, doc_ids, doc_sentences, pool)
+        want = per_call_wrap_documents(spec, doc_ids, doc_sentences, pool)
+        assert network_columns(got) == network_columns(want)
+
+    @pytest.mark.parametrize("n, k", [(5, 4), (6, 4), (553, 4), (9, 1)])
+    def test_decoy_picks_leave_rng_where_choice_calls_do(self, n, k):
+        true = np.array(random.Random(n).choices([*range(n), -1], k=700))
+        got_rng, want_rng = random.Random(k), random.Random(k)
+        with mock.patch.object(numerics_module, "_CHUNK_WORDS", 50):
+            got = _decoy_picks(got_rng, true, n, k)
+        want = []
+        for token in true.tolist():
+            kept = []
+            while len(kept) < k:
+                pick = want_rng.choice(range(n))
+                if pick != token and pick not in kept:
+                    kept.append(pick)
+            want.append(kept)
+        assert got.tolist() == want
+        assert got_rng.getstate() == want_rng.getstate()
