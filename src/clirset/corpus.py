@@ -26,6 +26,7 @@ import json
 import os
 import re
 import string
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,47 +55,20 @@ TABLE_SUM_TOLERANCE = 1e-4
 _EXAMPLE_OF_RE = re.compile(r"^EXAMPLE_OF\((.+)\)$")
 
 
-def normalize(raw: str) -> list[Token]:
+def normalize(raw: str) -> Sentence:
     """Lowercase, split on whitespace, strip edge punctuation per piece.
 
-    Interior punctuation survives ("HIV/influenza" -> ["hiv/influenza"]);
+    Interior punctuation survives ("HIV/influenza" -> ("hiv/influenza",));
     pieces that were pure punctuation are dropped. Idempotent: normalizing
-    the space-joined output is a no-op.
+    the space-joined output is a no-op. Every token is interned, so equal
+    tokens are one string object across every file a process reads.
     """
     tokens = []
     for piece in raw.lower().split():
         piece = piece.strip(string.punctuation)
         if piece:
-            tokens.append(piece)
-    return tokens
-
-
-def normalize_sentence(raw: str) -> Sentence:
-    return tuple(normalize(raw))
-
-
-def sentence_normalizer() -> Callable[[str], Sentence]:
-    """A normalize_sentence that shares its strings, for one load.
-
-    Every occurrence of a token is the same str object: a file of many
-    lines holds one string per distinct token, not one per occurrence.
-    Each distinct lowercased piece is stripped once: `shared` maps it to
-    its token, or to "" when it is only punctuation, and maps each token
-    to itself.
-    """
-    shared: dict[str, str] = {}
-
-    def normalize_shared(raw: str) -> Sentence:
-        pieces = raw.lower().split()
-        tokens = list(map(shared.get, pieces))
-        if None in tokens:  # a piece not seen before
-            for piece in set(pieces).difference(shared):
-                token = piece.strip(string.punctuation)
-                shared[piece] = shared.setdefault(token, token) if token else ""
-            tokens = list(map(shared.__getitem__, pieces))
-        return tuple(filter(None, tokens))
-
-    return normalize_shared
+            tokens.append(sys.intern(piece))
+    return tuple(tokens)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -330,7 +304,7 @@ def parse_query(line: str) -> Query:
             if kind == LEXICAL:
                 kind = CONCEPTUAL
             raw_phrase = raw_phrase[:-1]
-        words = normalize_sentence(raw_phrase)
+        words = normalize(raw_phrase)
         if not words:
             raise DataError(
                 f"query {qid!r} phrase {raw_phrase!r} normalizes to no words"
@@ -528,11 +502,9 @@ def load_corpus(path) -> Corpus:
     """Read a JSONL corpus, validating every document.
 
     Each distinct raw arc token is normalized once per call: `arc_tokens`
-    maps it to its one normalized token, so every arc with that raw token
-    shares one string. Text sentences go through one sentence_normalizer,
-    so their tokens share strings too. An utterance's arcs are appended to
-    a token list and a probability list, from which its ConfusionNetwork
-    is built once.
+    maps it to its one normalized token. An utterance's arcs are appended
+    to a token list and a probability list, from which its
+    ConfusionNetwork is built once.
 
     The cyclic garbage collector is paused while the file is parsed, and
     its earlier state is restored afterwards. JSON values and the documents
@@ -541,7 +513,6 @@ def load_corpus(path) -> Corpus:
     """
     docs: dict[str, Document] = {}
     arc_tokens: dict[str, Token] = {}
-    normalize_text = sentence_normalizer()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -554,7 +525,7 @@ def load_corpus(path) -> Corpus:
             if not isinstance(obj, dict):
                 raise DataError(f"{ctx}: document line is not a JSON object")
             try:
-                doc = _document_from_json(obj, ctx, arc_tokens, normalize_text)
+                doc = _document_from_json(obj, ctx, arc_tokens)
             except DataError:
                 raise
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -570,17 +541,12 @@ def load_corpus(path) -> Corpus:
     return Corpus(docs)
 
 
-def _document_from_json(
-    obj: dict,
-    ctx: str,
-    arc_tokens: dict[str, Token],
-    normalize_text: Callable[[str], Sentence],
-) -> Document:
+def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Document:
     """Build one document; `arc_tokens` holds the arc tokens seen so far.
 
     A raw arc token enters `arc_tokens` only once it has passed the
     exactly-one-token check, so every arc is checked, on its token's first
-    sight or by the lookup. Text sentences go through `normalize_text`.
+    sight or by the lookup.
     """
     doc_id = obj.get("id")
     kind = obj.get("kind")
@@ -595,7 +561,7 @@ def _document_from_json(
         for j, raw in enumerate(raw_sentences):
             if not isinstance(raw, str):
                 raise DataError(f"{ctx}: sentence {j} of {doc_id!r} is not a string")
-            tokens = normalize_text(raw)
+            tokens = normalize(raw)
             if not tokens:
                 raise DataError(
                     f"{ctx}: sentence {j} of {doc_id!r} normalizes to no tokens"
@@ -755,11 +721,10 @@ def save_translation_table(table: TranslationTable, path) -> None:
 
 def load_bitext(path) -> Bitext:
     pairs = []
-    normalize_shared = sentence_normalizer()
     for lineno, line in data_lines(path):
         src_raw, tgt_raw = split_tsv(path, lineno, line, 2)
-        src = normalize_shared(src_raw)
-        tgt = normalize_shared(tgt_raw)
+        src = normalize(src_raw)
+        tgt = normalize(tgt_raw)
         if not src or not tgt:
             raise DataError(f"{path}:{lineno}: bitext side normalizes to no tokens")
         pairs.append((src, tgt))

@@ -32,8 +32,8 @@ from ..corpus import (
     atomic_output,
     bitext_doc_id,
     data_lines,
+    normalize,
     parse_index,
-    sentence_normalizer,
     split_tsv,
 )
 from ..errors import DataError
@@ -109,16 +109,14 @@ class MtHypothesisSet:
 def load_mt_hypotheses(path) -> MtHypothesisSet:
     """Read a hypotheses TSV file.
 
-    Tokens share strings through one sentence_normalizer, and each
-    (doc id, sentence index) key is one tuple that every system shares.
+    Each (doc id, sentence index) key is one tuple that every system shares.
     """
     hypotheses: dict[str, dict[tuple[str, int], Sentence]] = {}
     keys: dict[tuple[str, int], tuple[str, int]] = {}
-    normalize_shared = sentence_normalizer()
     for lineno, line in data_lines(path):
         system, doc_id, index_raw, text = split_tsv(path, lineno, line, 4)
         index = parse_index(path, lineno, index_raw)
-        sentence = normalize_shared(text)
+        sentence = normalize(text)
         if not sentence:
             raise DataError(
                 f"{path}:{lineno}: hypothesis normalizes to no tokens"

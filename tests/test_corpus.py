@@ -34,9 +34,9 @@ from clirset.corpus import (
     save_judgments,
     save_queries,
     save_translation_table,
-    sentence_normalizer,
 )
 from clirset.errors import DataError
+from clirset.evidence import load_mt_hypotheses
 from clirset.relevance import RankedList, save_run
 from clirset.synth import SynthSpec, generate
 from clirset.thresholder import CutoffDecision, save_cutoffs, save_returned_sets
@@ -44,27 +44,28 @@ from clirset.thresholder import CutoffDecision, save_cutoffs, save_returned_sets
 
 class TestNormalize:
     def test_lowercase_and_edge_punctuation(self):
-        assert normalize("Scientific Research,") == ["scientific", "research"]
+        assert normalize("Scientific Research,") == ("scientific", "research")
 
     def test_empty_string(self):
-        assert normalize("") == []
+        assert normalize("") == ()
 
     def test_interior_punctuation_kept(self):
-        assert normalize("HIV/influenza") == ["hiv/influenza"]
+        assert normalize("HIV/influenza") == ("hiv/influenza",)
 
     def test_pure_punctuation_dropped(self):
-        assert normalize("-- ... «") == ["«"]  # only ASCII punctuation strips
+        assert normalize("-- ... «") == ("«",)  # only ASCII punctuation strips
 
     def test_wrapping_punctuation(self):
-        assert normalize("((vaccination))!") == ["vaccination"]
+        assert normalize("((vaccination))!") == ("vaccination",)
+
+    def test_letters_that_lowercase_to_two_code_points(self):
+        assert normalize("İstanbul, ÉCOLE!") == ("i\u0307stanbul", "école")
 
     @given(st.text(max_size=80))
     def test_idempotent(self, raw):
         once = normalize(raw)
         assert normalize(" ".join(once)) == once
 
-
-class TestSentenceNormalizer:
     # letters that lowercase to one or two code points, ASCII punctuation
     # that strips, and whitespace, so lines hold pieces that are only
     # punctuation, pieces that strip to a token seen bare, and no tokens
@@ -75,24 +76,18 @@ class TestSentenceNormalizer:
 
     @settings(max_examples=300, deadline=None)
     @given(lines=LINES)
-    def test_equals_normalize_and_shares_strings(self, lines):
-        normalize_shared = sentence_normalizer()
-        got = [normalize_shared(raw) for raw in lines + lines]
-        assert got == [tuple(normalize(raw)) for raw in lines + lines]
+    def test_equal_tokens_are_one_object(self, lines):
         shared = {}
-        for sentence in got:
+        for raw in lines + lines:
+            sentence = normalize(raw)
             assert type(sentence) is tuple
             for token in sentence:
                 assert shared.setdefault(token, token) is token
 
-    def test_examples(self):
-        normalize_shared = sentence_normalizer()
-        assert normalize_shared("İstanbul, ÉCOLE!") == ("i\u0307stanbul", "école")
-        assert normalize_shared("... -- !") == ()
-        assert normalize_shared("") == ()
-        first = normalize_shared("(école)")[0]
-        assert normalize_shared("ÉCOLE école,")[0] is first
-        assert normalize_shared("ÉCOLE école,")[1] is first
+    def test_shares_tokens_across_calls(self):
+        first = normalize("(école)")[0]
+        again = normalize("ÉCOLE école,")
+        assert again[0] is first and again[1] is first
 
 
 class TestParseQuery:
@@ -361,7 +356,7 @@ def per_arc_reference(objs):
     docs = []
     for obj in objs:
         if obj["kind"] == "text":
-            sentences = tuple(tuple(normalize(raw)) for raw in obj["sentences"])
+            sentences = tuple(normalize(raw) for raw in obj["sentences"])
             docs.append(Document(id=obj["id"], kind="text", sentences=sentences))
             continue
         utterances = []
@@ -430,10 +425,9 @@ class TestLoadCorpusPerDistinctToken:
         ]
         corpus = load_corpus(write_corpus(tmp_path / "corpus.jsonl", objs))
         assert corpus == per_arc_reference(objs)
-        # three distinct raw arc tokens: Foo, bar, and foo; the sentences go
-        # through a sentence_normalizer, which strips their pieces itself
-        assert sorted(calls) == sorted(["Foo", "bar,", "foo"])
-        # the sentences go through a sentence_normalizer: their tokens share strings
+        # one call per text sentence, then one per distinct raw arc token:
+        # Foo, bar, and foo
+        assert calls == ["Foo bar", "foo", "Foo bar", "Foo", "bar,", "foo"]
         sentences = corpus["t"].sentences
         assert sentences[0][0] is sentences[1][0] is sentences[2][0]
         # every arc with one raw token holds the same string object
@@ -446,6 +440,29 @@ class TestLoadCorpusPerDistinctToken:
         line = {"id": "d", "kind": "speech", "utterances": [[[[["a"], 1.0]]]]}
         with pytest.raises(DataError, match=r"corpus\.jsonl:1: .*non-string token"):
             load_corpus(write_corpus(tmp_path / "corpus.jsonl", [line]))
+
+
+class TestTokensSharedAcrossFiles:
+    def test_one_word_is_one_object_in_every_file(self, tmp_path):
+        objs = [
+            {"id": "t", "kind": "text", "sentences": ["Foo, bar"]},
+            {"id": "s", "kind": "speech", "utterances": [[[["foo.", 1.0]]]]},
+        ]
+        corpus = load_corpus(write_corpus(tmp_path / "corpus.jsonl", objs))
+        hyps_path = tmp_path / "mt_hyps.tsv"
+        hyps_path.write_text("s1\tt\t0\tFOO bar\n", encoding="utf-8")
+        hyps = load_mt_hypotheses(hyps_path)
+        queries_path = tmp_path / "queries.tsv"
+        queries_path.write_text("Q1\t(foo)\n", encoding="utf-8")
+        (query,) = load_queries(queries_path)
+        tokens = [
+            corpus["t"].sentences[0][0],
+            corpus["s"].utterances[0].tokens[0],
+            hyps.hypotheses["s1"][("t", 0)][0],
+            query.phrases[0][0],
+        ]
+        assert tokens == ["foo"] * 4
+        assert all(token is tokens[0] for token in tokens)
 
 
 SLOTS = st.lists(

@@ -16,7 +16,7 @@ from clirset.corpus import (
     Document,
     bitext_doc_id,
     data_lines,
-    normalize_sentence,
+    normalize,
     parse_index,
     parse_query,
     split_tsv,
@@ -294,12 +294,12 @@ class TestIO:
 
 
 def per_line_load_mt_hypotheses(path) -> MtHypothesisSet:
-    """load_mt_hypotheses as it was before it shared strings, verbatim."""
+    """load_mt_hypotheses without its shared keys: a new key tuple per line."""
     hypotheses = {}
     for lineno, line in data_lines(path):
         system, doc_id, index_raw, text = split_tsv(path, lineno, line, 4)
         index = parse_index(path, lineno, index_raw)
-        sentence = normalize_sentence(text)
+        sentence = normalize(text)
         if not sentence:
             raise DataError(
                 f"{path}:{lineno}: hypothesis normalizes to no tokens"

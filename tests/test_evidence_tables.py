@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from corpus_helpers import from_slots
 from evidence_cells import matrix_over
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from clirset.corpus import ConfusionNetwork, Corpus, Document, TranslationTable
@@ -161,93 +161,7 @@ class TestBuildEvidence:
         assert list(m_text.iter_cells()) == list(m_speech.iter_cells())
 
 
-# Foreign tokens the drawn tables may hold, one token they never hold,
-# the English words they may translate to, and one word none reaches.
-FOREIGN = ["fa", "fb", "fc", "fd"]
-ABSENT = ["zz"]
-ENGLISH = ["ea", "eb", "ec", "ed"]
-GHOSTS = ["nobody"]
-
-# A share of probability mass; 1.0 often, so that prob-1.0 entries and
-# arcs occur.
-SHARE = st.one_of(st.just(1.0), st.floats(1e-3, 1.0))
-
-
-@st.composite
-def tables(draw):
-    """A table whose rows each split at most all of their mass."""
-    entries = {}
-    for foreign in draw(st.lists(st.sampled_from(FOREIGN), unique=True)):
-        row = draw(st.lists(st.sampled_from(ENGLISH), min_size=1, unique=True))
-        entries[foreign] = {english: draw(SHARE) / len(row) for english in row}
-    return table(entries)
-
-
-@st.composite
-def slots(draw):
-    tokens = draw(st.lists(st.sampled_from(FOREIGN + ABSENT), min_size=1, max_size=3))
-    return tuple((token, draw(SHARE) / len(tokens)) for token in tokens)
-
-
-SENTENCES = st.lists(
-    st.sampled_from(FOREIGN + ABSENT), min_size=1, max_size=5
-).map(tuple)
-NETWORKS = st.lists(slots(), min_size=1, max_size=4).map(
-    lambda drawn: from_slots(tuple(drawn))
-)
-DOCUMENTS = st.one_of(
-    st.lists(SENTENCES, min_size=1, max_size=3).map(
-        lambda sentences: ("text", tuple(sentences))
-    ),
-    st.lists(NETWORKS, min_size=1, max_size=3).map(
-        lambda networks: ("speech", tuple(networks))
-    ),
-)
-
-
-def per_arc_cells(t, corpus, words, epsilon):
-    """Table evidence one word and one arc at a time, floored and sorted."""
-    cells = []
-    for doc in corpus:
-        for index, segment in enumerate(doc.segments):
-            for word in words:
-                best = 0.0
-                if isinstance(segment, ConfusionNetwork):
-                    for slot in segment.slots:
-                        for foreign, arc_prob in slot:
-                            prob = t.entries.get(foreign, {}).get(word)
-                            if prob is not None and prob * arc_prob > best:
-                                best = prob * arc_prob
-                else:
-                    for foreign in segment:
-                        prob = t.entries.get(foreign, {}).get(word)
-                        if prob is not None and prob > best:
-                            best = prob
-                if best > 0.0:
-                    floored = min(max(best, epsilon), 1.0 - epsilon)
-                    cells.append((doc.id, index, word, floored))
-    return sorted(cells)
-
-
 class TestTableEvidenceBitExact:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        t=tables(),
-        docs=st.lists(DOCUMENTS, min_size=1, max_size=4),
-        words=st.lists(st.sampled_from(ENGLISH + GHOSTS), unique=True),
-    )
-    def test_matches_per_arc_reference(self, t, docs, words):
-        corpus = Corpus.from_documents(
-            Document(id=f"d{i}", kind=kind, sentences=segments)
-            if kind == "text"
-            else Document(id=f"d{i}", kind=kind, utterances=segments)
-            for i, (kind, segments) in enumerate(docs)
-        )
-        matrix = build_evidence_for_words(TranslationTableGenerator(t), corpus, words)
-        got = list(matrix.iter_cells())
-        assert got == per_arc_cells(t, corpus, sorted(words), matrix.epsilon)
-        assert {word for _, _, word, _ in got} <= set(words)
-
     @pytest.mark.parametrize("n_docs", [1, 7])
     def test_binds_once_per_build(self, monkeypatch, n_docs):
         bound = []
