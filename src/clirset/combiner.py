@@ -5,6 +5,8 @@ for a negative one; the mixture likelihood of an instance is sum_k
 lambda_k * q_k. EM alternates responsibilities r_k proportional to
 lambda_k * q_k with the weight update lambda_k = mean responsibility,
 which drives the log-likelihood monotonically upward from uniform init.
+em_fit runs that update in its multiplicative form,
+lambda <- lambda * ((1 / (q @ lambda)) @ q), renormalized to sum to 1.
 
 Weights persist as TSV `generator-tag <TAB> weight` rows with a
 `#loglik=<value>` trailer line.
@@ -41,9 +43,6 @@ COMBINED_TAG = "combined"
 
 LOGLIK_PREFIX = "#loglik="
 
-# Instances em_fit works on at a time, so that a block's buffers stay in cache.
-_BLOCK_INSTANCES = 16384
-
 
 @dataclass(frozen=True)
 class MixtureWeights:
@@ -59,10 +58,7 @@ class MixtureWeights:
             raise DataError("mixture with no weights")
         total = 0.0
         for tag, weight in self.weights.items():
-            if not math.isfinite(weight):
-                raise DataError(f"mixture weight for {tag!r} is not finite")
-            if weight < 0.0:
-                raise DataError(f"mixture weight for {tag!r} is negative")
+            _check_weight(tag, weight)
             total += weight
         if abs(total - 1.0) > 1e-9:
             raise DataError(f"mixture weights sum to {total!r}, not 1")
@@ -74,6 +70,14 @@ class MixtureWeights:
         if len(set(tags)) != len(tags):
             raise DataError("duplicate generator tags")
         return cls({tag: 1.0 / len(tags) for tag in tags})
+
+
+def _check_weight(tag: str, weight: float, where: str = "") -> None:
+    """Raise DataError, prefixed by `where`, unless `weight` is finite and >= 0."""
+    if not math.isfinite(weight):
+        raise DataError(f"{where}mixture weight for {tag!r} is not finite")
+    if weight < 0.0:
+        raise DataError(f"{where}mixture weight for {tag!r} is negative")
 
 
 def check_tags(mixture: MixtureWeights, tags: Sequence[str]) -> None:
@@ -122,17 +126,16 @@ def em_fit(
     at the cap while still improving. Returns the weights and the
     per-iteration log-likelihood trace (evaluated after each update).
 
-    The buffers are allocated once per fit: a contiguous copy of q's
-    columns, the n-long row sums, and two block-sized buffers. An iteration
-    walks the instances in blocks of _BLOCK_INSTANCES. Per block, the
-    weighted columns and their row sums fill the (generators x block)
-    buffer, and the responsibilities are divided into the transpose of the
-    (block x generators) one. The running per-generator sums are added into
-    that block's first row, and np.einsum("ij->j") sums each generator's
-    column front to back, as numpy's mean(axis=0) over the (n, k) matrix
-    does. With one generator every responsibility is exactly 1.0, so its
-    sums are exact in any order. The log-likelihood is always
-    sum(log(q @ lam)) over the whole of q.
+    An iteration is the textbook update, lambda_k = mean over instances of
+    lambda_k * q_k / (q @ lambda), written as one multiplicative step:
+    lambda * ((1 / (q @ lambda)) @ q), divided by its sum, which is n up to
+    rounding. q @ lambda is the one the log-likelihood just computed, and
+    the sum over instances is one BLAS product over q as it is stored.
+    Two n-long buffers are allocated once per fit: q @ lambda, and one
+    that holds its reciprocal and then its log. The results agree with the
+    textbook loop to rounding (weights within about 1e-13), not bit for
+    bit; with one generator the weights are exactly [1.0]. The
+    log-likelihood is sum(log(q @ lambda)).
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
@@ -140,27 +143,16 @@ def em_fit(
     if not np.all((q > 0.0) & np.isfinite(q)):
         raise DataError("EM instance likelihoods must be finite and positive")
     n, k = q.shape
-    columns = np.ascontiguousarray(q.T)  # one contiguous row per generator
-    total = np.empty(n)
-    size = min(_BLOCK_INSTANCES, n)
-    weighted = np.empty((k, size))
-    resp = np.empty((size, k))
+    mixed = np.empty(n)
+    work = np.empty(n)
     lam = np.full(k, 1.0 / k)
     history: list[float] = []
-    prev = _loglik(q, lam, total)
+    prev = _loglik(q, lam, mixed, work)
     for _ in range(max_iter):
-        sums = np.zeros(k)
-        for first in range(0, n, size):
-            last = min(first + size, n)
-            w = weighted[:, : last - first]
-            r = resp[: last - first]
-            np.multiply(columns[:, first:last], lam[:, None], out=w)
-            _row_sums(w, total[first:last], r)
-            np.divide(w, total[first:last], out=r.T)
-            r[0] += sums
-            sums = np.einsum("ij->j", r)
-        lam = sums / n
-        loglik = _loglik(q, lam, total)
+        np.divide(1.0, mixed, out=work)
+        lam = lam * (work @ q)
+        lam /= lam.sum()
+        loglik = _loglik(q, lam, mixed, work)
         history.append(loglik)
         gain = loglik - prev
         if gain < tol:
@@ -177,10 +169,12 @@ def em_fit(
     return lam, history
 
 
-def _loglik(q: np.ndarray, lam: np.ndarray, out: np.ndarray) -> float:
-    """sum(log(q @ lam)), computed in `out`."""
-    np.matmul(q, lam, out=out)
-    return float(np.sum(np.log(out, out=out)))
+def _loglik(
+    q: np.ndarray, lam: np.ndarray, mixed: np.ndarray, work: np.ndarray
+) -> float:
+    """sum(log(q @ lam)), leaving q @ lam in `mixed` and its log in `work`."""
+    np.matmul(q, lam, out=mixed)
+    return float(np.sum(np.log(mixed, out=work)))
 
 
 def _kkt_gap(q: np.ndarray, lam: np.ndarray) -> float:
@@ -196,24 +190,6 @@ def _kkt_gap(q: np.ndarray, lam: np.ndarray) -> float:
     return float(np.max(np.where(lam > 0.0, np.abs(excess), np.maximum(excess, 0.0))))
 
 
-def _row_sums(weighted: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write each instance's sum over generators (the columns of `weighted`)
-    to `out`.
-
-    The sums are added in the order numpy's sum(axis=1) adds over the
-    (n, k) matrix: left to right for fewer than 8 generators, through
-    numpy's own blocked summation, on the transpose copied into `scratch`,
-    for more.
-    """
-    if len(weighted) >= 8:
-        np.copyto(scratch, weighted.T)
-        scratch.sum(axis=1, out=out)
-        return
-    np.copyto(out, weighted[0])
-    for w in weighted[1:]:
-        np.add(out, w, out=out)
-
-
 def _instance_q(
     matrices: Sequence[EvidenceMatrix],
     bitext: Bitext,
@@ -225,8 +201,8 @@ def _instance_q(
 
     Each matrix is read into one (vocabulary x pairs) table, and each
     instance's value is gathered from it at its (word, pair). Only q
-    outlives the call; the instances and the table are freed before the
-    EM allocates its buffers.
+    outlives the call; the instances and the table are freed before EM
+    allocates its two n-long buffers.
     """
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
     positive = instances.label == 1
@@ -289,8 +265,15 @@ def save_weights(mixture: MixtureWeights, path) -> None:
 def load_weights(path) -> MixtureWeights:
     weights: dict[str, float] = {}
     loglik: float | None = None
+    loglik_line = 0
     for lineno, line in data_lines(path):
         if line.startswith(LOGLIK_PREFIX):
+            if loglik_line:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate #loglik line"
+                    f" (first at line {loglik_line})"
+                )
+            loglik_line = lineno
             try:
                 loglik = float(line[len(LOGLIK_PREFIX) :])
             except ValueError as exc:
@@ -302,6 +285,7 @@ def load_weights(path) -> MixtureWeights:
         if tag in weights:
             raise DataError(f"{path}:{lineno}: duplicate tag {tag!r}")
         weights[tag] = parse_prob(path, lineno, weight_raw)
+        _check_weight(tag, weights[tag], f"{path}:{lineno}: ")
     if not weights:
         raise DataError(f"{path}: empty mixture weight file")
     try:

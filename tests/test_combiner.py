@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import clirset.combiner as combiner_module
 from clirset.combiner import (
-    _BLOCK_INSTANCES,
     MixtureWeights,
     combine,
     em_fit,
@@ -231,7 +230,8 @@ class TestEmFit:
 
 
 def em_fit_on_the_matrix(q, tol, max_iter):
-    """em_fit as it was before it worked on per-generator columns, verbatim."""
+    """Textbook EM over the whole (n, k) matrix: responsibilities, then their
+    mean over instances."""
     q = np.asarray(q, dtype=float)
     n, k = q.shape
     lam = np.full(k, 1.0 / k)
@@ -257,7 +257,21 @@ def planted_q(n, k, seed, levels):
     return rng.uniform(1e-6, 1.0, size=(n, k))
 
 
-class TestEmFitBitExact:
+def assert_matches_the_matrix_loop(q, tol, max_iter):
+    """em_fit stops after as many iterations as the textbook loop, with
+    weights within 1e-12 and a log-likelihood trace within a relative
+    1e-12; with one generator, exactly [1.0] and the same trace."""
+    lam, history = em_fit(q, tol, max_iter)
+    want_lam, want_history = em_fit_on_the_matrix(q, tol, max_iter)
+    assert len(history) == len(want_history)
+    if q.shape[1] == 1:
+        assert lam.tolist() == [1.0]
+        assert history == want_history
+    np.testing.assert_allclose(lam, want_lam, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(history, want_history, rtol=1e-12, atol=0.0)
+
+
+class TestEmFitMatchesTheMatrixLoop:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 3000),
@@ -268,45 +282,24 @@ class TestEmFitBitExact:
         max_iter=st.integers(1, 40),
     )
     def test_matches_the_matrix_loop(self, n, k, seed, levels, tol, max_iter):
-        q = planted_q(n, k, seed, levels)
-        lam, history = em_fit(q, tol, max_iter)
-        want_lam, want_history = em_fit_on_the_matrix(q, tol, max_iter)
-        assert lam.tolist() == want_lam.tolist()
-        assert history == want_history
+        assert_matches_the_matrix_loop(planted_q(n, k, seed, levels), tol, max_iter)
 
     @pytest.mark.parametrize("k", [5, 7, 8, 9, 12])
     def test_matches_the_matrix_loop_for_many_generators(self, k):
-        q = planted_q(2000, k, k, 0)
-        lam, history = em_fit(q, 1e-12, 30)
-        want_lam, want_history = em_fit_on_the_matrix(q, 1e-12, 30)
-        assert lam.tolist() == want_lam.tolist()
-        assert history == want_history
+        assert_matches_the_matrix_loop(planted_q(2000, k, k, 0), 1e-12, 30)
 
     @pytest.mark.parametrize("levels", [0, 7])
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
-    @pytest.mark.parametrize(
-        "n",
-        [
-            _BLOCK_INSTANCES - 1,
-            _BLOCK_INSTANCES,
-            _BLOCK_INSTANCES + 1,
-            2 * _BLOCK_INSTANCES + 1362,
-        ],
-    )
+    @pytest.mark.parametrize("n", [16383, 16384, 16385, 34130])
     def test_matches_the_matrix_loop_across_blocks(self, n, k, levels):
-        q = planted_q(n, k, n + k, levels)
-        lam, history = em_fit(q, -math.inf, 25)
-        want_lam, want_history = em_fit_on_the_matrix(q, -math.inf, 25)
-        assert lam.tolist() == want_lam.tolist()
-        assert history == want_history
+        assert_matches_the_matrix_loop(planted_q(n, k, n + k, levels), -math.inf, 25)
 
 
 class TestEmFitMemory:
     def test_peak_is_its_buffers_at_any_iteration_count(self):
-        """em_fit allocates its per-instance buffers once: a contiguous copy
-        of q's columns (as large as q), the row sums (a third of q) and two
-        buffers of one block of instances each. Nothing of that size is
-        allocated per iteration."""
+        """em_fit allocates two n-long buffers once, q @ lambda and one for
+        its reciprocal and its log: two thirds of a 3-generator q. Nothing of
+        that size is allocated per iteration."""
         q = planted_q(100_000, 3, 0, 0)
         peaks = []
         for max_iter in (5, 50):
@@ -318,7 +311,7 @@ class TestEmFitMemory:
                 tracemalloc.stop()
             assert len(history) == max_iter
             peaks.append(peak)
-        assert max(peaks) <= 1.8 * q.nbytes
+        assert max(peaks) <= 0.8 * q.nbytes
         # equal up to the growing history list: far below one 800 kB row
         assert abs(peaks[1] - peaks[0]) < 4096
 
@@ -548,7 +541,7 @@ class TestWeightsIO:
     def test_bad_sum_rejected_on_load(self, tmp_path):
         path = tmp_path / "w.tsv"
         path.write_text("a\t0.5\nb\t0.6\n")
-        with pytest.raises(DataError, match="sum"):
+        with pytest.raises(DataError, match=r"w\.tsv: mixture weights sum to"):
             load_weights(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -561,5 +554,21 @@ class TestWeightsIO:
     def test_invalid_weights_name_the_file(self, tmp_path):
         path = tmp_path / "w.tsv"
         path.write_text("\t-0.5\nb\t1.5\n")
-        with pytest.raises(DataError, match=r"w\.tsv: mixture weight for '' is negative"):
+        with pytest.raises(DataError, match=r"w\.tsv:1: mixture weight for '' is negative"):
+            load_weights(path)
+
+    def test_non_finite_weight_names_its_line(self, tmp_path):
+        path = tmp_path / "w.tsv"
+        path.write_text("mt\t0.5\ntable\tnan\n")
+        with pytest.raises(
+            DataError, match=r"w\.tsv:2: mixture weight for 'table' is not finite"
+        ):
+            load_weights(path)
+
+    def test_second_loglik_line_rejected(self, tmp_path):
+        path = tmp_path / "w.tsv"
+        path.write_text("a\t0.5\nb\t0.5\n#loglik=-3.0\n#loglik=-2.0\n")
+        with pytest.raises(
+            DataError, match=r"w\.tsv:4: duplicate #loglik line \(first at line 3\)"
+        ):
             load_weights(path)

@@ -9,16 +9,23 @@ sum over segments would round differently from the sequential one. A
 third test pins the `dump-evidence` file of each generator (table, MT,
 searcher) on the noisy world, MT's background cells included, and a
 fourth every file `synth` writes, for those two worlds and for an
-all-speech one whose decoy pool barely exceeds its depth. A
+all-speech one whose decoy pool barely exceeds its depth. A fifth runs
+`fit-mixture` on the noisy world with one BLAS thread and with two and
+compares the weights byte for byte. A
 refactor that must not change outputs fails here, in seconds, before the
 benchmark's own output checks run. A change that alters outputs on
 purpose re-records the digests and says why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clirset
 from clirset.cli import main
 from clirset.synth import DATASET_FILES
 
@@ -36,13 +43,13 @@ EXPECTED_SHA256 = {
         "08a61c50a35faa602aa10120747cba28b2069a84d5788eeec57dc72c7c4be6d0"
     ),
     "weights.tsv": (
-        "3005b0976bdfc1eb4d746d8b61b21c43fafc83c096e9c9cdd4bee1a8888b5262"
+        "8bf7fa9cc75be456271c6042e5ec1aadfe4b718f34807d2aa875648c498aec2b"
     ),
     "run/ranked.run": (
-        "3ef189e8681f76798e2453cbe6b800df4f54bf0a0af559ee99e8c7f9aa80757e"
+        "d38b7e462cedd5ff036c9a770d0dd9d2d7bbbcda0a02c892054cfef2d76fbbad"
     ),
     "run/cutoffs.tsv": (
-        "4c969d753c46309799cbfbe07c81376ffa7c10ada7b8000d3af10f4d4b5958bb"
+        "cc19cd059aaca414fe7ebd758e4c186826b8b5d07b678d902e2bf8498da1bcb8"
     ),
     "run/sets.tsv": (
         "43a08c4a2281725f26b50c931a1e502ed970b7792e607bf14fcab5337e00fc34"
@@ -76,30 +83,68 @@ def digests(root, names):
     }
 
 
-def test_pipeline_outputs_match_recorded_digests(tmp_path):
-    data, out = tmp_path / "data", tmp_path / "out"
+def fit_models(data, out):
+    """`synth` the noisy world into `data`, then fit its MT ensemble and
+    train its searcher into `out`."""
     out.mkdir()
     bitext = ["--bitext", str(data / "bitext.tsv")]
-    generators = [
-        "--table", str(data / "table.tsv"),
-        "--mt-hyps", str(data / "mt_hyps.tsv"),
-        "--mt-model", str(out / "mt.json"),
-        "--searcher-model", str(out / "searcher.npz"),
-    ]
     steps = [
         SYNTH + ["--out", str(data)],
         ["fit-ensemble", *bitext, "--mt-hyps", str(data / "mt_hyps.tsv"),
          "--out", str(out / "mt.json")],
         ["train-searcher", *bitext, "--dim", "4", "--epochs", "2",
          "--out", str(out / "searcher.npz")],
-        ["fit-mixture", *bitext, *generators, "--out", str(out / "weights.tsv")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv[0]
+
+
+def generators(data, out):
+    return [
+        "--table", str(data / "table.tsv"),
+        "--mt-hyps", str(data / "mt_hyps.tsv"),
+        "--mt-model", str(out / "mt.json"),
+        "--searcher-model", str(out / "searcher.npz"),
+    ]
+
+
+def fit_mixture_argv(data, out, weights):
+    return [
+        "fit-mixture", "--bitext", str(data / "bitext.tsv"), *generators(data, out),
+        "--out", str(weights),
+    ]
+
+
+def test_pipeline_outputs_match_recorded_digests(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    fit_models(data, out)
+    steps = [
+        fit_mixture_argv(data, out, out / "weights.tsv"),
         ["retrieve", "--corpus", str(data / "corpus.jsonl"),
-         "--queries", str(data / "queries.tsv"), *generators,
+         "--queries", str(data / "queries.tsv"), *generators(data, out),
          "--weights", str(out / "weights.tsv"), "--out", str(out / "run")],
     ]
     for argv in steps:
         assert main(argv) == 0, argv[0]
     assert digests(out, EXPECTED_SHA256) == EXPECTED_SHA256
+
+
+def test_fit_mixture_weights_do_not_depend_on_blas_threads(tmp_path):
+    """EM sums over instances inside a BLAS product: `fit-mixture` writes the
+    same `weights.tsv` bytes with one OpenBLAS thread and with two."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    fit_models(data, out)
+    path = os.pathsep.join(
+        filter(None, [str(Path(clirset.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    )
+    written = []
+    for threads in ("1", "2"):
+        weights = out / f"weights-{threads}.tsv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        argv = [sys.executable, "-m", "clirset.cli", *fit_mixture_argv(data, out, weights)]
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+        written.append(weights.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_table_only_long_speech_documents_match_recorded_digests(tmp_path):
@@ -130,15 +175,9 @@ DUMP_EVIDENCE_SHA256 = {
 def test_dump_evidence_matches_recorded_digests(tmp_path):
     """`dump-evidence` of each generator on the noisy world, byte for byte."""
     data, out = tmp_path / "data", tmp_path / "out"
-    out.mkdir()
-    bitext = ["--bitext", str(data / "bitext.tsv")]
+    fit_models(data, out)
     inputs = ["--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "queries.tsv")]
     steps = [
-        SYNTH + ["--out", str(data)],
-        ["fit-ensemble", *bitext, "--mt-hyps", str(data / "mt_hyps.tsv"),
-         "--out", str(out / "mt.json")],
-        ["train-searcher", *bitext, "--dim", "4", "--epochs", "2",
-         "--out", str(out / "searcher.npz")],
         ["dump-evidence", *inputs, "--table", str(data / "table.tsv"),
          "--out", str(out / "table.tsv")],
         ["dump-evidence", *inputs, "--mt-hyps", str(data / "mt_hyps.tsv"),
