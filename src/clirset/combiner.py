@@ -7,6 +7,8 @@ lambda_k * q_k with the weight update lambda_k = mean responsibility,
 which drives the log-likelihood monotonically upward from uniform init.
 em_fit runs that update in its multiplicative form,
 lambda <- lambda * ((1 / (q @ lambda)) @ q), renormalized to sum to 1.
+An instance enters only through its row of q, so fit_mixture hands EM
+the distinct rows of q, each weighted by how many instances share it.
 
 Weights persist as TSV `generator-tag <TAB> weight` rows with a
 `#loglik=<value>` trailer line.
@@ -118,6 +120,7 @@ def em_fit(
     q: np.ndarray,
     tol: float = DEFAULT_EM_TOLERANCE,
     max_iter: int = DEFAULT_EM_MAX_ITERATIONS,
+    counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[float]]:
     """EM for mixture weights on an (instances x generators) matrix of q_k.
 
@@ -126,16 +129,21 @@ def em_fit(
     at the cap while still improving. Returns the weights and the
     per-iteration log-likelihood trace (evaluated after each update).
 
+    `counts`, if given, holds a positive weight per row: row i stands for
+    counts[i] instances that share it (see _distinct_rows), and the fit is
+    the one over the rows repeated that many times, to rounding.
+
     An iteration is the textbook update, lambda_k = mean over instances of
     lambda_k * q_k / (q @ lambda), written as one multiplicative step:
-    lambda * ((1 / (q @ lambda)) @ q), divided by its sum, which is n up to
-    rounding. q @ lambda is the one the log-likelihood just computed, and
-    the sum over instances is one BLAS product over q as it is stored.
-    Two n-long buffers are allocated once per fit: q @ lambda, and one
-    that holds its reciprocal and then its log. The results agree with the
-    textbook loop to rounding (weights within about 1e-13), not bit for
-    bit; with one generator the weights are exactly [1.0]. The
-    log-likelihood is sum(log(q @ lambda)).
+    lambda * ((counts / (q @ lambda)) @ q), divided by its sum, which is
+    the number of instances up to rounding. q @ lambda is the one the
+    log-likelihood just computed, and the sum over rows is one BLAS
+    product over q as it is stored. Two row-long buffers are allocated
+    once per fit: q @ lambda, and one that holds counts over it and then
+    the count-weighted log. The results agree with the textbook loop to
+    rounding (weights within about 1e-13), not bit for bit; with one
+    generator the weights are exactly [1.0]. The log-likelihood is
+    sum(counts * log(q @ lambda)), and without counts sum(log(q @ lambda)).
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
@@ -143,16 +151,17 @@ def em_fit(
     if not np.all((q > 0.0) & np.isfinite(q)):
         raise DataError("EM instance likelihoods must be finite and positive")
     n, k = q.shape
+    weight = 1.0 if counts is None else np.asarray(counts, dtype=float)
     mixed = np.empty(n)
     work = np.empty(n)
     lam = np.full(k, 1.0 / k)
     history: list[float] = []
-    prev = _loglik(q, lam, mixed, work)
+    prev = _loglik(q, lam, weight, mixed, work)
     for _ in range(max_iter):
-        np.divide(1.0, mixed, out=work)
+        np.divide(weight, mixed, out=work)
         lam = lam * (work @ q)
         lam /= lam.sum()
-        loglik = _loglik(q, lam, mixed, work)
+        loglik = _loglik(q, lam, weight, mixed, work)
         history.append(loglik)
         gain = loglik - prev
         if gain < tol:
@@ -170,24 +179,37 @@ def em_fit(
 
 
 def _loglik(
-    q: np.ndarray, lam: np.ndarray, mixed: np.ndarray, work: np.ndarray
+    q: np.ndarray, lam: np.ndarray, weight, mixed: np.ndarray, work: np.ndarray
 ) -> float:
-    """sum(log(q @ lam)), leaving q @ lam in `mixed` and its log in `work`."""
+    """sum(weight * log(q @ lam)), leaving q @ lam in `mixed` and the
+    weighted log in `work`."""
     np.matmul(q, lam, out=mixed)
-    return float(np.sum(np.log(mixed, out=work)))
+    np.log(mixed, out=work)
+    work *= weight
+    return float(np.sum(work))
 
 
-def _kkt_gap(q: np.ndarray, lam: np.ndarray) -> float:
+def _kkt_gap(q: np.ndarray, lam: np.ndarray, counts: np.ndarray | None = None) -> float:
     """How far `lam` is from the maximum of the log-likelihood over the simplex.
 
-    With g_k = mean(q_k / (q @ lam)), the maximum has g_k = 1 wherever
+    With g_k the mean of q_k / (q @ lam) over the rows, each taken
+    `counts` times (once without counts), the maximum has g_k = 1 wherever
     lam_k > 0 and g_k <= 1 wherever lam_k = 0 (its KKT conditions). The
     gap is the largest violation: |g_k - 1| over the first generators and
     max(0, g_k - 1) over the second.
     """
-    mixed = q @ lam
-    excess = np.array([np.mean(column / mixed) for column in q.T]) - 1.0
+    weight, total = (1.0, len(q)) if counts is None else (counts, counts.sum())
+    excess = (weight / (q @ lam)) @ q / total - 1.0
     return float(np.max(np.where(lam > 0.0, np.abs(excess), np.maximum(excess, 0.0))))
+
+
+def _distinct_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of q in lexicographic order and their counts, as
+    floats: one lexsort, then a row is new where it differs from the last
+    (np.unique(q, axis=0) finds the same rows several times slower)."""
+    ordered = q[np.lexsort(q.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    return ordered[starts], np.diff(starts, append=len(q)).astype(float)
 
 
 def _instance_q(
@@ -201,8 +223,8 @@ def _instance_q(
 
     Each matrix is read into one (vocabulary x pairs) table, and each
     instance's value is gathered from it at its (word, pair). Only q
-    outlives the call; the instances and the table are freed before EM
-    allocates its two n-long buffers.
+    outlives the call; the instances and the table are freed before
+    fit_mixture collapses q to its distinct rows.
     """
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
     positive = instances.label == 1
@@ -238,11 +260,12 @@ def fit_mixture(
         raise DataError("duplicate generator tags among matrices")
     if not matrices:
         raise DataError("cannot fit a mixture over no matrices")
-    q = _instance_q(matrices, bitext, vocab, m_neg, seed)
-    lam, history = em_fit(q)
+    rows, counts = _distinct_rows(_instance_q(matrices, bitext, vocab, m_neg, seed))
+    lam, history = em_fit(rows, counts=counts)
     log.info(
-        "fit mixture over %d instances, %d iterations, loglik %.6f",
-        len(q),
+        "fit mixture over %d instances in %d distinct rows, %d iterations, loglik %.6f",
+        counts.sum(),
+        len(rows),
         len(history),
         history[-1] if history else float("nan"),
     )
@@ -250,7 +273,7 @@ def fit_mixture(
         {tag: float(w) for tag, w in zip(tags, lam)},
         loglik=history[-1] if history else None,
         loglik_history=tuple(history),
-        kkt_gap=_kkt_gap(q, lam),
+        kkt_gap=_kkt_gap(rows, lam, counts),
     )
 
 

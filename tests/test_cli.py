@@ -394,7 +394,9 @@ class TestTrainers:
         weights = (tmp_path / "weights.tsv").read_bytes()
         assert 5 < iterations < combiner_module.DEFAULT_EM_MAX_ITERATIONS
         em_fit = combiner_module.em_fit
-        monkeypatch.setattr(combiner_module, "em_fit", lambda q: em_fit(q, max_iter=5))
+        monkeypatch.setattr(
+            combiner_module, "em_fit", lambda q, counts: em_fit(q, max_iter=5, counts=counts)
+        )
         cut_gap, cut_iterations = printed()
         assert cut_iterations == 5
         assert 0.0 <= converged_gap < cut_gap

@@ -295,6 +295,45 @@ class TestEmFitMatchesTheMatrixLoop:
         assert_matches_the_matrix_loop(planted_q(n, k, n + k, levels), -math.inf, 25)
 
 
+class TestEmFitOverCountedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 1000),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([2, 7, 50]),
+        tol=st.sampled_from([1e-8, 1e-5, 1e-3, 0.1]),
+        max_iter=st.integers(1, 40),
+    )
+    def test_counts_repeat_rows(self, n, k, seed, levels, tol, max_iter):
+        """Rows weighted by counts fit as the rows repeated that many times:
+        as many iterations, weights within 1e-12, a trace within a relative
+        1e-12."""
+        rows = planted_q(n, k, seed, levels)
+        counts = np.random.default_rng(seed + 1).integers(1, 20, size=n)
+        lam, history = em_fit(rows, tol, max_iter, counts.astype(float))
+        want_lam, want_history = em_fit(np.repeat(rows, counts, axis=0), tol, max_iter)
+        assert len(history) == len(want_history)
+        np.testing.assert_allclose(lam, want_lam, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(history, want_history, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([0, 2, 7, 50]),
+    )
+    def test_distinct_rows_repeated_by_their_counts_are_q(self, n, k, seed, levels):
+        q = planted_q(n, k, seed, levels)
+        rows, counts = combiner_module._distinct_rows(q)
+        assert counts.dtype == float and counts.sum() == n
+        # strictly increasing in lexicographic order, so each row once
+        assert all(a < b for a, b in zip(rows.tolist(), rows[1:].tolist()))
+        expanded = np.repeat(rows, counts.astype(int), axis=0)
+        assert expanded.tolist() == sorted(q.tolist())
+
+
 class TestEmFitMemory:
     def test_peak_is_its_buffers_at_any_iteration_count(self):
         """em_fit allocates two n-long buffers once, q @ lambda and one for
@@ -357,6 +396,28 @@ def instance_q(matrices, instances):
     )
 
 
+def fit_mixture_over_rows(matrices, bitext, vocab, m_neg, seed):
+    """fit_mixture's result, and the rows and counts it handed em_fit."""
+    seen = []
+
+    def spy(rows, counts):
+        seen.append((rows, counts))
+        return em_fit(rows, counts=counts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combiner_module, "em_fit", spy)
+        fitted = fit_mixture(matrices, bitext, vocab, m_neg=m_neg, seed=seed)
+    [(rows, counts)] = seen
+    return fitted, rows, counts
+
+
+def assert_rows_repeat_to(rows, counts, q):
+    """Each row repeated by its count is q, in some order, value for value."""
+    assert np.array_equal(counts, np.round(counts))
+    expanded = np.repeat(rows, counts.astype(int), axis=0)
+    assert sorted(expanded.tolist()) == sorted(q.tolist())
+
+
 def em_warnings(caplog):
     return [
         record.getMessage()
@@ -381,6 +442,14 @@ class TestKktGap:
         assert combiner_module._kkt_gap(self.Q, np.array([0.5, 0.5])) == pytest.approx(
             max(abs(g - 1.0))
         )
+
+    def test_a_repeated_row_counts_twice(self):
+        q = np.array([[0.9, 0.5], [0.8, 0.4], [0.9, 0.5]])
+        for lam in ([0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.3, 0.7]):
+            lam = np.array(lam)
+            assert combiner_module._kkt_gap(
+                self.Q, lam, np.array([2.0, 1.0])
+            ) == pytest.approx(combiner_module._kkt_gap(q, lam), abs=1e-15)
 
 
 class TestFitMixture:
@@ -466,13 +535,20 @@ class TestFitMixture:
         ]
         instances = labeled_instances(bitext, vocab, m_neg, random.Random(3))
         q = instance_q(matrices, instances)
-        fitted = fit_mixture(matrices, bitext, vocab, m_neg=m_neg, seed=3)
+        fitted, rows, counts = fit_mixture_over_rows(
+            matrices, bitext, vocab, m_neg=m_neg, seed=3
+        )
+        assert_rows_repeat_to(rows, counts, q)
+        # EM sums over the counted rows, so it matches EM over q to rounding
         lam, history = em_fit(q)
-        assert [fitted.weights[m.generator] for m in matrices] == lam.tolist()
-        assert list(fitted.loglik_history) == history
+        np.testing.assert_allclose(
+            [fitted.weights[m.generator] for m in matrices], lam, rtol=0.0, atol=1e-12
+        )
+        assert len(fitted.loglik_history) == len(history)
+        np.testing.assert_allclose(fitted.loglik_history, history, rtol=1e-12, atol=0.0)
 
 
-    def test_q_reads_the_background_where_no_cell_is_stored(self, monkeypatch):
+    def test_q_reads_the_background_where_no_cell_is_stored(self):
         """MT's background is sigmoid(bias), not the floor: it is what q holds
         for a word no translation of the pair holds, and for the words the
         matrix has no column for."""
@@ -488,9 +564,9 @@ class TestFitMixture:
         sharp, _ = sharp_and_flat(bitext, vocab)
         assert mt.filled and mt.background > 100 * mt.epsilon
         assert set(vocab.tokens) - set(mt.cells_at(keys, vocab.tokens[:4])) == {"e4", "e5"}
-        seen = []
-        monkeypatch.setattr(combiner_module, "em_fit", lambda q: seen.append(q) or em_fit(q))
-        fit_mixture([mt, sharp], bitext, vocab, m_neg=3, seed=0)
+        _, distinct, counts = fit_mixture_over_rows(
+            [mt, sharp], bitext, vocab, m_neg=3, seed=0
+        )
 
         def read(matrix, pair, word):
             rows, values = matrix.cells_at(keys, [word])[word]
@@ -504,8 +580,7 @@ class TestFitMixture:
             ]
             for inst in instances
         ]
-        [q] = seen
-        assert q.tolist() == want
+        assert_rows_repeat_to(distinct, counts, np.array(want))
         mt_reads = [read(mt, inst.pair_index, inst.word) for inst in instances]
         assert mt_reads.count(mt.background) > 0
         assert {inst.word for inst in instances} >= {"e4", "e5"}

@@ -43,13 +43,13 @@ EXPECTED_SHA256 = {
         "08a61c50a35faa602aa10120747cba28b2069a84d5788eeec57dc72c7c4be6d0"
     ),
     "weights.tsv": (
-        "8bf7fa9cc75be456271c6042e5ec1aadfe4b718f34807d2aa875648c498aec2b"
+        "6999ad4feec55a37f7c585312a9ac1dfda4fbf3ae6864fbf7ee801caf7a009b8"
     ),
     "run/ranked.run": (
-        "d38b7e462cedd5ff036c9a770d0dd9d2d7bbbcda0a02c892054cfef2d76fbbad"
+        "7ef0c4755ce2365a29e09cdb55b2890d7d26485d2cffdab5e2aa70cacc00d600"
     ),
     "run/cutoffs.tsv": (
-        "cc19cd059aaca414fe7ebd758e4c186826b8b5d07b678d902e2bf8498da1bcb8"
+        "7670958ec3fcf79598a59b4dffe99d221f8a5265bf235a1f5f8894440363def5"
     ),
     "run/sets.tsv": (
         "43a08c4a2281725f26b50c931a1e502ed970b7792e607bf14fcab5337e00fc34"
