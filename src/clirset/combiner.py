@@ -33,7 +33,7 @@ from .corpus import (
     split_tsv,
 )
 from .errors import DataError
-from .evidence.instances import DEFAULT_NEGATIVES_PER_POSITIVE, labeled_instances
+from .evidence.instances import DEFAULT_NEGATIVES_PER_POSITIVE, distinct_rows, labeled_instances
 from .evidence.matrix import EvidenceMatrix, Vocabulary, weighted_sum
 
 log = logging.getLogger(__name__)
@@ -130,7 +130,7 @@ def em_fit(
     per-iteration log-likelihood trace (evaluated after each update).
 
     `counts`, if given, holds a positive weight per row: row i stands for
-    counts[i] instances that share it (see _distinct_rows), and the fit is
+    counts[i] instances that share it (see distinct_rows), and the fit is
     the one over the rows repeated that many times, to rounding.
 
     An iteration is the textbook update, lambda_k = mean over instances of
@@ -203,15 +203,6 @@ def _kkt_gap(q: np.ndarray, lam: np.ndarray, counts: np.ndarray | None = None) -
     return float(np.max(np.where(lam > 0.0, np.abs(excess), np.maximum(excess, 0.0))))
 
 
-def _distinct_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of q in lexicographic order and their counts, as
-    floats: one lexsort, then a row is new where it differs from the last
-    (np.unique(q, axis=0) finds the same rows several times slower)."""
-    ordered = q[np.lexsort(q.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
-    return ordered[starts], np.diff(starts, append=len(q)).astype(float)
-
-
 def _instance_q(
     matrices: Sequence[EvidenceMatrix],
     bitext: Bitext,
@@ -260,7 +251,7 @@ def fit_mixture(
         raise DataError("duplicate generator tags among matrices")
     if not matrices:
         raise DataError("cannot fit a mixture over no matrices")
-    rows, counts = _distinct_rows(_instance_q(matrices, bitext, vocab, m_neg, seed))
+    rows, counts = distinct_rows(_instance_q(matrices, bitext, vocab, m_neg, seed))
     lam, history = em_fit(rows, counts=counts)
     log.info(
         "fit mixture over %d instances in %d distinct rows, %d iterations, loglik %.6f",

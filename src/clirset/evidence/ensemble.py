@@ -20,7 +20,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from ..numerics import sigmoid, softplus
 from .instances import (
     DEFAULT_NEGATIVES_PER_POSITIVE,
     LabeledInstances,
+    distinct_rows,
     labeled_instances,
 )
 from .matrix import Columns, Vocabulary
@@ -170,25 +171,6 @@ class MtEnsembleModel:
             raise DataError("ensemble bias is not finite")
 
 
-class _Groups(NamedTuple):
-    """Instances grouped by their (feature row, label)."""
-
-    features: np.ndarray  # (instances x systems)
-    first: np.ndarray  # each group's first instance
-    labels: np.ndarray  # each group's label
-    index: np.ndarray  # each instance's group
-
-    @classmethod
-    def of(cls, features: np.ndarray, labels: np.ndarray) -> "_Groups":
-        """Group 0/1 features and labels by their bits, packed per instance."""
-        if not (np.isin(features, (0.0, 1.0)).all() and np.isin(labels, (0.0, 1.0)).all()):
-            raise ValueError("ensemble features and labels must be 0 or 1")
-        bits = np.packbits(np.column_stack([labels, features]) != 0.0, axis=1)
-        keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-        return cls(features, first, labels[first], index)
-
-
 def ensemble_objective(
     weights: np.ndarray, bias: float, features: np.ndarray, labels: np.ndarray,
     l2: float,
@@ -197,32 +179,22 @@ def ensemble_objective(
 
     Returns (loss, d loss / d weights, d loss / d bias). The bias is left
     out of the penalty so an all-zero-feature fit recovers the base rate
-    exactly. Features and labels are 0 or 1; other values are a ValueError.
+    exactly.
     """
-    return _grouped_objective(weights, bias, _Groups.of(features, labels), l2)
+    return _counted_objective(weights, bias, features, labels, np.ones(len(labels)), l2)
 
 
-def _grouped_objective(
-    weights: np.ndarray, bias: float, groups: _Groups, l2: float
+def _counted_objective(
+    weights: np.ndarray, bias: float, features: np.ndarray, labels: np.ndarray,
+    counts: np.ndarray, l2: float,
 ) -> tuple[float, np.ndarray, float]:
-    """`ensemble_objective` over instances grouped once.
-
-    softplus(z) - label * z and sigmoid(z) - label are computed once per
-    group and gathered per instance; numpy's element-wise functions give a
-    value the same result wherever it sits in an array. z is read off the
-    product over every instance, at each group's first instance: BLAS may
-    sum a row's terms in another order in a matrix of another shape, so a
-    product over the groups' rows alone could round differently. The sums
-    run over every instance, in instance order. So the result is the
-    per-instance one, bit for bit, wherever BLAS gives equal rows equal
-    products (OpenBLAS 0.3.31's Haswell kernels did, for up to 7 systems).
-    """
-    z = (groups.features @ weights)[groups.first] + bias
-    n = len(groups.index)
-    loss = float(np.sum((softplus(z) - groups.labels * z).take(groups.index))) / n
+    """`ensemble_objective` over rows that each stand for `counts` instances."""
+    z = features @ weights + bias
+    n = float(counts.sum())
+    loss = float(counts @ (softplus(z) - labels * z)) / n
     loss += 0.5 * l2 * float(weights @ weights)
-    dz = (sigmoid(z) - groups.labels).take(groups.index)
-    grad_w = groups.features.T @ dz / n + l2 * weights
+    dz = counts * (sigmoid(z) - labels)
+    grad_w = features.T @ dz / n + l2 * weights
     grad_b = float(np.sum(dz)) / n
     return loss, grad_w, grad_b
 
@@ -281,13 +253,16 @@ def fit_mt_ensemble(
 
     Requires a hypothesis for every bitext sentence (addressed via the
     bitext pseudo-document ids) from every system. The fit starts from
-    zero weights and bias.
+    zero weights and bias, and runs over the distinct (label, features)
+    rows of the instances, each weighted by its count.
     """
     instances = labeled_instances(bitext, vocab, m_neg, random.Random(seed))
-    groups = _Groups.of(*_instance_features(hyps, vocab, instances))
+    features, labels = _instance_features(hyps, vocab, instances)
+    rows, counts = distinct_rows(np.column_stack([labels, features]))
+    labels, features = rows[:, 0], rows[:, 1:]
 
     def objective(w, b):
-        return _grouped_objective(w, b, groups, DEFAULT_L2)
+        return _counted_objective(w, b, features, labels, counts, DEFAULT_L2)
 
     weights, bias, loss = _minimize(
         objective, np.zeros(len(hyps.systems)), 0.0, DEFAULT_LEARNING_RATE,

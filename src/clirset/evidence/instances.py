@@ -4,9 +4,13 @@ Shared by the MT-ensemble fitter and the mixture-weight fitter so that
 both agree on what a positive and a negative example look like: positives
 are vocabulary words that occur in the reference translation, negatives
 are vocabulary words that do not, sampled uniformly with replacement at a
-fixed rate per positive. The searcher trainer reads its positives from
+fixed rate per positive. The searcher trainer reads its labels from
 the same `reference_grid`. The negatives are drawn in bulk by
 `numerics.Choices`, which `synth` shares.
+
+Both fitters see an instance only through its row of values (the MT
+ensemble's label and features, the mixture's q), so each fits over the
+`distinct_rows` of its instances, weighted by their counts.
 """
 
 from __future__ import annotations
@@ -109,3 +113,12 @@ def labeled_instances(
     if label.all():
         raise DataError("bitext yields no negative training instances")
     return LabeledInstances(vocab, np.concatenate(pairs), np.concatenate(words), label)
+
+
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order and their
+    counts, as floats: one lexsort, then a row is new where it differs from
+    the last (np.unique(a, axis=0) finds the same rows several times slower)."""
+    ordered = a[np.lexsort(a.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    return ordered[starts], np.diff(starts, append=len(a)).astype(float)

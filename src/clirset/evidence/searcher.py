@@ -14,8 +14,10 @@ complement when the vocabulary is small, otherwise a sampled subset).
 Gradients are computed in closed form; `searcher_objective` exposes the
 loss/gradient pair so finite-difference checks can run against it. A
 training step computes and updates only the parameter rows its sentence
-pair touches; with the full vocabulary scored, those are every row of
-`english_emb` and `bias`, whose gradients then come in row order.
+pair touches, subtracting repeated rows one at a time (`np.subtract.at`);
+with the full vocabulary scored, it updates `english_emb` and `bias`
+whole. The results agree with a step that builds dense gradients and
+updates every row to rounding, not bit for bit.
 
 Persisted form is a .npz archive holding the parameter arrays, both token
 lists, and a JSON manifest recording the dimension, the attention depth,
@@ -31,9 +33,8 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,65 +154,17 @@ def _contextualize(params: Mapping[str, np.ndarray], x: np.ndarray):
     return h, (x, q, k, v, attn, scale)
 
 
-# The rows of a gradient that covers every row of its parameter.
+# The rows of a gradient that covers every row of its parameter, in row order.
 _ALL_ROWS = slice(None)
 
-
-class _Ids(NamedTuple):
-    """Row ids as a step reads them, and the distinct rows they touch."""
-
-    ids: np.ndarray
-    rows: np.ndarray | slice  # the distinct ids; _ALL_ROWS when they are every row
-    slots: np.ndarray  # each id's index into rows; for every row, each row's index into ids
-    # For grouped ids and values `width` wide: `cells[i, j]` is the flat index
-    # of (i, j) in a (len(ids) x width) array, and `bins` each value's flat
-    # (slot, column) bin, `cells[slots].ravel()`.
-    cells: np.ndarray | None = None
-    bins: np.ndarray | None = None
-
-    @classmethod
-    def grouped(cls, ids: np.ndarray, width: int) -> "_Ids":
-        rows, slots = np.unique(ids, return_inverse=True)
-        cells = np.arange(len(ids) * width).reshape(len(ids), width)
-        return cls(ids, rows, slots, cells, cells[slots].ravel())
-
-    @classmethod
-    def every_row(cls, ids: np.ndarray) -> "_Ids":
-        """Ids that hold each row of their parameter once, in any order."""
-        return cls(ids, _ALL_ROWS, np.argsort(ids))
-
-    def row_grads(self, values: np.ndarray) -> np.ndarray:
-        """The gradient rows `rows`, as `np.add.at` into zeros leaves them."""
-        if self.rows is _ALL_ROWS:
-            return values.take(self.slots, axis=0) + 0.0
-        if values.ndim == 1:
-            return _add_at(self.slots, values, len(self.rows))
-        return _add_at(self.bins, values, len(self.rows))
-
-
-def _add_at(bins: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """`np.add.at(np.zeros((n, ...)), ids, values)`, by one `np.bincount`.
-
-    `bins` is `ids` for 1-D values, and each value's flat (id, column) index
-    for 2-D ones. Both add each value into its row from 0.0 in the order of
-    `ids`, so the sums are bit-identical; bincount does it without add.at's
-    per-element dispatch.
-    """
-    if values.ndim == 1:
-        return np.bincount(bins, weights=values, minlength=n)
-    width = values.shape[1]
-    sums = np.bincount(bins, weights=values.ravel(), minlength=n * width)
-    return sums.reshape(n, width)
-
-
-# One step's gradient: (parameter key, rows, values). `values` holds those
-# rows of the dense gradient, which is zero in every other row.
+# One step's gradient: (parameter key, rows, values). `values` holds the
+# gradient of those rows, which may repeat; it is zero in every other row.
 _Grads = list[tuple[str, np.ndarray | slice, np.ndarray]]
 
 
-def _backprop_context(params, cache, grad_h, foreign: _Ids) -> _Grads:
+def _backprop_context(params, cache, grad_h, foreign_ids: np.ndarray) -> _Grads:
     if cache is None:
-        return [("foreign_emb", foreign.rows, foreign.row_grads(grad_h))]
+        return [("foreign_emb", foreign_ids, grad_h)]
     x, q, k, v, attn, scale = cache
     grad_v = attn.T @ grad_h
     grad_attn = grad_h @ v.T
@@ -220,48 +173,37 @@ def _backprop_context(params, cache, grad_h, foreign: _Ids) -> _Grads:
     grad_q = (grad_scores @ k) * scale
     grad_k = (grad_scores.T @ q) * scale
     grad_x = grad_q @ params["wq"].T + grad_k @ params["wk"].T + grad_v @ params["wv"].T
-    # `+ 0.0` as adding into a zero gradient does: -0.0 becomes 0.0.
     return [
-        ("wq", _ALL_ROWS, x.T @ grad_q + 0.0),
-        ("wk", _ALL_ROWS, x.T @ grad_k + 0.0),
-        ("wv", _ALL_ROWS, x.T @ grad_v + 0.0),
-        ("foreign_emb", foreign.rows, foreign.row_grads(grad_x)),
+        ("wq", _ALL_ROWS, x.T @ grad_q),
+        ("wk", _ALL_ROWS, x.T @ grad_k),
+        ("wv", _ALL_ROWS, x.T @ grad_v),
+        ("foreign_emb", foreign_ids, grad_x),
     ]
 
 
 def _pair_loss_and_grads(
     params: Mapping[str, np.ndarray],
-    foreign: _Ids,
-    words: _Ids,
+    foreign_ids: np.ndarray,
+    word_ids: np.ndarray | slice,
     labels: np.ndarray,
 ) -> tuple[float, _Grads]:
     """Summed cross-entropy for one sentence's words, and its gradient.
 
-    `foreign` is grouped as wide as the embeddings, and its `cells` place
-    each word's share of `grad_h` in the row of its best-matching token.
+    `word_ids` is _ALL_ROWS when every word is scored. Each word's dz goes
+    to its best-matching token through one (tokens x words) matrix.
     """
-    x = params["foreign_emb"].take(foreign.ids, axis=0)
-    h, cache = _contextualize(params, x)
-    word_emb = params["english_emb"].take(words.ids, axis=0)
+    h, cache = _contextualize(params, params["foreign_emb"][foreign_ids])
+    word_emb = params["english_emb"][word_ids]
     scores = h @ word_emb.T  # (tokens, words)
     best = scores.argmax(axis=0)
-    z = scores[best, np.arange(len(words.ids))] + params["bias"].take(words.ids)
+    words = np.arange(scores.shape[1])
+    z = scores[best, words] + params["bias"][word_ids]
     loss = float((softplus(z) - labels * z).sum())
     dz = sigmoid(z) - labels
-    if words.rows is _ALL_ROWS:
-        # every row once: gather each row's token and dz, then multiply
-        english = h.take(best.take(words.slots), axis=0)
-        english *= dz.take(words.slots)[:, None]
-        english += 0.0
-    else:
-        english = words.row_grads(dz[:, None] * h.take(best, axis=0))
-    grads = [
-        ("bias", words.rows, words.row_grads(dz)),
-        ("english_emb", words.rows, english),
-    ]
-    tokens = foreign.cells.take(best, axis=0).ravel()
-    grad_h = _add_at(tokens, dz[:, None] * word_emb, len(h))
-    return loss, grads + _backprop_context(params, cache, grad_h, foreign)
+    routed = np.zeros_like(scores)
+    routed[best, words] = dz
+    grads = [("bias", word_ids, dz), ("english_emb", word_ids, dz[:, None] * h[best])]
+    return loss, grads + _backprop_context(params, cache, routed @ word_emb, foreign_ids)
 
 
 def searcher_objective(
@@ -274,17 +216,14 @@ def searcher_objective(
     by the finite-difference tests.
     """
     grads = {key: np.zeros_like(value) for key, value in params.items()}
-    dim = params["foreign_emb"].shape[1]
     total = 0.0
     count = 0
     for foreign_ids, word_ids, labels in examples:
-        loss, pair_grads = _pair_loss_and_grads(
-            params, _Ids.grouped(foreign_ids, dim), _Ids.grouped(word_ids, dim), labels
-        )
+        loss, pair_grads = _pair_loss_and_grads(params, foreign_ids, word_ids, labels)
         total += loss
         count += len(word_ids)
         for key, rows, values in pair_grads:
-            grads[key][rows] += values
+            np.add.at(grads[key], rows, values)
     if count == 0:
         raise DataError("no scoring instances in objective")
     for key in grads:
@@ -292,26 +231,17 @@ def searcher_objective(
     return total / count, grads
 
 
-def _step_words(positives: np.ndarray, negatives: np.ndarray, ids, lr: float):
-    """A step's words (`ids` of the positives, then the negatives), their
-    labels, 1.0 then 0.0, and the step's scale."""
-    words = np.concatenate([positives, negatives])
-    labels = (np.arange(len(words)) < len(positives)).astype(float)
-    return ids(words), labels, lr / len(words)
-
-
 def train_searcher(
     bitext: Bitext, vocab: Vocabulary, config: SearcherConfig = SearcherConfig()
 ) -> tuple[SearcherModel, list[float]]:
     """SGD over bitext pairs; returns the model and per-epoch mean losses.
 
-    Single-threaded and fully determined by config.seed. A pair's
-    positives are its `reference_grid` row's vocabulary indices. With at
-    most FULL_VOCAB_MAX words, each pair's words, labels and step scale are
-    built once, before the first epoch, and a step subtracts the whole
-    `english_emb` and `bias` gradients, in row order; a larger vocabulary
-    re-draws each step's negatives, drops those the grid row marks, and
-    updates the rows they touch.
+    Single-threaded and fully determined by config.seed. A pair's labels
+    are its `reference_grid` row. With at most FULL_VOCAB_MAX words a step
+    scores every word; a larger vocabulary scores the pair's positives and
+    `m_neg` sampled negatives per positive, less those the grid row marks.
+    Raises DataError after an epoch whose mean loss or any parameter is
+    not finite.
     """
     rng = np.random.default_rng(config.seed)
     foreign_vocab = Vocabulary(ranked_tokens(src for src, _ in bitext))
@@ -331,50 +261,47 @@ def train_searcher(
     # the model holds `params`, which the steps below update in place
     model = SearcherModel(vocab, foreign_vocab, params)
 
-    # Per pair with a vocabulary word: its foreign rows, its positives and,
-    # for a small vocabulary, which is scored in full, its fixed step (its
-    # words: the positives, then every other word; labels; scale). A larger
-    # vocabulary re-draws the negatives per step (None). Pairs without a
-    # vocabulary word are never trained on.
+    # Per pair with a vocabulary word: its foreign rows and its positives.
+    # Pairs without a vocabulary word are never trained on.
     grid = reference_grid(bitext, vocab)
-    pairs: dict[int, tuple[_Ids, np.ndarray, tuple | None]] = {}
-    for i, ((src, _), in_reference) in enumerate(zip(bitext, grid)):
-        positives = np.flatnonzero(in_reference)
-        if not len(positives):
-            continue
-        step = None
-        if k <= FULL_VOCAB_MAX:
-            negatives = np.flatnonzero(~in_reference)
-            step = _step_words(positives, negatives, _Ids.every_row, config.lr)
-        pairs[i] = (_Ids.grouped(model.foreign_ids(src), config.dim), positives, step)
+    pairs = {
+        i: (model.foreign_ids(src), np.flatnonzero(in_reference))
+        for i, ((src, _), in_reference) in enumerate(zip(bitext, grid))
+        if in_reference.any()
+    }
     if not pairs:
         raise DataError("no bitext pair shares a word with the vocabulary")
 
-    # A step reads and updates only the rows its pair touches: every other
-    # row of the dense gradient is 0.0, and p - s * 0.0 leaves p as it is.
-    # Scoring every word touches every row of `english_emb` and `bias`, and
-    # their gradients come in row order, so those update whole.
-    grouped = partial(_Ids.grouped, width=config.dim)
     losses: list[float] = []
     for epoch in range(config.epochs):
         order = np.array(list(pairs))
         rng.shuffle(order)
         epoch_loss = 0.0
         epoch_count = 0
-        for i in order:
-            foreign, positives, step = pairs[i]
-            if step is None:
-                negatives = rng.integers(0, k, size=config.m_neg * len(positives))
-                negatives = negatives[~grid[i, negatives]]
-                step = _step_words(positives, negatives, grouped, config.lr)
-            words, labels, scale = step
-            loss, grads = _pair_loss_and_grads(params, foreign, words, labels)
-            for key, rows, values in grads:
-                values *= scale
-                params[key][rows] -= values
-            epoch_loss += loss
-            epoch_count += len(words.ids)
+        # an overflow shows as a loss or parameter that is not finite, below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in order:
+                foreign_ids, positives = pairs[i]
+                word_ids = _ALL_ROWS
+                if k > FULL_VOCAB_MAX:
+                    negatives = rng.integers(0, k, size=config.m_neg * len(positives))
+                    word_ids = np.concatenate([positives, negatives[~grid[i, negatives]]])
+                labels = grid[i, word_ids].astype(float)
+                loss, grads = _pair_loss_and_grads(params, foreign_ids, word_ids, labels)
+                scale = config.lr / len(labels)
+                for key, rows, values in grads:
+                    if rows is _ALL_ROWS:
+                        params[key] -= scale * values
+                    else:  # the rows may repeat
+                        np.subtract.at(params[key], rows, scale * values)
+                epoch_loss += loss
+                epoch_count += len(labels)
         losses.append(epoch_loss / epoch_count)
+        if not (math.isfinite(losses[-1]) and all(np.isfinite(p).all() for p in params.values())):
+            raise DataError(
+                f"searcher training diverged in epoch {epoch + 1} at learning"
+                f" rate {config.lr!r}: the mean loss or a parameter is not finite"
+            )
         log.info("searcher epoch %d mean loss %.6f", epoch + 1, losses[-1])
     return model, losses
 

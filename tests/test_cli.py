@@ -228,6 +228,28 @@ class TestTrainers:
         assert "final mean loss" in capsys.readouterr().out
         assert load_searcher(model_path).dim == 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("depth", ["0", "1"])
+    def test_diverging_searcher_is_a_one_line_data_error(
+        self, data_dir, tmp_path, capsys, depth
+    ):
+        """A step that overflows stops training after its epoch, with no
+        numpy warnings and no model file."""
+        model = tmp_path / "searcher.npz"
+        code = main([
+            "train-searcher", "--bitext", str(data_dir / "bitext.tsv"),
+            "--depth", depth, "--epochs", "2", "--lr", "1e200", "--out", str(model),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: searcher training diverged in epoch 1 at learning rate 1e+200:"
+            " the mean loss or a parameter is not finite\n"
+        )
+        assert not model.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_searcher_model_is_written_where_out_says(self, data_dir, tmp_path, capsys):
         model = tmp_path / "model.bin"
         assert main([

@@ -317,22 +317,6 @@ class TestEmFitOverCountedRows:
         np.testing.assert_allclose(lam, want_lam, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(history, want_history, rtol=1e-12, atol=0.0)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(1, 3000),
-        k=st.integers(1, 6),
-        seed=st.integers(0, 2**32 - 1),
-        levels=st.sampled_from([0, 2, 7, 50]),
-    )
-    def test_distinct_rows_repeated_by_their_counts_are_q(self, n, k, seed, levels):
-        q = planted_q(n, k, seed, levels)
-        rows, counts = combiner_module._distinct_rows(q)
-        assert counts.dtype == float and counts.sum() == n
-        # strictly increasing in lexicographic order, so each row once
-        assert all(a < b for a, b in zip(rows.tolist(), rows[1:].tolist()))
-        expanded = np.repeat(rows, counts.astype(int), axis=0)
-        assert expanded.tolist() == sorted(q.tolist())
-
 
 class TestEmFitMemory:
     def test_peak_is_its_buffers_at_any_iteration_count(self):

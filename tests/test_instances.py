@@ -14,6 +14,7 @@ import clirset.numerics as numerics_module
 from clirset.corpus import Bitext, Corpus, Document
 from clirset.errors import DataError
 from clirset.evidence import LabeledInstance, Vocabulary, labeled_instances
+from clirset.evidence.instances import distinct_rows
 from clirset.numerics import DEFAULT_EPSILON, Choices, random_floats, sigmoid, softplus
 
 
@@ -122,6 +123,48 @@ class TestRandomFloats:
         assert got.dtype == np.float64
         assert got.tolist() == [want_rng.random() for _ in range(m)]
         assert got_rng.getstate() == want_rng.getstate()
+
+
+def assert_distinct_rows(a):
+    """distinct_rows(a) holds each row of `a` once, in increasing
+    lexicographic order, with float counts that repeat them into `a`'s rows."""
+    rows, counts = distinct_rows(a)
+    assert counts.dtype == float and counts.sum() == len(a)
+    assert all(x < y for x, y in zip(rows.tolist(), rows[1:].tolist()))
+    expanded = np.repeat(rows, counts.astype(int), axis=0)
+    assert expanded.tolist() == sorted(a.tolist())
+
+
+class TestDistinctRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([0, 2, 7, 50]),
+    )
+    def test_repeated_by_their_counts_are_q(self, n, k, seed, levels):
+        """The mixture's q: likelihoods, some drawn from a few levels."""
+        rng = np.random.default_rng(seed)
+        if levels:
+            q = rng.choice(np.linspace(0.01, 0.99, levels), size=(n, k))
+        else:
+            q = rng.uniform(1e-6, 1.0, size=(n, k))
+        assert_distinct_rows(q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        n_systems=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    def test_a_label_column_and_0_1_features(self, n, n_systems, seed, rate):
+        """The MT ensemble's rows: a label, then one 0/1 feature per system."""
+        rng = np.random.default_rng(seed)
+        features = (rng.random((n, n_systems)) < rate).astype(float)
+        labels = (rng.random(n) < 0.3).astype(float)
+        assert_distinct_rows(np.column_stack([labels, features]))
 
 
 class TestLabeledInstances:

@@ -10,8 +10,8 @@ third test pins the `dump-evidence` file of each generator (table, MT,
 searcher) on the noisy world, MT's background cells included, and a
 fourth every file `synth` writes, for those two worlds and for an
 all-speech one whose decoy pool barely exceeds its depth. A fifth runs
-`fit-mixture` on the noisy world with one BLAS thread and with two and
-compares the weights byte for byte. A
+each fit command on the noisy world with one BLAS thread and with two and
+compares what they write byte for byte. A
 refactor that must not change outputs fails here, in seconds, before the
 benchmark's own output checks run. A change that alters outputs on
 purpose re-records the digests and says why.
@@ -37,19 +37,19 @@ SYNTH = [
 
 EXPECTED_SHA256 = {
     "mt.json": (
-        "2696e27408785383a355f0a4a313201e125f2f24e822ed63cb61cd9c3a73c792"
+        "8ca149985c877bd27083d81a678044f9080fb4598a144a8ee1241e06c256e74b"
     ),
     "searcher.npz": (
-        "08a61c50a35faa602aa10120747cba28b2069a84d5788eeec57dc72c7c4be6d0"
+        "ee220340fb3814febc79c7b78a49e6ea094ba51baf83d87d9f15833a2c39a551"
     ),
     "weights.tsv": (
-        "6999ad4feec55a37f7c585312a9ac1dfda4fbf3ae6864fbf7ee801caf7a009b8"
+        "ca421f28c3c6d1b79d6422fc334c67385078a8c488575705b15bac7f14b6dbc9"
     ),
     "run/ranked.run": (
-        "7ef0c4755ce2365a29e09cdb55b2890d7d26485d2cffdab5e2aa70cacc00d600"
+        "79d79a0ab3d38ffc7e55ead555b59b3b9257c0d4ae1b71e0a8e400573ef55be3"
     ),
     "run/cutoffs.tsv": (
-        "7670958ec3fcf79598a59b4dffe99d221f8a5265bf235a1f5f8894440363def5"
+        "e5f2ff4ab98d2dd7584d9ccdc19f85fc80bc6e24fcfee0ab24f04b72a237f4c5"
     ),
     "run/sets.tsv": (
         "43a08c4a2281725f26b50c931a1e502ed970b7792e607bf14fcab5337e00fc34"
@@ -108,18 +108,15 @@ def generators(data, out):
     ]
 
 
-def fit_mixture_argv(data, out, weights):
-    return [
-        "fit-mixture", "--bitext", str(data / "bitext.tsv"), *generators(data, out),
-        "--out", str(weights),
-    ]
+def fit_mixture_argv(data, out):
+    return ["fit-mixture", "--bitext", str(data / "bitext.tsv"), *generators(data, out)]
 
 
 def test_pipeline_outputs_match_recorded_digests(tmp_path):
     data, out = tmp_path / "data", tmp_path / "out"
     fit_models(data, out)
     steps = [
-        fit_mixture_argv(data, out, out / "weights.tsv"),
+        fit_mixture_argv(data, out) + ["--out", str(out / "weights.tsv")],
         ["retrieve", "--corpus", str(data / "corpus.jsonl"),
          "--queries", str(data / "queries.tsv"), *generators(data, out),
          "--weights", str(out / "weights.tsv"), "--out", str(out / "run")],
@@ -129,22 +126,34 @@ def test_pipeline_outputs_match_recorded_digests(tmp_path):
     assert digests(out, EXPECTED_SHA256) == EXPECTED_SHA256
 
 
-def test_fit_mixture_weights_do_not_depend_on_blas_threads(tmp_path):
-    """EM sums over instances inside a BLAS product: `fit-mixture` writes the
-    same `weights.tsv` bytes with one OpenBLAS thread and with two."""
+def test_fit_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Each fit sums inside BLAS products: EM over the distinct rows of q,
+    the searcher's step over its words, the ensemble's gradient over its
+    rows. `fit-ensemble`, `train-searcher` at depth 0 and 1, and
+    `fit-mixture` write the same bytes with one OpenBLAS thread and with
+    two."""
     data, out = tmp_path / "data", tmp_path / "out"
     fit_models(data, out)
     path = os.pathsep.join(
         filter(None, [str(Path(clirset.__file__).parents[1]), os.environ.get("PYTHONPATH")])
     )
-    written = []
-    for threads in ("1", "2"):
-        weights = out / f"weights-{threads}.tsv"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
-        argv = [sys.executable, "-m", "clirset.cli", *fit_mixture_argv(data, out, weights)]
-        subprocess.run(argv, env=env, check=True, capture_output=True)
-        written.append(weights.read_bytes())
-    assert written[0] == written[1]
+    bitext = ["--bitext", str(data / "bitext.tsv")]
+    searcher = ["train-searcher", *bitext, "--dim", "16", "--epochs", "2"]
+    commands = {
+        "mt.json": ["fit-ensemble", *bitext, "--mt-hyps", str(data / "mt_hyps.tsv")],
+        "searcher-depth0.npz": searcher,
+        "searcher-depth1.npz": [*searcher, "--depth", "1"],
+        "weights.tsv": fit_mixture_argv(data, out),
+    }
+    for name, command in commands.items():
+        written = []
+        for threads in ("1", "2"):
+            target = out / f"{threads}-threads-{name}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            argv = [sys.executable, "-m", "clirset.cli", *command, "--out", str(target)]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            written.append(target.read_bytes())
+        assert written[0] == written[1], name
 
 
 def test_table_only_long_speech_documents_match_recorded_digests(tmp_path):
@@ -164,10 +173,10 @@ DUMP_EVIDENCE_SHA256 = {
         "829f1745310ef6cdaa5bcd9b09b7a2013da76c50d4e858155d453e6479affecb"
     ),
     "mt.tsv": (
-        "c3da0f0900300831dcb2fa85cc8cd00596a49159cff95e80f9f39433867cdd63"
+        "5dcc925792245b9e853e61149092b026896838d6f496c2d012f350d2c2a3200b"
     ),
     "searcher.tsv": (
-        "2e04c962040f7a3443ccb89475cb18b28de5b2eb4e8fa5510afdabb86f9a0caa"
+        "219eb15ff506bbf84f38461d427c964e03cf4b55241862d3e4ba6a472a2c5e2e"
     ),
 }
 
