@@ -6,7 +6,10 @@ tokenizer that every raw text field passes through. Loaded structures are
 immutable; loaders validate invariants and raise DataError with file and
 line context. A speech utterance's ConfusionNetwork stores its arcs as
 columns (a token tuple, one float64 array, the slot ends), not as one
-Python object per arc.
+Python object per arc. A Corpus also holds every arc of every segment in
+one ArcStore (a text token is an arc of probability 1.0), which
+`load_corpus` fills and checks a document at a time as it parses; a
+loaded network's probabilities are a view of the store's.
 
 File formats:
   - corpus: JSONL, one document per line.
@@ -27,11 +30,13 @@ import os
 import re
 import string
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,6 +170,14 @@ class ConfusionNetwork:
         )
 
 
+def _checked_network(tokens, probs, ends) -> ConfusionNetwork:
+    """A network over arcs load_corpus has checked in bulk, built unchecked."""
+    cn = object.__new__(ConfusionNetwork)
+    for field, value in zip(ConfusionNetwork.__slots__, (tokens, probs, ends)):
+        object.__setattr__(cn, field, value)
+    return cn
+
+
 @dataclass(frozen=True)
 class Document:
     """One retrievable unit: text sentences or speech confusion networks."""
@@ -198,6 +211,42 @@ class Document:
 
     def __len__(self) -> int:
         return len(self.segments)
+
+
+class ArcStore(NamedTuple):
+    """A corpus's arcs in segment order: arc i is token ids[i] (int32; `index`
+    maps each token to its id, in order of first sight) with probability
+    probs[i] (1.0 for a text token). Segment s, row s of
+    `Corpus.segment_keys`, holds arcs offsets[s] up to offsets[s + 1]."""
+
+    index: dict[Token, int]
+    ids: np.ndarray
+    probs: np.ndarray
+    offsets: np.ndarray
+
+
+class _ArcStoreBuilder:
+    """Fills an ArcStore a document at a time, holding arcs in machine types."""
+
+    def __init__(self) -> None:
+        self.index = _Encodings(lambda token: len(self.index))
+        self.ids, self.probs, self.offsets = array("i"), array("d"), array("q", [0])
+
+    def add(self, segments: Sequence[Sequence[Token]], probs: array | None = None):
+        """Append a document's segments; their arcs' probabilities default to 1.0."""
+        start = len(self.ids)
+        tokens = chain.from_iterable(segments)
+        ids = np.fromiter(map(self.index.__getitem__, tokens), np.intc)
+        self.ids.frombytes(ids.tobytes())
+        self.probs.extend(array("d", [1.0]) * len(ids) if probs is None else probs)
+        self.offsets.extend([start + end for end in accumulate(map(len, segments))])
+
+    def finish(self) -> ArcStore:
+        """The store, read-only over buffers that can then grow no more."""
+        columns = ((self.ids, np.intc), (self.probs, np.float64), (self.offsets, np.int64))
+        return ArcStore(dict(self.index), *(
+            np.frombuffer(memoryview(column).toreadonly(), dtype) for column, dtype in columns
+        ))
 
 
 @dataclass(frozen=True)
@@ -236,6 +285,19 @@ class Corpus:
         """The corpus-order index of every document, in ascending id order."""
         ids = list(self.documents)
         return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+
+    @cached_property
+    def arcs(self) -> ArcStore:
+        """Every arc of every segment. `load_corpus` fills the store as it
+        parses; any other corpus builds it from its documents on first use."""
+        builder = _ArcStoreBuilder()
+        for doc in self:
+            if doc.kind == TEXT:
+                builder.add(doc.sentences)
+            else:
+                probs = b"".join(cn.probs.tobytes() for cn in doc.utterances)
+                builder.add([cn.tokens for cn in doc.utterances], array("d", probs))
+        return builder.finish()
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document]) -> "Corpus":
@@ -499,20 +561,25 @@ def _check_id(prefix: str, what: str, value: str) -> None:
 
 
 def load_corpus(path) -> Corpus:
-    """Read a JSONL corpus, validating every document.
+    """Read a JSONL corpus, validating every document, and fill its ArcStore.
 
     Each distinct raw arc token is normalized once per call: `arc_tokens`
-    maps it to its one normalized token. An utterance's arcs are appended
-    to a token list and a probability list, from which its
-    ConfusionNetwork is built once.
+    maps it to its one normalized token. A speech document's arcs are
+    appended to a token list and a probability list, which numpy checks in
+    bulk before they join the store: every probability in (0, 1] and every
+    slot's sum at most 1 + SLOT_SUM_TOLERANCE. Only a document that fails
+    builds its networks one by one, whose slot walk names the first fault.
+    Once the file is read, each network is built without a walk, as a view
+    of the store's probabilities.
 
     The cyclic garbage collector is paused while the file is parsed, and
     its earlier state is restored afterwards. JSON values and the documents
     built from them are trees, so it has no cycles to find; left running,
     it promotes each line's lists and rescans them in full collections.
     """
-    docs: dict[str, Document] = {}
+    docs: dict[str, Document | list] = {}
     arc_tokens: dict[str, Token] = {}
+    store = _ArcStoreBuilder()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -525,24 +592,36 @@ def load_corpus(path) -> Corpus:
             if not isinstance(obj, dict):
                 raise DataError(f"{ctx}: document line is not a JSON object")
             try:
-                doc = _document_from_json(obj, ctx, arc_tokens)
+                doc_id, doc = _document_from_json(obj, ctx, arc_tokens, store)
             except DataError:
                 raise
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{ctx}: malformed document: {exc}") from exc
-            if doc.id in docs:
-                raise DataError(f"{ctx}: duplicate document id {doc.id!r}")
-            docs[doc.id] = doc
+            if doc_id in docs:
+                raise DataError(f"{ctx}: duplicate document id {doc_id!r}")
+            docs[doc_id] = doc
+        if not docs:
+            raise DataError(f"{path}: corpus file is empty")
+        arcs = store.finish()
+        for doc_id, networks in docs.items():
+            if isinstance(networks, list):
+                docs[doc_id] = Document(id=doc_id, kind=SPEECH, utterances=tuple(
+                    _checked_network(tokens, arcs.probs[first : first + ends[-1]], ends)
+                    for tokens, first, ends in networks
+                ))
     finally:
         if gc_was_enabled:
             gc.enable()
-    if not docs:
-        raise DataError(f"{path}: corpus file is empty")
-    return Corpus(docs)
+    corpus = Corpus(docs)
+    vars(corpus)["arcs"] = arcs  # where the cached property keeps its value
+    return corpus
 
 
-def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Document:
-    """Build one document; `arc_tokens` holds the arc tokens seen so far.
+def _document_from_json(
+    obj: dict, ctx: str, arc_tokens: dict[str, Token], store: _ArcStoreBuilder
+) -> tuple[str, Document | list]:
+    """One document's id and its Document, or for speech its networks'
+    (tokens, first arc in the store, slot ends), once its arcs are in `store`.
 
     A raw arc token enters `arc_tokens` only once it has passed the
     exactly-one-token check, so every arc is checked, on its token's first
@@ -567,23 +646,30 @@ def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Do
                     f"{ctx}: sentence {j} of {doc_id!r} normalizes to no tokens"
                 )
             sentences.append(tokens)
-        return Document(id=doc_id, kind=TEXT, sentences=tuple(sentences))
-    if kind == SPEECH:
-        raw_utts = obj.get("utterances")
-        if not isinstance(raw_utts, list) or not raw_utts:
-            raise DataError(f"{ctx}: speech document {doc_id!r} needs utterances")
-        utterances = []
+        store.add(sentences)
+        return doc_id, Document(id=doc_id, kind=TEXT, sentences=tuple(sentences))
+    if kind != SPEECH:
+        raise DataError(f"{ctx}: document {doc_id!r} has unknown kind {kind!r}")
+    raw_utts = obj.get("utterances")
+    if not isinstance(raw_utts, list) or not raw_utts:
+        raise DataError(f"{ctx}: speech document {doc_id!r} needs utterances")
+    tokens: list[Token] = []
+    probs: list[float] = []
+    starts: list[int] = []  # each slot's first arc
+    utterances: list[tuple[Sentence, int, tuple[int, ...]]] = []  # tokens, first arc, ends
+    checked = False
+    try:
         for u, raw_slots in enumerate(raw_utts):
             if not isinstance(raw_slots, list) or not raw_slots:
                 raise DataError(f"{ctx}: utterance {u} of {doc_id!r} has no slots")
-            tokens: list[Token] = []
-            probs: list[float] = []
-            ends: list[int] = []
+            first = len(tokens)
+            ends = []
             for s, raw_arcs in enumerate(raw_slots):
                 if not isinstance(raw_arcs, list) or not raw_arcs:
                     raise DataError(
                         f"{ctx}: utterance {u} slot {s} of {doc_id!r} has no arcs"
                     )
+                starts.append(len(tokens))
                 for arc in raw_arcs:
                     if not isinstance(arc, list) or len(arc) != 2:
                         raise DataError(
@@ -614,15 +700,35 @@ def _document_from_json(obj: dict, ctx: str, arc_tokens: dict[str, Token]) -> Do
                         prob = float(prob)
                     tokens.append(token)
                     probs.append(prob)
-                ends.append(len(tokens))
+                ends.append(len(tokens) - first)
+            utterances.append((tuple(tokens[first:]), first, tuple(ends)))
+        # numpy sums pairwise, the walk in arc order: for n arcs in (0, 1] each
+        # sum is within n * 2**-53 of the exact one (relative), so with half
+        # the tolerance as margin a slot of under 10**9 arcs that passes here
+        # passes the walk. NaN fails every comparison.
+        chunk = array("d", probs)
+        values = np.frombuffer(chunk)
+        checked = values.min() > 0.0 and values.max() <= 1.0 and (
+            np.add.reduceat(values, starts).max() <= 1.0 + SLOT_SUM_TOLERANCE / 2)
+    except (DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        fault = exc  # load_corpus reports these, after any earlier fault
+    else:
+        fault = None
+    if not checked:
+        # On a failed check, or a fault after the last whole utterance (whose
+        # own faults come first in the file), the networks walk their slots.
+        for u, (net_tokens, first, ends) in enumerate(utterances):
             try:
-                utterances.append(
-                    ConfusionNetwork(tuple(tokens), np.array(probs), tuple(ends))
-                )
-            except DataError as exc:
-                raise DataError(f"{ctx}: utterance {u} of {doc_id!r}: {exc}") from exc
-        return Document(id=doc_id, kind=SPEECH, utterances=tuple(utterances))
-    raise DataError(f"{ctx}: document {doc_id!r} has unknown kind {kind!r}")
+                ConfusionNetwork(net_tokens, np.array(probs[first : first + ends[-1]]), ends)
+            except DataError as err:
+                raise DataError(f"{ctx}: utterance {u} of {doc_id!r}: {err}") from err
+        if fault is not None:
+            raise fault
+    offset = len(store.ids)
+    store.add([net_tokens for net_tokens, _, _ in utterances], chunk)
+    return doc_id, [
+        (net_tokens, offset + first, ends) for net_tokens, first, ends in utterances
+    ]
 
 
 class _Encodings(dict):

@@ -598,6 +598,136 @@ class TestConfusionNetworkColumns:
         assert retained / arcs < 40
 
 
+def assert_same_store(got, want):
+    assert got.index == want.index and list(got.index) == list(want.index)
+    for name, dtype in (("ids", np.int32), ("probs", np.float64), ("offsets", np.int64)):
+        column = getattr(got, name)
+        assert column.dtype == dtype and not column.flags.writeable
+        assert column.tobytes() == getattr(want, name).astype(dtype).tobytes()
+
+
+class TestArcStore:
+    @settings(max_examples=150, deadline=None)
+    @given(kinds=st.lists(st.one_of(TEXT_DOC, SPEECH_DOC), min_size=1, max_size=6))
+    def test_loaded_store_equals_the_one_built_from_documents(self, tmp_path_factory, kinds):
+        objs = [{"id": f"d{i}", **obj} for i, obj in enumerate(kinds)]
+        path = write_corpus(tmp_path_factory.mktemp("corpus") / "corpus.jsonl", objs)
+        loaded = load_corpus(path)
+        built = Corpus.from_documents(per_arc_reference(objs))
+        assert_same_store(loaded.arcs, built.arcs)
+        # every segment's arcs, in corpus order; a text token is an arc of 1.0
+        arcs = loaded.arcs
+        tokens = list(arcs.index)
+        segments = [seg for doc in built for seg in doc.segments]
+        assert len(arcs.offsets) == len(segments) + 1 and arcs.offsets[0] == 0
+        for s, segment in enumerate(segments):
+            span = slice(arcs.offsets[s], arcs.offsets[s + 1])
+            seg_tokens = segment if isinstance(segment, tuple) else segment.tokens
+            seg_probs = [1.0] * len(segment) if isinstance(segment, tuple) else segment.probs
+            assert [tokens[i] for i in arcs.ids[span]] == list(seg_tokens)
+            assert arcs.probs[span].tolist() == list(seg_probs)
+
+    def test_raw_spellings_of_one_token_share_an_id(self, tmp_path):
+        objs = [
+            {"id": "t", "kind": "text", "sentences": ["Foo bar"]},
+            {"id": "s", "kind": "speech",
+             "utterances": [[[["foo", 0.5], ["Foo", 0.25]], [["BAR!", 1]]]]},
+        ]
+        corpus = load_corpus(write_corpus(tmp_path / "corpus.jsonl", objs))
+        arcs = corpus.arcs
+        assert arcs.index == {"foo": 0, "bar": 1}
+        assert arcs.ids.tolist() == [0, 1, 0, 0, 1]
+        assert arcs.probs.tolist() == [1.0, 1.0, 0.5, 0.25, 1.0]
+        assert arcs.offsets.tolist() == [0, 2, 5]
+        assert_same_store(arcs, Corpus.from_documents(corpus).arcs)
+
+    def test_loaded_networks_are_read_only_float64_views_of_the_store(self, tmp_path):
+        objs = [{"id": "s", "kind": "speech",
+                 "utterances": [[[["a", 0.5], ["b", 0.5]]], [[["c", 1]]]]}]
+        corpus = load_corpus(write_corpus(tmp_path / "corpus.jsonl", objs))
+        for cn in corpus["s"].utterances:
+            assert cn.probs.dtype == np.float64 and not cn.probs.flags.writeable
+            assert np.shares_memory(cn.probs, corpus.arcs.probs)
+            with pytest.raises(ValueError):
+                cn.probs[0] = 0.25
+        assert [cn.slots for cn in corpus["s"].utterances] == [
+            ((("a", 0.5), ("b", 0.5)),), ((("c", 1.0),),)
+        ]
+
+
+class TestLoadCorpusNamesTheFirstFault:
+    """Arcs are checked a document at a time, yet the error names the fault
+    that comes first in the file, as when each utterance was checked on its own."""
+
+    def test_a_slot_sum_before_a_malformed_arc_and_bad_json(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "kind": "text", "sentences": ["x y"]}) + "\n"
+            + json.dumps({"id": "b", "kind": "speech", "utterances": [
+                [[["p", 0.75], ["q", 0.5]]],
+                [[["r", 0.5], ["malformed"]]],
+            ]}) + "\n"
+            + "{not json\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == (
+            f"{path}:2: utterance 0 of 'b': confusion network slot 0 probs sum to 1.25 > 1"
+        )
+
+    @pytest.mark.parametrize(
+        "utterances, message",
+        [
+            # by utterance: a later utterance's earlier slot does not come first
+            (
+                [[[["a", 1.0]], [["b", 0.75], ["c", 0.5]]], [[["d", 0.0]]]],
+                "utterance 0 of 'b': confusion network slot 1 probs sum to 1.25 > 1",
+            ),
+            # by slot, within an utterance
+            (
+                [[[["a", 1.0]], [["b", float("nan")]], [["c", 0.75], ["d", 0.5]]]],
+                "utterance 0 of 'b': confusion network slot 1 arc prob nan outside (0, 1]",
+            ),
+            (
+                [[[["a", 0.5]], [["b", 0.75], ["c", 0.5]], [["d", 2.0]]]],
+                "utterance 0 of 'b': confusion network slot 1 probs sum to 1.25 > 1",
+            ),
+            # a fault in a whole utterance before an unreadable one
+            (
+                [[[["a", 1.5]]], [[["b", 1.0]], "not a slot"]],
+                "utterance 0 of 'b': confusion network slot 0 arc prob 1.5 outside (0, 1]",
+            ),
+            # within one utterance, a fault of the arcs' form comes first
+            (
+                [[[["a", 1.5]], [["b", "0.5"]]]],
+                "arc prob for 'b' in 'b' is not a number",
+            ),
+        ],
+    )
+    def test_a_document_at_fault_twice_names_the_first(self, tmp_path, utterances, message):
+        good = {"id": "a", "kind": "speech", "utterances": [[[["a", 1.0]]]]}
+        bad = {"id": "b", "kind": "speech", "utterances": utterances}
+        later = {"id": "c", "kind": "speech", "utterances": [[[["a", 2.0]]]]}
+        path = write_corpus(tmp_path / "corpus.jsonl", [good, bad, later])
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+    def test_by_line_first(self, tmp_path):
+        objs = [
+            {"id": "a", "kind": "speech", "utterances": [[[["a", 1.0]]], [[["b", 0.0]]]]},
+            {"id": "b", "kind": "speech", "utterances": [[[["a", 2.0]]]]},
+        ]
+        path = write_corpus(tmp_path / "corpus.jsonl", objs)
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == (
+            f"{path}:1: utterance 1 of 'a': confusion network slot 0 arc prob 0.0"
+            " outside (0, 1]"
+        )
+
+
 class TestLoadCorpusPausesTheCollector:
     GOOD = {"id": "d", "kind": "speech", "utterances": [[[["a", 1.0]]]]}
     BAD = {"id": "d", "kind": "speech", "utterances": [[[["a b", 1.0]]]]}

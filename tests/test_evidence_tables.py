@@ -1,15 +1,17 @@
 """Translation-table evidence and the shared matrix machinery."""
 
+import json
 import random
+from itertools import repeat
 
 import numpy as np
 import pytest
 from corpus_helpers import from_slots
 from evidence_cells import matrix_over
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clirset.corpus import ConfusionNetwork, Corpus, Document, TranslationTable
+from clirset.corpus import ConfusionNetwork, Corpus, Document, TranslationTable, load_corpus
 from clirset.errors import DataError
 from clirset.evidence import (
     EvidenceMatrix,
@@ -182,6 +184,114 @@ class TestTableEvidenceBitExact:
         )
         assert bound == [["e1", "e2"]]
         assert matrix.n_cells() == 3 * n_docs
+
+
+def per_arc_columns(t, corpus, words):
+    """The table generator's columns as a loop over every arc built them,
+    with a dict of each segment's best value per word."""
+    wanted = set(words)
+    postings = {}
+    for foreign, row in t.entries.items():
+        hits = [(english, p) for english, p in row.items() if english in wanted]
+        if hits:
+            postings[foreign] = hits
+    cells = {w: ([], []) for w in words}
+    segments = (segment for doc in corpus for segment in doc.segments)
+    for position, segment in enumerate(segments):
+        if isinstance(segment, ConfusionNetwork):
+            arcs = zip(segment.tokens, segment.probs.tolist())
+        else:
+            arcs = zip(segment, repeat(1.0))
+        best = {}
+        for foreign, arc_prob in arcs:
+            for english, prob in postings.get(foreign, ()):
+                value = prob * arc_prob
+                if value > best.get(english, 0.0):
+                    best[english] = value
+        for english, value in best.items():
+            cells[english][0].append(position)
+            cells[english][1].append(value)
+    return {
+        word: (np.array(rows, dtype=np.int64), np.array(values, dtype=float))
+        for word, (rows, values) in cells.items()
+    }
+
+
+def assert_columns_equal_per_arc(t, corpus, words):
+    cells, background = TranslationTableGenerator(t).columns(corpus, words)
+    expected = per_arc_columns(t, corpus, words)
+    assert background is None and list(cells) == list(expected)
+    for word, (rows, values) in expected.items():
+        got_rows, got_values = cells[word]
+        assert got_rows.dtype == np.int64 and got_values.dtype == np.float64
+        assert got_rows.tolist() == rows.tolist()
+        assert got_values.tobytes() == values.tobytes()
+
+
+def loaded(tmp_path, objs):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs), encoding="utf-8")
+    return load_corpus(path)
+
+
+class TestTableKernelEqualsThePerArcLoop:
+    def test_on_a_loaded_corpus(self, tmp_path):
+        corpus = loaded(tmp_path, [
+            {"id": "t", "kind": "text", "sentences": ["fa zz fa", "zz"]},
+            {"id": "s", "kind": "speech", "utterances": [
+                # fa twice in a slot and again in the next; zz has no postings
+                [[["fa", 0.25], ["fa", 0.5], ["zz", 0.25]], [["fa", 0.75], ["fo", 0.25]]],
+                # p(e3|tiny) * 1e-200 underflows to 0.0: no cell
+                [[["tiny", 1e-200], ["zz", 0.5]]],
+                [[["fo", 1.0]]],
+            ]},
+        ])
+        t = table({
+            "fa": {"e1": 0.6, "e2": 0.1}, "fo": {"e1": 0.3, "e2": 0.7},
+            "tiny": {"e3": 1e-200},
+            "absent": {"e1": 0.5, "e4": 0.5},  # a table token the corpus lacks
+        })
+        words = ["e1", "e2", "e3", "e4", "nobody"]
+        assert_columns_equal_per_arc(t, corpus, words)
+        cells, _ = TranslationTableGenerator(t).columns(corpus, words)
+        assert cells["e1"][0].tolist() == [0, 2, 4]
+        assert cells["e1"][1].tolist() == [0.6, 0.6 * 0.75, 0.3]
+        for word in ("e3", "e4", "nobody"):
+            assert len(cells[word][0]) == len(cells[word][1]) == 0
+
+    def test_no_words_and_no_postings(self, tmp_path):
+        corpus = loaded(tmp_path, [{"id": "t", "kind": "text", "sentences": ["zz"]}])
+        t = table({"fa": {"e1": 0.6}})
+        assert TranslationTableGenerator(t).columns(corpus, []) == ({}, None)
+        assert_columns_equal_per_arc(t, corpus, ["e1"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_on_drawn_corpora_and_tables(self, tmp_path_factory, data):
+        foreign = ["fa", "fo", "fu", "fy"]
+        english = ["e1", "e2", "e3"]
+        probs = st.sampled_from([1e-200, 1e-170, 0.1, 0.25, 1 / 3, 0.5, 1.0])
+        entries = data.draw(st.dictionaries(
+            st.sampled_from(foreign),
+            st.dictionaries(st.sampled_from(english), probs, min_size=1, max_size=3),
+            max_size=4,
+        ), label="table")
+        entries = {f: row for f, row in entries.items() if sum(row.values()) <= 1.0}
+        slot = st.lists(st.tuples(st.sampled_from(foreign + ["zz"]), probs), min_size=1,
+                        max_size=3).filter(lambda arcs: sum(p for _, p in arcs) <= 1.0)
+        doc = st.one_of(
+            st.lists(st.lists(st.sampled_from(foreign + ["zz"]), min_size=1, max_size=4)
+                     .map(" ".join), min_size=1, max_size=3)
+            .map(lambda sentences: {"kind": "text", "sentences": sentences}),
+            st.lists(st.lists(slot.map(lambda arcs: [list(a) for a in arcs]), min_size=1,
+                              max_size=3), min_size=1, max_size=3)
+            .map(lambda utterances: {"kind": "speech", "utterances": utterances}),
+        )
+        docs = data.draw(st.lists(doc, min_size=1, max_size=5), label="docs")
+        words = sorted(data.draw(st.sets(st.sampled_from(english + ["e9"])), label="words"))
+        corpus = loaded(tmp_path_factory.mktemp("corpus"),
+                        [{"id": f"d{i}", **obj} for i, obj in enumerate(docs)])
+        assert_columns_equal_per_arc(table(entries or {"fa": {"e1": 0.5}}), corpus, words)
 
 
 def text_corpus(**n_sentences):
