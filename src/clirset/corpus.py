@@ -7,9 +7,10 @@ immutable; loaders validate invariants and raise DataError with file and
 line context. A speech utterance's ConfusionNetwork stores its arcs as
 columns (a token tuple, one float64 array, the slot ends), not as one
 Python object per arc. A Corpus also holds every arc of every segment in
-one ArcStore (a text token is an arc of probability 1.0), which
-`load_corpus` fills and checks a document at a time as it parses; a
-loaded network's probabilities are a view of the store's.
+one ArcStore (a text token is an arc of probability 1.0 and a slot),
+which `load_corpus` fills and checks a document at a time as it parses, at
+one dict lookup per arc. A loaded speech document's arcs live in the store
+only: its networks are built from it, as views, each time they are read.
 
 File formats:
   - corpus: JSONL, one document per line.
@@ -185,7 +186,7 @@ class Document:
     id: str
     kind: str
     sentences: tuple[Sentence, ...] = ()
-    utterances: tuple[ConfusionNetwork, ...] = ()
+    utterances: Sequence[ConfusionNetwork] = ()
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -205,7 +206,7 @@ class Document:
             raise DataError(f"document {self.id!r} has unknown kind {self.kind!r}")
 
     @property
-    def segments(self) -> tuple:
+    def segments(self) -> Sequence:
         """The sentence-like units evidence is computed over, in order."""
         return self.sentences if self.kind == TEXT else self.utterances
 
@@ -217,12 +218,14 @@ class ArcStore(NamedTuple):
     """A corpus's arcs in segment order: arc i is token ids[i] (int32; `index`
     maps each token to its id, in order of first sight) with probability
     probs[i] (1.0 for a text token). Segment s, row s of
-    `Corpus.segment_keys`, holds arcs offsets[s] up to offsets[s + 1]."""
+    `Corpus.segment_keys`, holds arcs offsets[s] up to offsets[s + 1], and
+    its slots end at the arcs of slot_ends (int64) inside that span."""
 
     index: dict[Token, int]
     ids: np.ndarray
     probs: np.ndarray
     offsets: np.ndarray
+    slot_ends: np.ndarray
 
 
 class _ArcStoreBuilder:
@@ -231,22 +234,63 @@ class _ArcStoreBuilder:
     def __init__(self) -> None:
         self.index = _Encodings(lambda token: len(self.index))
         self.ids, self.probs, self.offsets = array("i"), array("d"), array("q", [0])
+        self.slot_ends = array("q")
 
-    def add(self, segments: Sequence[Sequence[Token]], probs: array | None = None):
-        """Append a document's segments; their arcs' probabilities default to 1.0."""
+    def add(self, ids: Iterable[int], probs: array, segment_ends, slot_ends) -> None:
+        """Append a document's arcs; its segments and slots end at the given
+        arcs, counted from the document's first."""
         start = len(self.ids)
-        tokens = chain.from_iterable(segments)
-        ids = np.fromiter(map(self.index.__getitem__, tokens), np.intc)
-        self.ids.frombytes(ids.tobytes())
-        self.probs.extend(array("d", [1.0]) * len(ids) if probs is None else probs)
-        self.offsets.extend([start + end for end in accumulate(map(len, segments))])
+        self.ids.extend(ids)
+        self.probs.extend(probs)
+        self.offsets.extend([start + end for end in segment_ends])
+        self.slot_ends.extend([start + end for end in slot_ends])
+
+    def add_text(self, sentences: Sequence[Sentence]) -> None:
+        """Append a text document, each token an arc of 1.0 and a slot."""
+        ids = array("i", map(self.index.__getitem__, chain.from_iterable(sentences)))
+        ends = accumulate(map(len, sentences))
+        self.add(ids, array("d", [1.0]) * len(ids), ends, range(1, len(ids) + 1))
 
     def finish(self) -> ArcStore:
         """The store, read-only over buffers that can then grow no more."""
-        columns = ((self.ids, np.intc), (self.probs, np.float64), (self.offsets, np.int64))
+        columns = (self.ids, self.probs, self.offsets, self.slot_ends)
         return ArcStore(dict(self.index), *(
-            np.frombuffer(memoryview(column).toreadonly(), dtype) for column, dtype in columns
+            np.frombuffer(memoryview(column).toreadonly(), dtype)
+            for column, dtype in zip(columns, (np.intc, np.float64, np.int64, np.int64))
         ))
+
+
+class _Utterances(Sequence):
+    """A loaded speech document's networks, built from the corpus's ArcStore
+    on each read: `segments` are its rows of the store, words[i] the token
+    of id i. Equal to any sequence of equal networks; nothing is cached."""
+
+    __slots__ = ("arcs", "words", "segments")
+
+    def __init__(self, arcs: ArcStore, words: tuple[Token, ...], segments: range):
+        self.arcs, self.words, self.segments = arcs, words, segments
+
+    def __len__(self) -> int:
+        return len(self.segments)
+
+    def __getitem__(self, u):
+        if isinstance(u, slice):
+            return tuple(map(self._network, self.segments[u]))
+        return self._network(self.segments[u])
+
+    def __iter__(self) -> Iterator[ConfusionNetwork]:
+        return map(self._network, self.segments)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
+
+    def _network(self, segment: int) -> ConfusionNetwork:
+        arcs = self.arcs
+        start, end = arcs.offsets[segment : segment + 2].tolist()
+        first, last = np.searchsorted(arcs.slot_ends, (start, end), side="right").tolist()
+        ends = tuple((arcs.slot_ends[first:last] - start).tolist())
+        tokens = tuple(map(self.words.__getitem__, arcs.ids[start:end].tolist()))
+        return _checked_network(tokens, arcs.probs[start:end], ends)
 
 
 @dataclass(frozen=True)
@@ -291,12 +335,11 @@ class Corpus:
         """Every arc of every segment. `load_corpus` fills the store as it
         parses; any other corpus builds it from its documents on first use."""
         builder = _ArcStoreBuilder()
-        for doc in self:
-            if doc.kind == TEXT:
-                builder.add(doc.sentences)
-            else:
-                probs = b"".join(cn.probs.tobytes() for cn in doc.utterances)
-                builder.add([cn.tokens for cn in doc.utterances], array("d", probs))
+        for doc in self:  # a document has sentences or utterances, not both
+            builder.add_text(doc.sentences)
+            for cn in doc.utterances:
+                ids = map(builder.index.__getitem__, cn.tokens)
+                builder.add(ids, array("d", cn.probs.tobytes()), [len(cn.tokens)], cn.ends)
         return builder.finish()
 
     @classmethod
@@ -561,24 +604,24 @@ def _check_id(prefix: str, what: str, value: str) -> None:
 
 
 def load_corpus(path) -> Corpus:
-    """Read a JSONL corpus, validating every document, and fill its ArcStore.
+    """Read a JSONL corpus, validating every document, into its ArcStore.
 
     Each distinct raw arc token is normalized once per call: `arc_tokens`
-    maps it to its one normalized token. A speech document's arcs are
-    appended to a token list and a probability list, which numpy checks in
-    bulk before they join the store: every probability in (0, 1] and every
-    slot's sum at most 1 + SLOT_SUM_TOLERANCE. Only a document that fails
-    builds its networks one by one, whose slot walk names the first fault.
-    Once the file is read, each network is built without a walk, as a view
-    of the store's probabilities.
+    maps it to its store id, so an arc costs one dict lookup. A speech
+    document's ids and probabilities are appended to two lists, which numpy
+    checks in bulk before they join the store: every probability in (0, 1]
+    and every slot's sum at most 1 + SLOT_SUM_TOLERANCE. Only a document
+    that fails builds its networks one by one, whose slot walk names the
+    first fault. A loaded speech document holds its arcs in the store only;
+    each of its networks is built from it, unchecked, when read.
 
     The cyclic garbage collector is paused while the file is parsed, and
     its earlier state is restored afterwards. JSON values and the documents
     built from them are trees, so it has no cycles to find; left running,
     it promotes each line's lists and rescans them in full collections.
     """
-    docs: dict[str, Document | list] = {}
-    arc_tokens: dict[str, Token] = {}
+    docs: dict[str, Document | range] = {}
+    arc_tokens: dict[str, int] = {}
     store = _ArcStoreBuilder()
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -603,12 +646,10 @@ def load_corpus(path) -> Corpus:
         if not docs:
             raise DataError(f"{path}: corpus file is empty")
         arcs = store.finish()
-        for doc_id, networks in docs.items():
-            if isinstance(networks, list):
-                docs[doc_id] = Document(id=doc_id, kind=SPEECH, utterances=tuple(
-                    _checked_network(tokens, arcs.probs[first : first + ends[-1]], ends)
-                    for tokens, first, ends in networks
-                ))
+        words = tuple(arcs.index)
+        for doc_id, segments in docs.items():
+            if isinstance(segments, range):
+                docs[doc_id] = Document(doc_id, SPEECH, (), _Utterances(arcs, words, segments))
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -618,14 +659,14 @@ def load_corpus(path) -> Corpus:
 
 
 def _document_from_json(
-    obj: dict, ctx: str, arc_tokens: dict[str, Token], store: _ArcStoreBuilder
-) -> tuple[str, Document | list]:
-    """One document's id and its Document, or for speech its networks'
-    (tokens, first arc in the store, slot ends), once its arcs are in `store`.
+    obj: dict, ctx: str, arc_tokens: dict[str, int], store: _ArcStoreBuilder
+) -> tuple[str, Document | range]:
+    """One document's id and its Document, or for speech its utterances'
+    rows of the store, once its arcs are in `store`.
 
-    A raw arc token enters `arc_tokens` only once it has passed the
-    exactly-one-token check, so every arc is checked, on its token's first
-    sight or by the lookup.
+    A raw arc token enters `arc_tokens`, mapped to its store id, only once
+    it has passed the exactly-one-token check, so every arc is checked, on
+    its token's first sight or by the lookup.
     """
     doc_id = obj.get("id")
     kind = obj.get("kind")
@@ -646,30 +687,27 @@ def _document_from_json(
                     f"{ctx}: sentence {j} of {doc_id!r} normalizes to no tokens"
                 )
             sentences.append(tokens)
-        store.add(sentences)
+        store.add_text(sentences)
         return doc_id, Document(id=doc_id, kind=TEXT, sentences=tuple(sentences))
     if kind != SPEECH:
         raise DataError(f"{ctx}: document {doc_id!r} has unknown kind {kind!r}")
     raw_utts = obj.get("utterances")
     if not isinstance(raw_utts, list) or not raw_utts:
         raise DataError(f"{ctx}: speech document {doc_id!r} needs utterances")
-    tokens: list[Token] = []
+    ids: list[int] = []
     probs: list[float] = []
-    starts: list[int] = []  # each slot's first arc
-    utterances: list[tuple[Sentence, int, tuple[int, ...]]] = []  # tokens, first arc, ends
+    bounds = [0]  # 0, then the arc at which each slot ends
+    utterances = [0]  # 0, then the bound at which each whole utterance ends
     checked = False
     try:
         for u, raw_slots in enumerate(raw_utts):
             if not isinstance(raw_slots, list) or not raw_slots:
                 raise DataError(f"{ctx}: utterance {u} of {doc_id!r} has no slots")
-            first = len(tokens)
-            ends = []
             for s, raw_arcs in enumerate(raw_slots):
                 if not isinstance(raw_arcs, list) or not raw_arcs:
                     raise DataError(
                         f"{ctx}: utterance {u} slot {s} of {doc_id!r} has no arcs"
                     )
-                starts.append(len(tokens))
                 for arc in raw_arcs:
                     if not isinstance(arc, list) or len(arc) != 2:
                         raise DataError(
@@ -682,15 +720,15 @@ def _document_from_json(
                             f"{ctx}: utterance {u} slot {s} of {doc_id!r} has a"
                             " non-string token"
                         )
-                    token = arc_tokens.get(raw_token)
-                    if token is None:
+                    arc_id = arc_tokens.get(raw_token)
+                    if arc_id is None:
                         normalized = normalize(raw_token)
                         if len(normalized) != 1:
                             raise DataError(
                                 f"{ctx}: arc token {raw_token!r} in {doc_id!r} does"
                                 " not normalize to exactly one token"
                             )
-                        token = arc_tokens[raw_token] = normalized[0]
+                        arc_id = arc_tokens[raw_token] = store.index[normalized[0]]
                     if type(prob) is not float:  # float(prob) is prob for a float
                         if type(prob) is not int:  # JSON true and false are bools
                             raise DataError(
@@ -698,10 +736,10 @@ def _document_from_json(
                                 " is not a number"
                             )
                         prob = float(prob)
-                    tokens.append(token)
+                    ids.append(arc_id)
                     probs.append(prob)
-                ends.append(len(tokens) - first)
-            utterances.append((tuple(tokens[first:]), first, tuple(ends)))
+                bounds.append(len(ids))
+            utterances.append(len(bounds) - 1)
         # numpy sums pairwise, the walk in arc order: for n arcs in (0, 1] each
         # sum is within n * 2**-53 of the exact one (relative), so with half
         # the tolerance as margin a slot of under 10**9 arcs that passes here
@@ -709,7 +747,7 @@ def _document_from_json(
         chunk = array("d", probs)
         values = np.frombuffer(chunk)
         checked = values.min() > 0.0 and values.max() <= 1.0 and (
-            np.add.reduceat(values, starts).max() <= 1.0 + SLOT_SUM_TOLERANCE / 2)
+            np.add.reduceat(values, bounds[:-1]).max() <= 1.0 + SLOT_SUM_TOLERANCE / 2)
     except (DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
         fault = exc  # load_corpus reports these, after any earlier fault
     else:
@@ -717,18 +755,20 @@ def _document_from_json(
     if not checked:
         # On a failed check, or a fault after the last whole utterance (whose
         # own faults come first in the file), the networks walk their slots.
-        for u, (net_tokens, first, ends) in enumerate(utterances):
+        words = list(store.index)
+        for u, (lo, hi) in enumerate(zip(utterances, utterances[1:])):
+            first, last = bounds[lo], bounds[hi]
+            ends = tuple(end - first for end in bounds[lo + 1 : hi + 1])
             try:
-                ConfusionNetwork(net_tokens, np.array(probs[first : first + ends[-1]]), ends)
+                net_tokens = tuple(map(words.__getitem__, ids[first:last]))
+                ConfusionNetwork(net_tokens, np.array(probs[first:last]), ends)
             except DataError as err:
                 raise DataError(f"{ctx}: utterance {u} of {doc_id!r}: {err}") from err
         if fault is not None:
             raise fault
-    offset = len(store.ids)
-    store.add([net_tokens for net_tokens, _, _ in utterances], chunk)
-    return doc_id, [
-        (net_tokens, offset + first, ends) for net_tokens, first, ends in utterances
-    ]
+    segment = len(store.offsets) - 1
+    store.add(ids, chunk, [bounds[hi] for hi in utterances[1:]], bounds[1:])
+    return doc_id, range(segment, segment + len(utterances) - 1)
 
 
 class _Encodings(dict):

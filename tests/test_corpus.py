@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from clirset.corpus import (
     save_translation_table,
 )
 from clirset.errors import DataError
-from clirset.evidence import load_mt_hypotheses
+from clirset.evidence import TranslationTableGenerator, load_mt_hypotheses
 from clirset.relevance import RankedList, save_run
 from clirset.synth import SynthSpec, generate
 from clirset.thresholder import CutoffDecision, save_cutoffs, save_returned_sets
@@ -575,10 +576,11 @@ class TestConfusionNetworkColumns:
         assert first.read_bytes() == second.read_bytes()
 
     def test_loaded_speech_keeps_few_bytes_per_arc(self, tmp_path):
-        """A token reference and a float64 per arc, plus a little per network.
+        """An int32 id and a float64 per arc in the store, plus an int64 end
+        per slot: a loaded speech document holds no network of its own.
 
         Arcs held as (token, float) tuples inside slot tuples take about
-        100 bytes each.
+        100 bytes each; a token tuple per network besides the store, 32.
         """
         spec = SynthSpec(docs=100, queries=2, noise=0.3, speech_fraction=1.0,
                          confusion_depth=5, bitext_pairs=20)
@@ -595,12 +597,14 @@ class TestConfusionNetworkColumns:
             tracemalloc.stop()
         arcs = sum(len(slot) for doc in corpus for cn in doc.utterances for slot in cn.slots)
         assert arcs > 10_000
-        assert retained / arcs < 40
+        assert retained / arcs < 20
 
 
 def assert_same_store(got, want):
     assert got.index == want.index and list(got.index) == list(want.index)
-    for name, dtype in (("ids", np.int32), ("probs", np.float64), ("offsets", np.int64)):
+    columns = (("ids", np.int32), ("probs", np.float64), ("offsets", np.int64),
+               ("slot_ends", np.int64))
+    for name, dtype in columns:
         column = getattr(got, name)
         assert column.dtype == dtype and not column.flags.writeable
         assert column.tobytes() == getattr(want, name).astype(dtype).tobytes()
@@ -626,6 +630,10 @@ class TestArcStore:
             seg_probs = [1.0] * len(segment) if isinstance(segment, tuple) else segment.probs
             assert [tokens[i] for i in arcs.ids[span]] == list(seg_tokens)
             assert arcs.probs[span].tolist() == list(seg_probs)
+            # a text token is a slot of its own
+            seg_ends = range(1, len(segment) + 1) if isinstance(segment, tuple) else segment.ends
+            inside = (arcs.slot_ends > arcs.offsets[s]) & (arcs.slot_ends <= arcs.offsets[s + 1])
+            assert (arcs.slot_ends[inside] - arcs.offsets[s]).tolist() == list(seg_ends)
 
     def test_raw_spellings_of_one_token_share_an_id(self, tmp_path):
         objs = [
@@ -639,6 +647,7 @@ class TestArcStore:
         assert arcs.ids.tolist() == [0, 1, 0, 0, 1]
         assert arcs.probs.tolist() == [1.0, 1.0, 0.5, 0.25, 1.0]
         assert arcs.offsets.tolist() == [0, 2, 5]
+        assert arcs.slot_ends.tolist() == [1, 2, 4, 5]
         assert_same_store(arcs, Corpus.from_documents(corpus).arcs)
 
     def test_loaded_networks_are_read_only_float64_views_of_the_store(self, tmp_path):
@@ -653,6 +662,65 @@ class TestArcStore:
         assert [cn.slots for cn in corpus["s"].utterances] == [
             ((("a", 0.5), ("b", 0.5)),), ((("c", 1.0),),)
         ]
+        # built on each read, and kept nowhere
+        assert corpus["s"].utterances[0] is not corpus["s"].utterances[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(kinds=st.lists(st.one_of(TEXT_DOC, SPEECH_DOC), min_size=1, max_size=6))
+    def test_loaded_utterances_equal_the_networks_their_walk_builds(
+        self, tmp_path_factory, kinds
+    ):
+        objs = [{"id": f"d{i}", **obj} for i, obj in enumerate(kinds)]
+        path = write_corpus(tmp_path_factory.mktemp("corpus") / "corpus.jsonl", objs)
+        corpus = load_corpus(path)
+        for obj in objs:
+            if obj["kind"] != "speech":
+                continue
+            networks = []
+            for raw_slots in obj["utterances"]:
+                arcs = [arc for raw_arcs in raw_slots for arc in raw_arcs]
+                networks.append(ConfusionNetwork(
+                    tuple(normalize(raw_token)[0] for raw_token, _ in arcs),
+                    np.array([prob for _, prob in arcs], dtype=np.float64),
+                    tuple(accumulate(map(len, raw_slots))),
+                ))
+            networks = tuple(networks)
+            utterances = corpus[obj["id"]].utterances
+            assert len(utterances) == len(networks)
+            assert utterances == networks and networks == utterances
+            assert utterances == list(networks) and utterances != networks[:-1]
+            assert tuple(utterances) == networks
+            assert utterances[-1] == networks[-1] and utterances[1:] == networks[1:]
+            assert [cn.one_best() for cn in utterances] == [cn.one_best() for cn in networks]
+            assert corpus[obj["id"]] == Document(id=obj["id"], kind="speech",
+                                                 utterances=networks)
+            with pytest.raises(IndexError):
+                utterances[len(networks)]
+
+    def test_only_reading_a_network_builds_one(self, tmp_path, monkeypatch):
+        calls = []
+        build = corpus_module._checked_network
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(corpus_module, "_checked_network", counting)
+        objs = [
+            {"id": "t", "kind": "text", "sentences": ["foo bar"]},
+            {"id": "s", "kind": "speech",
+             "utterances": [[[["foo", 0.5], ["bar", 0.5]]], [[["bar", 1]], [["foo", 1]]]]},
+        ]
+        corpus = load_corpus(write_corpus(tmp_path / "corpus.jsonl", objs))
+        assert [len(doc) for doc in corpus] == [1, 2]
+        assert corpus.segment_keys == (("t", 0), ("s", 0), ("s", 1))
+        assert corpus.segment_docs.tolist() == [0, 1, 1]
+        table = TranslationTable({"foo": {"x": 0.5}, "bar": {"y": 1.0}}, "t")
+        columns, _ = TranslationTableGenerator(table).columns(corpus, ["x", "y"])
+        assert columns["y"][0].tolist() == [0, 1, 2]
+        assert calls == []
+        assert [cn.ends for cn in corpus["s"].utterances] == [(2,), (1, 2)]
+        assert len(calls) == 2
 
 
 class TestLoadCorpusNamesTheFirstFault:
